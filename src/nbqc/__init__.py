@@ -29,7 +29,6 @@ from .decode import (
     check_node_min_max,
     decode,
     permute_message,
-    quantize,
     run_monte_carlo,
 )
 from .shuffle import (

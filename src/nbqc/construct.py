@@ -15,6 +15,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -129,6 +130,19 @@ class ParityCheck:
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.row_entries)
+
+    @cached_property
+    def dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dense edge form (cols, labels, degree): row r's entries fill the
+        first degree[r] slots of (rows, max degree) arrays; the other slots
+        hold column 0 with label 0, which adds nothing to a syndrome."""
+        degree = np.array([len(e) for e in self.row_entries], dtype=np.intp)
+        slots = np.arange(degree.max(initial=0)) < degree[:, None]
+        cols = np.zeros(slots.shape, dtype=np.intp)
+        labels = np.zeros(slots.shape, dtype=np.intp)
+        edges = np.array([e for entries in self.row_entries for e in entries], dtype=np.intp)
+        cols[slots], labels[slots] = edges.reshape(-1, 2).T
+        return cols, labels, degree
 
     def column_entries(self) -> list[list[tuple[int, int]]]:
         """Column-major view: per column, sorted list of (row, value)."""

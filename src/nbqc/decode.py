@@ -1,16 +1,26 @@
 """Layered Min-Max decoding over a BPSK/AWGN channel.
 
-Messages are q-entry numpy vectors of non-negative reliabilities indexed
-by the polynomial-bit value of the field element; every message leaving an
-operation is normalized so its minimum entry is exactly 0 (the most likely
-symbol has reliability 0).  The check node uses the min-max kernel
-C(a) = min over b+c=a of max(A(b), B(c)), combined forward/backward; a
-brute-force enumeration oracle defines ground truth for it.
+Messages are q-entry vectors of non-negative reliabilities indexed by the
+polynomial-bit value of the field element, stacked along the last axis of
+numpy arrays; every message leaving an operation is normalized so its
+minimum entry is exactly 0 (the most likely symbol has reliability 0).
+
+The decoder works on a dense edge form built once per code: layer t of a
+schedule holds (rows, d) arrays of its column indices and edge labels,
+its check-to-variable messages are one (rows, d, q) array and the
+posteriors one (columns, q) array.  A layer update runs its rows in
+chunks sized from q so that the check-node workspace stays at 1 MB.  Edge
+labels act on messages as gathers through the field's multiply table, and
+the check node combines the min-max kernel
+C(a) = min over b+c=a of max(A(b), B(c)) forward and backward for every
+row of a chunk at once.  Min and max select values without rounding, so
+the batched update gives the same floats as one row at a time; a
+brute-force enumeration oracle defines ground truth for the check node.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,12 +37,23 @@ BACKWARD = "backward"
 #: reliability assigned to non-transmitted symbols by the noiseless channel
 HARD_PENALTY = 1e6
 
+#: float64 entries of the check-node workspace (1 MB); a layer update takes
+#: WORKSPACE // (2 q^2) rows at a time: a whole layer up to q=16, 16 rows at
+#: q=64, one row at q=256
+WORKSPACE = 1 << 17
+
 
 @dataclass(frozen=True)
 class LayerSchedule:
+    """H's rows in layers, with each layer's dense edge form: cols[t] and
+    labels[t] are (rows, d) arrays of the column indices and edge labels
+    of layer t's rows."""
+
     partition: str
     layers: tuple[tuple[int, ...], ...]
     heights: int  # rows per layer
+    cols: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    labels: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -44,6 +65,8 @@ class DecoderConfig:
     trace: bool = False
 
     def __post_init__(self) -> None:
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.quant is not None:
             b_q, b_f = self.quant
             if not b_f < b_q:
@@ -59,15 +82,17 @@ class DecodeResult:
 
 
 def normalize(vec: np.ndarray) -> np.ndarray:
-    return vec - vec.min()
+    """Shift each message (last axis) so that its minimum entry is 0."""
+    return vec - vec.min(axis=-1, keepdims=True)
 
 
 def build_layer_schedule(h: ParityCheck, partition: str) -> LayerSchedule:
-    """Partition H's rows into layers.
+    """Partition H's rows into layers and cut each layer's dense edge form
+    out of H's.
 
     LAYER_I: one layer per CPM block row (q-1 rows each); LAYER_II: one
-    singleton layer per row.  Validates that no column appears twice
-    within a layer.
+    singleton layer per row.  Validates that the rows of a layer have
+    equal degree and that no column appears twice within a layer.
     """
     qm1 = h.q - 1
     if partition == LAYER_I:
@@ -80,105 +105,123 @@ def build_layer_schedule(h: ParityCheck, partition: str) -> LayerSchedule:
         heights = 1
     else:
         raise ValueError(f"unknown partition {partition!r}")
+    cols, labels, degree = h.dense
+    layer_cols, layer_labels = [], []
     for layer in layers:
-        seen: set[int] = set()
-        for r in layer:
-            for c, _ in h.row_entries[r]:
-                if c in seen:
-                    raise ValueError(f"column {c} appears twice in one layer")
-                seen.add(c)
-    return LayerSchedule(partition, layers, heights)
-
-
-def symbol_bits(a: int, m: int) -> list[int]:
-    return [(a >> i) & 1 for i in range(m)]
+        rows = np.array(layer)
+        d = degree[rows[0]]
+        if (degree[rows] != d).any():
+            raise ValueError(f"rows {layer[0]}..{layer[-1]} of one layer differ in degree")
+        used, count = np.unique(cols[rows, :d], return_counts=True)
+        if (count > 1).any():
+            raise ValueError(f"column {used[count > 1][0]} appears twice in one layer")
+        layer_cols.append(cols[rows, :d])
+        layer_labels.append(labels[rows, :d])
+    return LayerSchedule(partition, layers, heights, tuple(layer_cols), tuple(layer_labels))
 
 
 def channel_reliability(
     tx_symbols, sigma: float, fld: GF2m, rng: np.random.Generator
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """BPSK-modulate each symbol's m bits, add AWGN, build reliabilities.
 
     L_v(a) = sum over bits of |LLR_i| where bit i of a disagrees with the
     hard decision; normalized so the hard-decision symbol scores 0.
+    Returns one row per symbol; the noise is drawn symbol by symbol, bit 0
+    first.
     """
-    if sigma <= 0:
-        raise ValueError(f"noise std must be positive, got {sigma}")
-    m, q = fld.m, fld.q
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"noise std must be positive and finite, got {sigma}")
+    shifts = np.arange(fld.m)
+    tx = np.asarray(tx_symbols, dtype=int)
     # bit_table[a, i] = bit i of symbol a
-    bit_table = (np.arange(q)[:, None] >> np.arange(m)[None, :]) & 1
-    out = []
-    for sym in tx_symbols:
-        bits = np.array(symbol_bits(int(sym), m))
-        y = (1.0 - 2.0 * bits) + sigma * rng.standard_normal(m)
-        mag = np.abs(2.0 * y / sigma**2)
-        hard = (y < 0).astype(int)
-        vec = ((bit_table != hard[None, :]) * mag[None, :]).sum(axis=1)
-        out.append(normalize(vec))
-    return out
+    bit_table = (np.arange(fld.q)[:, None] >> shifts) & 1
+    bits = (tx[:, None] >> shifts) & 1
+    y = (1.0 - 2.0 * bits) + sigma * rng.standard_normal(bits.shape)
+    mag = np.abs(2.0 * y / sigma**2)
+    vec = ((bit_table != (y < 0)[:, None, :]) * mag[:, None, :]).sum(axis=2)
+    return normalize(vec)
 
 
-def hard_channel(tx_symbols, fld: GF2m, penalty: float = HARD_PENALTY) -> list[np.ndarray]:
+def hard_channel(tx_symbols, fld: GF2m, penalty: float = HARD_PENALTY) -> np.ndarray:
     """Noiseless limit: transmitted symbol gets 0, every other symbol `penalty`."""
-    out = []
-    for sym in tx_symbols:
-        vec = np.full(fld.q, penalty)
-        vec[int(sym)] = 0.0
-        out.append(vec)
+    tx = np.asarray(tx_symbols, dtype=int)
+    out = np.full((len(tx), fld.q), penalty)
+    out[np.arange(len(tx)), tx] = 0.0
     return out
 
 
-def permute_message(msg: np.ndarray, h: int, direction: str, fld: GF2m) -> np.ndarray:
-    """Edge-label action on a message.
+def permute_message(msg: np.ndarray, h, direction: str, fld: GF2m) -> np.ndarray:
+    """Edge-label action on messages: `msg` is (..., q) and `h` one label
+    or an array of labels of shape msg.shape[:-1].
 
     Forward maps out[a] = msg[h^-1 * a] so the check constraint becomes an
     unweighted sum; backward is the inverse.  Composing both is identity.
     """
-    if h == 0:
+    h = np.asarray(h)
+    if not h.all():
         raise ValueError("edge label must be nonzero")
     if direction == FORWARD:
-        g = fld.inv(h)
-    elif direction == BACKWARD:
-        g = h
-    else:
+        h = fld.inv_table[h]
+    elif direction != BACKWARD:
         raise ValueError(f"unknown direction {direction!r}")
-    idx = np.fromiter((fld.mul(g, a) for a in range(fld.q)), dtype=np.intp, count=fld.q)
-    return msg[idx]
+    return np.take_along_axis(msg, fld.mul_table[h], axis=-1)
 
 
-def _minmax_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """C[x] = min over y of max(a[y], b[x XOR y]); XOR is GF(2^m) addition."""
-    q = len(a)
-    idx = np.arange(q)
-    out = np.full(q, np.inf)
-    for y in range(q):
-        np.minimum(out, np.maximum(a[y], b[idx ^ y]), out=out)
-    return out
+@functools.cache
+def _xor_table(q: int) -> np.ndarray:
+    table = np.bitwise_xor.outer(np.arange(q), np.arange(q))
+    table.flags.writeable = False
+    return table
 
 
-def check_node_min_max(inputs: list[np.ndarray]) -> list[np.ndarray]:
+def _minmax_kernel(a: np.ndarray, b: np.ndarray, ws=None, out=None) -> np.ndarray:
+    """C[..., x] = min over y of max(a[..., y], b[..., x XOR y]) for stacked
+    messages; XOR is GF(2^m) addition.  `ws` is scratch space of at least
+    a.size * q entries; the result goes to `out` if given."""
+    q = a.shape[-1]
+    n = a.size * q
+    ws = (np.empty(n) if ws is None else ws[:n]).reshape(a.shape + (q,))
+    np.take(b, _xor_table(q), axis=-1, out=ws, mode="clip")  # ws[..., y, x] = b[..., x ^ y]
+    np.maximum(ws, a[..., :, None], out=ws)
+    return ws.min(axis=-2, out=out)
+
+
+def check_node_min_max(inputs, ws=None):
     """Min-Max check node update by forward-backward kernel combination.
 
+    `inputs` is a list of d messages, or a stacked (B, d, q) array of B
+    independent check rows; the outputs come back in the same form.
     Operates on the permuted domain (zero-sum constraint); output i is the
     min-max combination of all inputs except i, re-normalized to min 0.
+    `ws` is scratch space of at least 2 * B * q^2 entries.
     """
-    d = len(inputs)
+    x = np.asarray(inputs, dtype=float)
+    stacked = x.ndim == 3
+    x = x if stacked else x[None]
+    rows, d, q = x.shape
     if d < 2:
         raise ValueError(f"check degree must be >= 2, got {d}")
+    if ws is None:
+        ws = np.empty(2 * rows * q * q)
+    out = np.empty_like(x)
     if d == 2:
-        return [normalize(inputs[1].copy()), normalize(inputs[0].copy())]
-    fwd = [inputs[0]]
-    for i in range(1, d - 1):
-        fwd.append(_minmax_kernel(fwd[-1], inputs[i]))
-    bwd = [inputs[d - 1]]
-    for i in range(d - 2, 0, -1):
-        bwd.append(_minmax_kernel(inputs[i], bwd[-1]))
-    bwd.reverse()  # bwd[i] combines inputs i+1..d-1
-    outs = [normalize(bwd[0])]
-    for i in range(1, d - 1):
-        outs.append(normalize(_minmax_kernel(fwd[i - 1], bwd[i])))
-    outs.append(normalize(fwd[d - 2]))
-    return outs
+        out[:, 0], out[:, 1] = x[:, 1], x[:, 0]
+    else:
+        # chain[:, 0, k] combines inputs 0..k, chain[:, 1, k] inputs d-1-k..d-1
+        ends = np.stack([x, x[:, ::-1]], axis=1)
+        chain = np.empty((rows, 2, d - 1, q))
+        chain[:, :, 0] = ends[:, :, 0]
+        for k in range(1, d - 1):
+            _minmax_kernel(chain[:, :, k - 1], ends[:, :, k], ws, chain[:, :, k])
+        fwd, bwd = chain[:, 0], chain[:, 1, ::-1]  # bwd[:, i] combines inputs i+1..d-1
+        out[:, 0], out[:, d - 1] = bwd[:, 0], fwd[:, d - 2]
+        width = max(1, ws.size // (rows * q * q))
+        for i in range(1, d - 1, width):
+            j = min(i + width, d - 1)
+            _minmax_kernel(fwd[:, i - 1 : j - 1], bwd[:, i:j], ws, out[:, i:j])
+    out = normalize(out)
+    return out if stacked else list(out[0])
 
 
 def check_node_brute_force(inputs: list[np.ndarray]) -> list[np.ndarray]:
@@ -205,103 +248,94 @@ def check_node_brute_force(inputs: list[np.ndarray]) -> list[np.ndarray]:
     return outs
 
 
-def quantize(x: float, b_q: int, b_f: int) -> float:
-    """Unsigned (b_q, b_f) uniform quantization: round to nearest multiple
-    of 2^-b_f (ties up), saturating at (2^b_q - 1) * 2^-b_f."""
-    step = 2.0 ** (-b_f)
-    top = (2**b_q - 1) * step
-    val = np.floor(x / step + 0.5) * step
-    return float(min(val, top))
-
-
-def quantize_vec(vec: np.ndarray, quant: tuple[int, int]) -> np.ndarray:
+def quantize_vec(vec: np.ndarray, quant: tuple[int, int] | None) -> np.ndarray:
+    """Unsigned (b_q, b_f) uniform quantization: round to the nearest
+    multiple of 2^-b_f (ties up), saturating at (2^b_q - 1) * 2^-b_f.
+    quant=None returns `vec` unchanged."""
+    if quant is None:
+        return vec
     b_q, b_f = quant
     step = 2.0 ** (-b_f)
     top = (2**b_q - 1) * step
     return np.minimum(np.floor(vec / step + 0.5) * step, top)
 
 
-def process_row(
-    entries: list[tuple[int, int]],
-    get_msg,
-    set_msg,
-    r_store: dict[int, np.ndarray],
+def update_layer(
+    post: np.ndarray,
+    cols: np.ndarray,
+    labels: np.ndarray,
+    r_msg: np.ndarray,
     fld: GF2m,
     quant: tuple[int, int] | None,
+    ws: np.ndarray,
 ) -> None:
-    """One check-row update: subtract stored check messages, permute, run
-    the min-max check node, de-permute, add back.
+    """Update one layer in place.
 
-    Message access is abstracted through get_msg/set_msg so the same
-    arithmetic serves both direct-indexed and physically-shuffled decoders.
+    `post` holds the (columns, q) posteriors, `cols` and `labels` the
+    layer's (rows, d) edge form with `cols` indexing `post`, and `r_msg`
+    the layer's (rows, d, q) stored check messages.  Each row subtracts its
+    stored messages, permutes into the zero-sum domain, runs the check
+    node, permutes back and adds the new messages.  The rows of a layer
+    touch disjoint columns, so a chunk of them runs at once.
     """
-    l_cv = {}
-    for v, h in entries:
-        x = normalize(get_msg(v) - r_store[v])
-        if quant:
-            x = quantize_vec(x, quant)
-        l_cv[v] = x
-    ins = [permute_message(l_cv[v], h, FORWARD, fld) for v, h in entries]
-    outs = check_node_min_max(ins)
-    for (v, h), out in zip(entries, outs):
-        r_new = permute_message(out, h, BACKWARD, fld)
-        if quant:
-            r_new = quantize_vec(r_new, quant)
-        r_store[v] = r_new
-        post = normalize(l_cv[v] + r_new)
-        if quant:
-            post = quantize_vec(post, quant)
-        set_msg(v, post)
+    step = max(1, ws.size // (2 * fld.q * fld.q))
+    for lo in range(0, len(cols), step):
+        c, lab, r = cols[lo : lo + step], labels[lo : lo + step], r_msg[lo : lo + step]
+        l_cv = quantize_vec(normalize(post[c] - r), quant)
+        out = check_node_min_max(permute_message(l_cv, lab, FORWARD, fld), ws)
+        r[:] = quantize_vec(permute_message(out, lab, BACKWARD, fld), quant)
+        post[c] = quantize_vec(normalize(l_cv + r), quant)
 
 
-def hard_decision(posteriors: list[np.ndarray]) -> np.ndarray:
+def hard_decision(posteriors) -> np.ndarray:
     """argmin per symbol; ties break toward the smaller element index."""
-    return np.array([int(np.argmin(p)) for p in posteriors])
+    return np.asarray(posteriors).argmin(axis=-1)
 
 
 def syndrome_zero(h: ParityCheck, fld: GF2m, symbols: np.ndarray) -> bool:
-    for entries in h.row_entries:
-        acc = 0
-        for c, v in entries:
-            acc ^= fld.mul(v, int(symbols[c]))
-        if acc != 0:
-            return False
-    return True
+    cols, labels, _ = h.dense
+    terms = fld.mul_table[labels, np.asarray(symbols)[cols]]
+    return not np.bitwise_xor.reduce(terms, axis=1).any()
 
 
 def decode(
     h: ParityCheck,
     schedule: LayerSchedule,
-    channel: list[np.ndarray],
+    channel,
     fld: GF2m,
     config: DecoderConfig,
+    router=None,
 ) -> DecodeResult:
-    """Layered Min-Max decoding, layers processed top to bottom."""
-    if len(channel) != h.cols:
-        raise ValueError(f"expected {h.cols} channel messages, got {len(channel)}")
-    posteriors = [normalize(ch.astype(float)) for ch in channel]
-    r_store: list[dict[int, np.ndarray]] = [
-        {v: np.zeros(fld.q) for v, _ in h.row_entries[r]} for r in range(h.rows)
-    ]
+    """Layered Min-Max decoding, layers processed top to bottom.
+
+    The posterior of column v lives at row pos[v] of one (columns, q)
+    array.  pos stays the identity unless a `router` moves the messages, as
+    the schedule-driven decoder of nbqc.shuffle does: router.check(t, pos)
+    runs before layer t and router.move(t, post, pos) -> (post, pos) after
+    it.  Traces and decisions are always in column order.
+    """
+    post = np.array(channel, dtype=float)
+    if post.shape != (h.cols, fld.q):
+        raise ValueError(f"expected {h.cols} channel messages of {fld.q} entries, got {post.shape}")
+    post = normalize(post)
+    pos = np.arange(h.cols)
+    r_msg = [np.zeros(c.shape + (fld.q,)) for c in schedule.cols]
+    ws = np.empty(WORKSPACE)
     trace: list[np.ndarray] = []
     iterations = 0
     for _ in range(config.max_iter):
-        for layer in schedule.layers:
-            for r in layer:
-                process_row(
-                    h.row_entries[r],
-                    lambda v: posteriors[v],
-                    lambda v, msg: posteriors.__setitem__(v, msg),
-                    r_store[r],
-                    fld,
-                    config.quant,
-                )
+        for t, (cols, labels) in enumerate(zip(schedule.cols, schedule.labels)):
+            if router:
+                router.check(t, pos)
+            update_layer(post, pos[cols], labels, r_msg[t], fld, config.quant, ws)
             if config.trace:
-                trace.append(np.stack(posteriors))
+                trace.append(post[pos])
+            if router:
+                post, pos = router.move(t, post, pos)
         iterations += 1
-        if config.early_stop and syndrome_zero(h, fld, hard_decision(posteriors)):
+        if config.early_stop and syndrome_zero(h, fld, hard_decision(post[pos])):
             break
-    symbols = hard_decision(posteriors)
+    symbols = hard_decision(post[pos])
     return DecodeResult(symbols, iterations, syndrome_zero(h, fld, symbols), trace)
 
 
@@ -331,7 +365,7 @@ def _run_trial(args) -> tuple[int, int, int, int]:
     channel = channel_reliability(tx, sigma, fld, rng)
     result = decode(h, schedule, channel, fld, config)
     sym_err = int(np.count_nonzero(result.symbols))
-    bit_err = sum(bin(int(s)).count("1") for s in result.symbols)
+    bit_err = int(((result.symbols[:, None] >> np.arange(fld.m)) & 1).sum())
     return (1 if sym_err else 0, sym_err, bit_err, result.iterations)
 
 
@@ -355,10 +389,16 @@ def run_monte_carlo(
         raise ValueError("empty SNR list")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     rate = (h.cols - h.rows) / h.cols
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigmas = [snr_to_sigma(snr_db, rate, fld.m) for snr_db in snr_db_list]
+    for snr_db, sigma in zip(snr_db_list, sigmas):
+        if not (np.isfinite(sigma) and sigma > 0):
+            raise ValueError(f"SNR {snr_db} dB at design rate {rate:.4g} gives no finite noise std")
     rows = []
-    for si, snr_db in enumerate(snr_db_list):
-        sigma = snr_to_sigma(snr_db, rate, fld.m)
+    for si, (snr_db, sigma) in enumerate(zip(snr_db_list, sigmas)):
         jobs = [(h, schedule, fld, sigma, config, (si, t)) for t in range(trials)]
         if workers > 1:
             import multiprocessing
@@ -383,24 +423,3 @@ def run_monte_carlo(
             )
         )
     return rows
-
-
-def check_node_brute_force_loop(inputs: list[np.ndarray]) -> list[np.ndarray]:
-    """Scalar-loop variant of the enumeration oracle (small cases only)."""
-    d = len(inputs)
-    q = len(inputs[0])
-    if q ** (d - 1) > 1 << 16:
-        raise ValueError("loop oracle guard exceeded")
-    outs = []
-    for i in range(d):
-        others = [j for j in range(d) if j != i]
-        out = [np.inf] * q
-        for combo in itertools.product(range(q), repeat=len(others)):
-            a = 0
-            m = 0.0
-            for j, aj in zip(others, combo):
-                a ^= aj
-                m = max(m, float(inputs[j][aj]))
-            out[a] = min(out[a], m)
-        outs.append(normalize(np.array(out)))
-    return outs

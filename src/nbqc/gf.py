@@ -19,6 +19,8 @@ build time unless x generates the full multiplicative group.
 
 from __future__ import annotations
 
+import numpy as np
+
 DEFAULT_PRIMITIVE_POLY: dict[int, int] = {
     2: 0b111,
     3: 0b1011,
@@ -64,6 +66,14 @@ class GF2m:
             raise ValueError(f"polynomial {poly:#x} is not primitive over GF(2^{m})")
         self.antilog_table = tuple(antilog)
         self.log_table = tuple(log)
+
+        # numpy q x q product table and inverse table (inv_table[0] = 0)
+        alog, lg = np.array(antilog), np.array(log[1:])
+        self.mul_table = np.zeros((self.q, self.q), dtype=np.intp)
+        self.mul_table[1:, 1:] = alog[(lg[:, None] + lg[None, :]) % (self.q - 1)]
+        self.inv_table = np.zeros(self.q, dtype=np.intp)
+        self.inv_table[1:] = alog[-lg % (self.q - 1)]
+        self.mul_table.flags.writeable = self.inv_table.flags.writeable = False
 
     def __repr__(self) -> str:
         return f"GF2m(m={self.m}, poly={self.primitive_poly:#x})"

@@ -4,9 +4,9 @@ Benes switch model.
 Class-I codes route between consecutive layers with a single fixed
 permutation (static wiring); Class-II codes permute whole CPM column
 groups by XOR translations read off an n x n index table, realizable on a
-Benes network of 2*log2(rho) - 1 crossbar stages.  A schedule-driven
-decoder moves posterior vectors only through these generated permutations
-and must reproduce the direct-indexed decoder bit for bit.
+Benes network of 2*log2(rho) - 1 crossbar stages.  The schedule-driven
+decoder runs `decode`'s layer update on posteriors that move only through
+these permutations and must reproduce the direct decoder bit for bit.
 """
 
 from __future__ import annotations
@@ -22,10 +22,7 @@ from .decode import (
     DecoderConfig,
     LayerSchedule,
     build_layer_schedule,
-    hard_decision,
-    normalize,
-    process_row,
-    syndrome_zero,
+    decode,
 )
 from .gf import GF2m
 
@@ -424,7 +421,7 @@ def _single_row_transition(spec: CodeSpec, src: int, dst: int) -> VnuPermutation
 def schedule_driven_decode(
     spec: CodeSpec,
     h: ParityCheck,
-    channel: list,
+    channel,
     fld: GF2m,
     config: DecoderConfig,
     use_benes: bool = True,
@@ -432,93 +429,53 @@ def schedule_driven_decode(
     """Layered decode where posteriors move only through the generated
     inter-layer permutations.
 
-    A fixed wiring table is captured from layer 0; before each layer the
-    machine asserts that the schedule has parked every needed message at a
-    wired position.  Class-II moves are executed by token simulation on
-    the Benes network; Class-I moves by the static wire list.  Posterior
-    traces are bit-identical to the direct-indexed decoder's.
+    `decode` runs with a router that keeps the posteriors at physical
+    positions and moves them by one gather after each layer.  A fixed
+    wiring table is captured from layer 0; before each layer the router
+    asserts that the schedule has parked every needed message at a wired
+    position.  Class-II moves follow token simulation on the Benes network;
+    Class-I moves the static wire list.  Posterior traces are bit-identical
+    to the direct-indexed decoder's.
     """
-    schedule: LayerSchedule = build_layer_schedule(h, LAYER_I)
-    qm1 = fld.q - 1
-    size = h.cols
-    physical = [normalize(ch.astype(float)) for ch in channel]
-    pos = list(range(size))  # logical column -> physical position
-    r_store = [{v: np.zeros(fld.q) for v, _ in h.row_entries[r]} for r in range(h.rows)]
-
-    # Wiring fixed at design time from layer 0's nonzero pattern.
-    wired: dict[int, frozenset[int]] = {}
-    for e in range(qm1):
-        wired[e] = frozenset(c for c, _ in h.row_entries[e])
-
-    transitions = {}
-    for src, dst in layer_transitions(spec):
-        perm = transition_permutation(spec, src, dst)
-        mover = _make_mover(spec, perm, qm1, use_benes)
-        transitions[src] = (perm, mover)
-
-    trace: list[np.ndarray] = []
-    iterations = 0
-
-    def logical_view() -> list[np.ndarray]:
-        return [physical[pos[v]] for v in range(size)]
-
-    for _ in range(config.max_iter):
-        for t, layer in enumerate(schedule.layers):
-            for r in layer:
-                e = r % qm1
-                entries = h.row_entries[r]
-                needed = frozenset(pos[v] for v, _ in entries)
-                if needed != wired[e]:
-                    raise AssertionError(
-                        f"layer {t} row offset {e}: schedule misalignment, "
-                        f"wired={sorted(wired[e])} got={sorted(needed)}"
-                    )
-                process_row(
-                    entries,
-                    lambda v: physical[pos[v]],
-                    lambda v, msg: physical.__setitem__(pos[v], msg),
-                    r_store[r],
-                    fld,
-                    config.quant,
-                )
-            if config.trace:
-                trace.append(np.stack(logical_view()))
-            perm, mover = transitions[t]
-            physical[:] = mover(physical)
-            for v in range(size):
-                pos[v] = perm.map[pos[v]]
-        iterations += 1
-        logical = logical_view()
-        if config.early_stop and syndrome_zero(h, fld, hard_decision(logical)):
-            break
-    logical = logical_view()
-    symbols = hard_decision(logical)
-    return DecodeResult(symbols, iterations, syndrome_zero(h, fld, symbols), trace)
+    schedule = build_layer_schedule(h, LAYER_I)
+    return decode(h, schedule, channel, fld, config, _Router(spec, schedule, fld.q - 1, use_benes))
 
 
-def _make_mover(spec: CodeSpec, perm: VnuPermutation, qm1: int, use_benes: bool):
-    """Build the physical move: static wires for Class-I, Benes token flow
-    on the group level for Class-II."""
+class _Router:
+    """Wiring check and physical moves of `schedule_driven_decode`."""
+
+    def __init__(self, spec: CodeSpec, schedule: LayerSchedule, qm1: int, use_benes: bool) -> None:
+        self.cols = schedule.cols
+        # wiring fixed at design time from layer 0's nonzero pattern
+        self.wired = np.sort(schedule.cols[0], axis=1)
+        self.moves = {}
+        for src, dst in layer_transitions(spec):
+            perm = np.array(transition_permutation(spec, src, dst).map)
+            self.moves[src] = (perm, _gather_index(spec, perm, qm1, use_benes))
+
+    def check(self, t: int, pos: np.ndarray) -> None:
+        got = np.sort(pos[self.cols[t]], axis=1)
+        same = got.shape == self.wired.shape
+        bad = np.flatnonzero((got != self.wired).any(axis=1)) if same else [0]
+        if len(bad):
+            e = bad[0]
+            raise AssertionError(
+                f"layer {t} row offset {e}: schedule misalignment, "
+                f"wired={self.wired[e].tolist()} got={got[e].tolist()}"
+            )
+
+    def move(self, t: int, post: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        perm, gather = self.moves[t]
+        return post[gather], perm[pos]
+
+
+def _gather_index(spec: CodeSpec, perm: np.ndarray, qm1: int, use_benes: bool) -> np.ndarray:
+    """Source position of each physical destination: the inverse of the
+    static wires for Class-I, the Benes network's token flow on whole CPM
+    column groups for Class-II."""
     if spec.code_class == CLASS_I or not use_benes:
-        wires = list(enumerate(perm.map))
-
-        def move(items: list) -> list:
-            out = [None] * len(items)
-            for src, dst in wires:
-                out[dst] = items[src]
-            return out
-
-        return move
-
-    group_map = [perm.map[g * qm1] // qm1 for g in range(spec.rho)]
+        return np.argsort(perm)
+    group_map = [int(perm[g * qm1]) // qm1 for g in range(spec.rho)]
     settings = BenesNetwork(spec.rho).route(group_map)
-
-    def move(items: list) -> list:
-        groups = [items[g * qm1 : (g + 1) * qm1] for g in range(spec.rho)]
-        routed = simulate(settings, groups)
-        out = []
-        for grp in routed:
-            out.extend(grp)
-        return out
-
-    return move
+    src = np.array(simulate(settings, list(range(spec.rho))))
+    return (src[:, None] * qm1 + np.arange(qm1)).ravel()

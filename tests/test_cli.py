@@ -115,6 +115,23 @@ def test_simulate_rejects_bad_snr_list(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--snr-list", "nan"], "finite"),
+        (["--snr-list", "1,inf"], "finite"),
+        (["--snr-list", "1", "--max-iter", "0"], "max_iter"),
+        (["--snr-list", "1", "--workers", "0"], "worker"),
+    ],
+)
+def test_simulate_rejects_malformed_input(capsys, tmp_path, flags, message):
+    path = construct_class2(capsys, tmp_path)
+    code, out, err = run(capsys, "simulate", "--code", path, "--trials", "2", *flags)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_schedule_output_class1(capsys, tmp_path):
     path = str(tmp_path / "c1.nbqc")
     run(

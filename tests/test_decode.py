@@ -1,5 +1,7 @@
 """Min-Max decoding: message algebra, check node, quantization, decoding."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,25 +12,49 @@ from nbqc.decode import (
     FORWARD,
     LAYER_I,
     LAYER_II,
+    WORKSPACE,
     DecoderConfig,
     _minmax_kernel,
     build_layer_schedule,
     channel_reliability,
     check_node_brute_force,
-    check_node_brute_force_loop,
     check_node_min_max,
     decode,
     hard_channel,
     hard_decision,
     normalize,
     permute_message,
-    quantize,
     quantize_vec,
     run_monte_carlo,
     snr_to_sigma,
     syndrome_zero,
 )
 from nbqc.gf import GF2m
+
+
+def check_node_brute_force_loop(inputs):
+    """Scalar-loop variant of the enumeration oracle (small cases only)."""
+    d, q = len(inputs), len(inputs[0])
+    outs = []
+    for i in range(d):
+        others = [j for j in range(d) if j != i]
+        out = [np.inf] * q
+        for combo in itertools.product(range(q), repeat=len(others)):
+            a = 0
+            m = 0.0
+            for j, aj in zip(others, combo):
+                a ^= aj
+                m = max(m, float(inputs[j][aj]))
+            out[a] = min(out[a], m)
+        outs.append(normalize(np.array(out)))
+    return outs
+
+
+def quantize(x: float, b_q: int, b_f: int) -> float:
+    """Scalar reference for quantize_vec: round to the nearest multiple of
+    2^-b_f (ties up), saturating at (2^b_q - 1) * 2^-b_f."""
+    step = 2.0 ** (-b_f)
+    return float(min(np.floor(x / step + 0.5) * step, (2**b_q - 1) * step))
 
 
 def fig_code_class2():
@@ -65,6 +91,21 @@ def test_permute_round_trip(m):
         msg = rng.random(fld.q)
         back = permute_message(permute_message(msg, h, FORWARD, fld), h, BACKWARD, fld)
         assert np.array_equal(back, msg)
+
+
+def test_permute_batched_labels_match_single():
+    fld = GF2m(3)
+    rng = np.random.default_rng(4)
+    msgs = rng.random((5, 3, fld.q))
+    labels = rng.integers(1, fld.q, (5, 3))
+    for direction in (FORWARD, BACKWARD):
+        batched = permute_message(msgs, labels, direction, fld)
+        for i in range(5):
+            for j in range(3):
+                single = permute_message(msgs[i, j], int(labels[i, j]), direction, fld)
+                assert np.array_equal(batched[i, j], single)
+    with pytest.raises(ValueError):
+        permute_message(msgs, np.zeros((5, 3), dtype=int), FORWARD, fld)
 
 
 def test_permute_rejects_zero_label_and_bad_direction():
@@ -149,6 +190,32 @@ def test_check_node_property(d, flat):
         assert np.allclose(f, s, atol=1e-9)
 
 
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=2, max_value=5),
+    st.sampled_from([4, 8]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_check_node_matches_brute_force_rows(rows, d, q, seed):
+    rng = np.random.default_rng(seed)
+    stacked = normalize(rng.integers(0, 16, (rows, d, q)) * rng.random())
+    out = check_node_min_max(stacked)
+    assert out.shape == stacked.shape
+    for b in range(rows):
+        assert np.array_equal(out[b], np.stack(check_node_brute_force(list(stacked[b]))))
+    with pytest.raises(ValueError, match="degree"):
+        check_node_min_max(stacked[:, :1])
+
+
+def test_check_node_workspace_size_does_not_change_result():
+    # the default workspace runs the middle outputs two at a time, the
+    # decoder's 1 MB one all four at once
+    rng = np.random.default_rng(8)
+    stacked = normalize(rng.random((3, 6, 8)))
+    assert np.array_equal(check_node_min_max(stacked), check_node_min_max(stacked, np.empty(WORKSPACE)))
+
+
 # ---------------------------------------------------------------------------
 # quantization
 # ---------------------------------------------------------------------------
@@ -176,6 +243,11 @@ def test_quant_config_validation():
     DecoderConfig(quant=(5, 1))
 
 
+def test_config_rejects_no_iterations():
+    with pytest.raises(ValueError, match="max_iter"):
+        DecoderConfig(max_iter=0)
+
+
 # ---------------------------------------------------------------------------
 # schedules and channels
 # ---------------------------------------------------------------------------
@@ -199,6 +271,24 @@ def test_layer_schedule_rejects_duplicate_columns():
         build_layer_schedule(bad, LAYER_I)
 
 
+def test_layer_schedule_rejects_unequal_degrees_in_a_layer():
+    ragged = ParityCheck(2, 4, 3, [[(0, 1), (1, 1)], [(2, 2)]], [(0, 0), (0, 1)])
+    with pytest.raises(ValueError, match="differ in degree"):
+        build_layer_schedule(ragged, LAYER_I)
+    s2 = build_layer_schedule(ragged, LAYER_II)
+    assert [c.tolist() for c in s2.cols] == [[[0, 1]], [[2]]]
+    assert [lab.tolist() for lab in s2.labels] == [[[1, 1]], [[2]]]
+
+
+def test_layer_schedule_dense_form_matches_rows():
+    h, fld = fig_code_class2()
+    schedule = build_layer_schedule(h, LAYER_I)
+    for layer, cols, labels in zip(schedule.layers, schedule.cols, schedule.labels):
+        assert cols.shape == labels.shape == (len(layer), len(h.row_entries[layer[0]]))
+        for r, c_row, l_row in zip(layer, cols, labels):
+            assert list(zip(c_row.tolist(), l_row.tolist())) == h.row_entries[r]
+
+
 def test_channel_reliability_properties():
     fld = GF2m(3)
     rng = np.random.default_rng(9)
@@ -207,8 +297,25 @@ def test_channel_reliability_properties():
     for vec in msgs:
         assert vec.shape == (8,)
         assert vec.min() == 0.0
-    with pytest.raises(ValueError):
-        channel_reliability([0], 0.0, fld, rng)
+    for sigma in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            channel_reliability([0], sigma, fld, rng)
+
+
+def test_channel_reliability_matches_symbol_loop():
+    # one (n, m) draw is the same stream as n draws of m, symbol by symbol
+    for m in (2, 3, 5, 6, 8):
+        fld = GF2m(m)
+        tx = np.random.default_rng(m).integers(0, fld.q, 40)
+        got = channel_reliability(tx, 0.9, fld, np.random.default_rng(m + 50))
+        rng = np.random.default_rng(m + 50)
+        bit_table = (np.arange(fld.q)[:, None] >> np.arange(m)[None, :]) & 1
+        for sym, vec in zip(tx, got):
+            bits = np.array([(int(sym) >> i) & 1 for i in range(m)])
+            y = (1.0 - 2.0 * bits) + 0.9 * rng.standard_normal(m)
+            mag = np.abs(2.0 * y / 0.9**2)
+            want = ((bit_table != (y < 0).astype(int)[None, :]) * mag[None, :]).sum(axis=1)
+            assert np.array_equal(vec, want - want.min())
 
 
 def test_hard_channel():
@@ -299,6 +406,14 @@ def test_syndrome_zero():
     assert not syndrome_zero(h, fld, bad)
 
 
+def test_syndrome_zero_rows_of_unequal_degree():
+    # the short row's padding slot (column 0, label 0) must add nothing
+    fld = GF2m(2)
+    h = ParityCheck(2, 3, 4, [[(0, 1), (1, 1)], [(2, 3)]], [(0, 0), (0, 1)])
+    assert syndrome_zero(h, fld, np.array([1, 1, 0]))
+    assert not syndrome_zero(h, fld, np.array([1, 1, 2]))
+
+
 def test_run_monte_carlo_deterministic():
     h, fld = fig_code_class2()
     schedule = build_layer_schedule(h, LAYER_I)
@@ -312,6 +427,39 @@ def test_run_monte_carlo_deterministic():
         run_monte_carlo(h, schedule, fld, [], 10, config)
     with pytest.raises(ValueError):
         run_monte_carlo(h, schedule, fld, [2.0], 0, config)
+
+
+@pytest.mark.parametrize(
+    "snrs, workers, match",
+    [
+        ([float("nan")], 1, "finite"),
+        ([1.0, float("inf")], 1, "finite"),
+        ([float("-inf")], 1, "finite"),
+        ([-1e4], 1, "finite"),
+        ([1.0], 0, "worker"),
+    ],
+)
+def test_run_monte_carlo_rejects_bad_input(snrs, workers, match):
+    h, fld = fig_code_class2()
+    schedule = build_layer_schedule(h, LAYER_I)
+    with pytest.raises(ValueError, match=match):
+        run_monte_carlo(h, schedule, fld, snrs, 5, DecoderConfig(), workers=workers)
+
+
+def test_run_monte_carlo_rejects_nonpositive_rate():
+    h, _, _, fld = build_code(CodeSpec.class2(2, 1, gamma=2, rho=2))
+    schedule = build_layer_schedule(h, LAYER_II)
+    with pytest.raises(ValueError, match="rate"):
+        run_monte_carlo(h, schedule, fld, [1.0], 5, DecoderConfig())
+
+
+def test_run_monte_carlo_worker_count_reproducible():
+    h, fld = fig_code_class2()
+    schedule = build_layer_schedule(h, LAYER_I)
+    config = DecoderConfig(max_iter=5, rng_seed=11)
+    one = run_monte_carlo(h, schedule, fld, [1.0, 3.0], 12, config, workers=1)
+    two = run_monte_carlo(h, schedule, fld, [1.0, 3.0], 12, config, workers=2)
+    assert one == two
 
 
 def test_sim_result_csv_round_trip():

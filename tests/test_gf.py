@@ -87,6 +87,16 @@ def test_inverses(m):
         fld.log(0)
 
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_numpy_tables_match_scalar_ops(m):
+    fld = GF2m(m)
+    for a in range(fld.q):
+        assert fld.mul_table[a].tolist() == [fld.mul(a, b) for b in range(fld.q)]
+    assert fld.inv_table.tolist() == [0] + [fld.inv(a) for a in range(1, fld.q)]
+    with pytest.raises(ValueError):
+        fld.mul_table[1, 1] = 0  # read-only, like the rest of the field
+
+
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=-300, max_value=300))
 def test_pow_alpha_exponent_reduction(m, k):
     fld = field_new(m)
