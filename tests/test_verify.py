@@ -158,3 +158,43 @@ def test_class2_symmetry_check_ids():
         "entry_sym_antidiag",
     ]
     assert all(r.passed for r in results)
+
+
+# (class, mutated entry, region or None) -> (check_id, counterexample) of
+# each base-matrix check, recorded from the nested-loop checks; XOR 3 is
+# applied at the entry of the m=4 base matrix (Class-I c=3, n=5; Class-II
+# c=n=4).  The region cases skip the wrapped comparisons.
+COUNTEREXAMPLES = {
+    (1, (7, 11), None): [("block_shift", ((1, 2), (2, 1), 5, 6)), ("inner_shift", ((1, 2), (2, 1), 5, 4))],
+    (1, (7, 11), (10, 13)): [("block_shift", ((1, 2), (2, 1), 5, 6)), ("inner_shift", ((1, 2), (2, 1), 5, 4))],
+    (1, (0, 0), None): [("block_shift", ((0, 0), (0, 0), 3, 0)), ("inner_shift", ((0, 0), (0, 0), 3, 0))],
+    (1, (0, 0), (10, 13)): [("block_shift", ((1, 1), (0, 0), 0, 3)), ("inner_shift", ((0, 0), (0, 0), 3, 0))],
+    (1, (2, 13), None): [("block_shift", ((0, 2), (2, 3), 11, 8)), ("inner_shift", ((0, 2), (2, 3), 11, 1))],
+    (1, (2, 13), (10, 13)): [("block_shift", None), ("inner_shift", None)],
+    (1, (14, 1), None): [("block_shift", ((0, 1), (4, 1), 12, 15)), ("inner_shift", ((2, 0), (0, 2), 10, 15))],
+    (1, (14, 1), (10, 13)): [("block_shift", None), ("inner_shift", None)],
+    (2, (7, 11), None): [("block_sym_diag", ((1, 2), (3, 3))), ("block_sym_antidiag", None), ("entry_sym_diag", None), ("entry_sym_antidiag", ((1, 2), (0, 0)))],
+    (2, (7, 11), (12, 14)): [("block_sym_diag", ((1, 2), (3, 3))), ("block_sym_antidiag", None), ("entry_sym_diag", None), ("entry_sym_antidiag", ((1, 2), (0, 0)))],
+    (2, (0, 0), None): [("block_sym_diag", None), ("block_sym_antidiag", ((0, 0), (0, 0))), ("entry_sym_diag", None), ("entry_sym_antidiag", ((0, 0), (0, 0)))],
+    (2, (0, 0), (12, 14)): [("block_sym_diag", None), ("block_sym_antidiag", None), ("entry_sym_diag", None), ("entry_sym_antidiag", ((0, 0), (0, 0)))],
+    (2, (2, 13), None): [("block_sym_diag", ((0, 3), (2, 1))), ("block_sym_antidiag", None), ("entry_sym_diag", ((0, 3), (1, 2))), ("entry_sym_antidiag", None)],
+    (2, (2, 13), (12, 14)): [("block_sym_diag", None), ("block_sym_antidiag", None), ("entry_sym_diag", None), ("entry_sym_antidiag", None)],
+    (2, (14, 1), None): [("block_sym_diag", ((0, 3), (2, 1))), ("block_sym_antidiag", None), ("entry_sym_diag", ((3, 0), (1, 2))), ("entry_sym_antidiag", None)],
+    (2, (14, 1), (12, 14)): [("block_sym_diag", None), ("block_sym_antidiag", None), ("entry_sym_diag", None), ("entry_sym_antidiag", None)],
+}
+
+
+@pytest.mark.parametrize("case", list(COUNTEREXAMPLES), ids=str)
+def test_counterexamples_pinned(case):
+    code_class, pos, region = case
+    fld = GF2m(4)
+    if code_class == 1:
+        (w, _), c, n, verify = build_base_class1(fld, 3, 5), 3, 5, verify_class1
+    else:
+        (w, _), c, n, verify = build_base_class2(fld, 2), 4, 4, verify_class2
+    ent = w.entries.copy()
+    ent[pos] ^= 3
+    rows, cols = region or (None, None)
+    report = verify(fld, ent, c, n, region_rows=rows, region_cols=cols)
+    got = [(r.check_id, r.counterexample) for r in report.checks if r.check_id != "cpm_shift"]
+    assert repr(got) == repr(COUNTEREXAMPLES[case])  # plain ints, as FAIL lines print them
