@@ -35,11 +35,8 @@ from .shuffle import (
     BenesNetwork,
     VnuPermutation,
     build_index_matrix,
-    benes_route,
-    class1_static_wiring,
+    iteration_moves,
     route_schedule,
-    schedule_class1,
-    schedule_class2,
     schedule_driven_decode,
     simulate,
     unified_class1_via_benes,

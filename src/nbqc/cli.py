@@ -17,7 +17,7 @@ from . import codefile
 from .cost import CATEGORIES, VARIANTS, CostParams, cost as cost_breakdown, render_report, savings
 from .construct import CLASS_I, CLASS_II, CodeSpec, build_code, recover_base_region
 from .decode import LAYER_I, LAYER_II, DecoderConfig, SimResultRow, build_layer_schedule, run_monte_carlo
-from .shuffle import route_schedule, layer_transitions, transition_permutation, _single_row_transition
+from .shuffle import iteration_moves, route_schedule
 from .verify import PropertyReport, verify_class1, verify_class2
 
 
@@ -124,17 +124,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_schedule(args) -> int:
     spec, h, fld = _read_code(args.code)
-    qm1 = fld.q - 1
-    if args.partition == "layer1":
-        pairs = layer_transitions(spec)
-        perms = [(s, d, transition_permutation(spec, s, d)) for s, d in pairs]
-    else:
-        total = spec.gamma * qm1
-        perms = [
-            (r, (r + 1) % total, _single_row_transition(spec, r, (r + 1) % total))
-            for r in range(total)
-        ]
-    for s, d, perm in perms:
+    partition = LAYER_I if args.partition == "layer1" else LAYER_II
+    for s, d, perm in iteration_moves(spec, partition):
         moved = ", ".join(f"{src} -> {dst}" for src, dst in enumerate(perm.map))
         print(f"transition layer {s} to layer {d}: {moved}")
     return 0

@@ -1,10 +1,14 @@
-"""Inter-layer VNU message routing: schedules, the index table, and a
-Benes switch model.
+"""Inter-layer VNU message routing: the moves of one iteration, the index
+table, and a Benes switch model.
 
-Class-I codes route between consecutive layers with a single fixed
-permutation (static wiring); Class-II codes permute whole CPM column
-groups by XOR translations read off an n x n index table, realizable on a
-Benes network of 2*log2(rho) - 1 crossbar stages.  The schedule-driven
+Every inter-layer move is one formula over rho*(q-1) VNU positions: a
+block-level group map G followed by a rotation by s inside each CPM,
+perm[g*(q-1) + j] = G[g]*(q-1) + (j - s) mod (q-1).  A Class-I move that
+advances `steps` block rows is a fixed wiring with G[g] = (g - steps) mod
+rho and s = steps*c; a Class-II move permutes whole CPM column groups by
+the XOR translation read off an n x n index table (s = 0), realizable on a
+Benes network of 2*log2(rho) - 1 crossbar stages.  Between single rows
+(LAYER_II) s also takes the change of CPM row offset.  The schedule-driven
 decoder runs `decode`'s layer update on posteriors that move only through
 these permutations and must reproduce the direct decoder bit for bit.
 """
@@ -18,6 +22,7 @@ import numpy as np
 from .construct import CLASS_I, CodeSpec, ParityCheck
 from .decode import (
     LAYER_I,
+    LAYER_II,
     DecodeResult,
     DecoderConfig,
     LayerSchedule,
@@ -38,16 +43,6 @@ class VnuPermutation:
         if len(self.map) != self.size or set(self.map) != set(range(self.size)):
             raise ValueError("map is not a bijection on 0..size-1")
 
-    def apply(self, items: list) -> list:
-        out = [None] * self.size
-        for src, dst in enumerate(self.map):
-            out[dst] = items[src]
-        return out
-
-    def compose(self, other: "VnuPermutation") -> "VnuPermutation":
-        """self followed by other."""
-        return VnuPermutation(self.size, tuple(other.map[d] for d in self.map))
-
     def cycles(self) -> list[tuple[int, ...]]:
         seen = [False] * self.size
         out = []
@@ -64,32 +59,6 @@ class VnuPermutation:
         return out
 
 
-def identity_permutation(size: int) -> VnuPermutation:
-    return VnuPermutation(size, tuple(range(size)))
-
-
-def class1_transition(rho: int, q: int, c: int, steps: int = 1) -> VnuPermutation:
-    """Class-I inter-layer map, advanced `steps` layers at once:
-    VNU (i, j) -> VNU ((i - steps) mod rho, (j - steps*c) mod (q-1))."""
-    qm1 = q - 1
-    out = []
-    for i in range(rho):
-        for j in range(qm1):
-            out.append(((i - steps) % rho) * qm1 + (j - steps * c) % qm1)
-    return VnuPermutation(rho * qm1, tuple(out))
-
-
-def schedule_class1(rho: int, q: int, c: int) -> VnuPermutation:
-    """Single-layer-step Class-I routing; identical for every layer pair."""
-    return class1_transition(rho, q, c, steps=1)
-
-
-def class1_static_wiring(rho: int, q: int, c: int) -> list[tuple[int, int]]:
-    """Fixed source -> destination wire list (equals the schedule's map)."""
-    perm = schedule_class1(rho, q, c)
-    return list(enumerate(perm.map))
-
-
 def build_index_matrix(n: int) -> np.ndarray:
     """n x n routing index table: index[i, j] = i XOR j.
 
@@ -103,32 +72,47 @@ def build_index_matrix(n: int) -> np.ndarray:
     return idx[:, None] ^ idx[None, :]
 
 
-def class2_transition(rho: int, q: int, n: int, src_row: int, dst_row: int) -> VnuPermutation:
-    """Class-II routing between two layers (base rows src_row -> dst_row).
+def transition_permutation(spec: CodeSpec, src: int, dst: int) -> VnuPermutation:
+    """The move from the layer starting at H row `src` to the layer
+    starting at H row `dst`: perm[g*(q-1) + j] = G[g]*(q-1) + (j - s) mod (q-1).
 
-    Each group of n column blocks is permuted by the XOR translation that
-    takes the index-table row of the source layer to that of the
-    destination layer; intra-block positions are untouched.  Row indices
-    are taken mod n.
+    Class-I: G[g] = (g - steps) mod rho, s = steps*c, where `steps` is the
+    change of block row.  Class-II: G takes the index-table row of the
+    source block row (mod n) to that of the destination within each group
+    of n column blocks, s = 0.  Both add the change of CPM row offset to s.
     """
-    qm1 = q - 1
-    index = build_index_matrix(n)
-    out = [0] * (rho * qm1)
-    for i in range(rho):
-        src_g = int(index[src_row % n, i % n]) + n * (i // n)
-        dst_g = int(index[dst_row % n, i % n]) + n * (i // n)
-        if src_g >= rho or dst_g >= rho:
-            raise ValueError(f"group index out of range for rho={rho} (needs n | rho)")
-        for j in range(qm1):
-            out[src_g * qm1 + j] = dst_g * qm1 + j
-    return VnuPermutation(rho * qm1, tuple(out))
+    qm1 = spec.q - 1
+    (src_base, src_off), (dst_base, dst_off) = divmod(src, qm1), divmod(dst, qm1)
+    g = np.arange(spec.rho)
+    if spec.code_class == CLASS_I:
+        steps = dst_base - src_base
+        group, shift = (g - steps) % spec.rho, steps * spec.c
+    else:
+        n = spec.n
+        index = build_index_matrix(n)
+        src_g = index[src_base % n, g % n] + g // n * n
+        dst_g = index[dst_base % n, g % n] + g // n * n
+        if max(src_g.max(), dst_g.max()) >= spec.rho:
+            raise ValueError(f"group index out of range for rho={spec.rho} (needs n | rho)")
+        group, shift = np.empty_like(g), 0
+        group[src_g] = dst_g
+    shift += dst_off - src_off
+    perm = group[:, None] * qm1 + (np.arange(qm1) - shift) % qm1
+    return VnuPermutation(perm.size, tuple(perm.ravel().tolist()))
 
 
-def schedule_class2(rho: int, q: int, n: int, v: int) -> VnuPermutation:
-    """Routing applied at the beginning of layer v (v >= 1): layer v-1 -> v."""
-    if v < 1:
-        raise ValueError(f"layer index v must be >= 1, got {v}")
-    return class2_transition(rho, q, n, v - 1, v)
+def iteration_moves(spec: CodeSpec, partition: str = LAYER_I) -> list[tuple[int, int, VnuPermutation]]:
+    """(source layer, destination layer, move) for every consecutive layer
+    pair of one iteration, including the wrap back to layer 0.  A LAYER_I
+    layer is a CPM block row, a LAYER_II layer a single H row."""
+    if partition not in (LAYER_I, LAYER_II):
+        raise ValueError(f"unknown partition {partition!r}")
+    height = spec.q - 1 if partition == LAYER_I else 1
+    layers = spec.gamma * (spec.q - 1) // height
+    return [
+        (t, (t + 1) % layers, transition_permutation(spec, t * height, (t + 1) % layers * height))
+        for t in range(layers)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +165,7 @@ class BenesNetwork:
         Deterministic looping decomposition: each loop starts at the
         lowest unassigned terminal and takes the upper subnetwork first.
         """
-        perm = list(perm.map) if isinstance(perm, VnuPermutation) else list(perm)
+        perm = list(perm)
         if len(perm) != self.width or set(perm) != set(range(self.width)):
             raise ValueError("permutation is not a bijection of the network width")
         settings = _route(perm)
@@ -257,11 +241,6 @@ def simulate(settings: BenesSettings, inputs: list) -> list:
     return out
 
 
-def benes_route(perm) -> BenesSettings:
-    width = perm.size if isinstance(perm, VnuPermutation) else len(perm)
-    return BenesNetwork(width).route(perm)
-
-
 def unified_class1_via_benes(rho: int, q: int, c: int) -> dict:
     """Route the Class-I group-level cyclic shift i -> (i-1) mod rho through
     a Benes network, padding to the next power of two with identity
@@ -283,24 +262,8 @@ def unified_class1_via_benes(rho: int, q: int, c: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Schedule generation and routing reports
+# Routing reports
 # ---------------------------------------------------------------------------
-
-
-def layer_transitions(spec: CodeSpec, wrap: bool = True) -> list[tuple[int, int]]:
-    """Consecutive (source layer, destination layer) base-row pairs of one
-    full LAYER_I iteration, including the wrap back to layer 0."""
-    pairs = [(t, t + 1) for t in range(spec.gamma - 1)]
-    if wrap:
-        pairs.append((spec.gamma - 1, 0))
-    return pairs
-
-
-def transition_permutation(spec: CodeSpec, src_row: int, dst_row: int) -> VnuPermutation:
-    q = spec.q
-    if spec.code_class == CLASS_I:
-        return class1_transition(spec.rho, q, spec.c, steps=dst_row - src_row)
-    return class2_transition(spec.rho, q, spec.n, src_row, dst_row)
 
 
 @dataclass
@@ -343,74 +306,31 @@ class RoutingReport:
 
 
 def route_schedule(spec: CodeSpec, partition: str = LAYER_I) -> RoutingReport:
-    """Generate every inter-layer permutation of one iteration and route it
-    through the class-appropriate network model.
+    """Route every inter-layer move of one iteration through the
+    class-appropriate network model.
 
-    Class-I maps ride on fixed wires (zero control bits); the Class-II
-    group-level component is routed through a Benes network and verified
-    by token simulation.
+    Class-I moves ride on fixed wires (zero control bits); the Class-II
+    group map is routed through a Benes network, whose `route` raises
+    unless the switch settings realize it.
     """
     report = RoutingReport(spec.code_class, partition)
     qm1 = spec.q - 1
-    if partition == LAYER_I:
-        pairs = layer_transitions(spec)
-    else:
-        total_rows = spec.gamma * qm1
-        pairs_flat = [(r, (r + 1) % total_rows) for r in range(total_rows)]
-        pairs = pairs_flat
-    for src, dst in pairs:
-        if partition == LAYER_I:
-            perm = transition_permutation(spec, src, dst)
-        else:
-            perm = _single_row_transition(spec, src, dst)
+    for src, dst, perm in iteration_moves(spec, partition):
         if spec.code_class == CLASS_I:
-            report.transitions.append(
-                TransitionReport(src, dst, perm, None, 0, 0, 0, realized=True)
+            report.transitions.append(TransitionReport(src, dst, perm, None, 0, 0, 0, realized=True))
+            continue
+        group_map = tuple(d // qm1 for d in perm.map[::qm1])
+        net = BenesNetwork(spec.rho)
+        net.route(group_map)
+        report.transitions.append(
+            TransitionReport(
+                src, dst, perm, group_map, net.num_stages, net.num_switches, net.control_bits,
+                realized=True,
             )
-        else:
-            group_map = tuple(perm.map[g * qm1] // qm1 for g in range(spec.rho))
-            net = BenesNetwork(spec.rho)
-            settings = net.route(list(group_map))
-            realized = simulate(settings, list(range(spec.rho))) == _dest_order(list(group_map))
-            report.transitions.append(
-                TransitionReport(
-                    src,
-                    dst,
-                    perm,
-                    group_map,
-                    net.num_stages,
-                    net.num_switches,
-                    net.control_bits,
-                    realized,
-                )
-            )
+        )
     if spec.code_class == CLASS_I:
         report.notes.append("fixed interconnections; no switches or control bits required")
     return report
-
-
-def _single_row_transition(spec: CodeSpec, src: int, dst: int) -> VnuPermutation:
-    """LAYER_II transition between consecutive single H rows."""
-    qm1 = spec.q - 1
-    src_base, src_off = src // qm1, src % qm1
-    dst_base, dst_off = dst // qm1, dst % qm1
-    delta_off = (dst_off - src_off) % qm1
-    if spec.code_class == CLASS_I:
-        steps = dst_base - src_base
-        out = []
-        for i in range(spec.rho):
-            for j in range(qm1):
-                out.append(
-                    ((i - steps) % spec.rho) * qm1 + (j - steps * spec.c - delta_off) % qm1
-                )
-        return VnuPermutation(spec.rho * qm1, tuple(out))
-    group = class2_transition(spec.rho, spec.q, spec.n, src_base, dst_base)
-    out = [0] * (spec.rho * qm1)
-    for g in range(spec.rho):
-        dst_g = group.map[g * qm1] // qm1
-        for j in range(qm1):
-            out[g * qm1 + j] = dst_g * qm1 + (j - delta_off) % qm1
-    return VnuPermutation(spec.rho * qm1, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +344,6 @@ def schedule_driven_decode(
     channel,
     fld: GF2m,
     config: DecoderConfig,
-    use_benes: bool = True,
 ) -> DecodeResult:
     """Layered decode where posteriors move only through the generated
     inter-layer permutations.
@@ -438,20 +357,20 @@ def schedule_driven_decode(
     to the direct-indexed decoder's.
     """
     schedule = build_layer_schedule(h, LAYER_I)
-    return decode(h, schedule, channel, fld, config, _Router(spec, schedule, fld.q - 1, use_benes))
+    return decode(h, schedule, channel, fld, config, _Router(spec, schedule, fld.q - 1))
 
 
 class _Router:
     """Wiring check and physical moves of `schedule_driven_decode`."""
 
-    def __init__(self, spec: CodeSpec, schedule: LayerSchedule, qm1: int, use_benes: bool) -> None:
+    def __init__(self, spec: CodeSpec, schedule: LayerSchedule, qm1: int) -> None:
         self.cols = schedule.cols
         # wiring fixed at design time from layer 0's nonzero pattern
         self.wired = np.sort(schedule.cols[0], axis=1)
         self.moves = {}
-        for src, dst in layer_transitions(spec):
-            perm = np.array(transition_permutation(spec, src, dst).map)
-            self.moves[src] = (perm, _gather_index(spec, perm, qm1, use_benes))
+        for src, _, move in iteration_moves(spec):
+            perm = np.array(move.map)
+            self.moves[src] = (perm, _gather_index(spec, perm, qm1))
 
     def check(self, t: int, pos: np.ndarray) -> None:
         got = np.sort(pos[self.cols[t]], axis=1)
@@ -469,13 +388,12 @@ class _Router:
         return post[gather], perm[pos]
 
 
-def _gather_index(spec: CodeSpec, perm: np.ndarray, qm1: int, use_benes: bool) -> np.ndarray:
+def _gather_index(spec: CodeSpec, perm: np.ndarray, qm1: int) -> np.ndarray:
     """Source position of each physical destination: the inverse of the
     static wires for Class-I, the Benes network's token flow on whole CPM
     column groups for Class-II."""
-    if spec.code_class == CLASS_I or not use_benes:
+    if spec.code_class == CLASS_I:
         return np.argsort(perm)
-    group_map = [int(perm[g * qm1]) // qm1 for g in range(spec.rho)]
-    settings = BenesNetwork(spec.rho).route(group_map)
+    settings = BenesNetwork(spec.rho).route((perm[::qm1] // qm1).tolist())
     src = np.array(simulate(settings, list(range(spec.rho))))
     return (src[:, None] * qm1 + np.arange(qm1)).ravel()

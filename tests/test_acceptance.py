@@ -30,11 +30,9 @@ from nbqc.gf import GF2m
 from nbqc.shuffle import (
     BenesNetwork,
     build_index_matrix,
-    layer_transitions,
+    iteration_moves,
     route_schedule,
-    schedule_class1,
     schedule_driven_decode,
-    transition_permutation,
 )
 from nbqc.verify import verify_class1, verify_class2
 
@@ -82,11 +80,12 @@ def test_class2_structure_suite():
 
 
 def test_interlayer_vnu_map():
-    perm = schedule_class1(3, 4, 1)
+    moves = iteration_moves(SPEC_CLASS1)
+    perm = moves[0][2]
     ok = perm.map[7] == 3
     ok = ok and perm.map == (8, 6, 7, 2, 0, 1, 5, 3, 4)
-    for src, dst in layer_transitions(SPEC_CLASS1, wrap=False):
-        ok = ok and transition_permutation(SPEC_CLASS1, src, dst).map == perm.map
+    for _, _, move in moves[:-1]:
+        ok = ok and move.map == perm.map
     report("interlayer-vnu-map", ok)
 
 

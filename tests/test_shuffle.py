@@ -3,7 +3,7 @@ schedule-driven decoder."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from nbqc.construct import CodeSpec, build_code
 from nbqc.decode import DecoderConfig, LAYER_I, LAYER_II, build_layer_schedule, channel_reliability, decode, snr_to_sigma
@@ -12,17 +12,9 @@ from nbqc.shuffle import (
     BenesNetwork,
     VnuPermutation,
     _dest_order,
-    _single_row_transition,
-    benes_route,
     build_index_matrix,
-    class1_static_wiring,
-    class1_transition,
-    class2_transition,
-    identity_permutation,
-    layer_transitions,
+    iteration_moves,
     route_schedule,
-    schedule_class1,
-    schedule_class2,
     schedule_driven_decode,
     simulate,
     transition_permutation,
@@ -35,36 +27,30 @@ SPEC_CLASS2 = CodeSpec.class2(2, 1, gamma=2, rho=4)  # 4-ary (12, 6)
 
 def test_vnu_permutation_basics():
     p = VnuPermutation(3, (2, 0, 1))
-    assert p.apply(["a", "b", "c"]) == ["b", "c", "a"]
-    assert p.compose(VnuPermutation(3, (1, 2, 0))).map == (0, 1, 2)
     assert p.cycles() == [(0, 2, 1)]
     with pytest.raises(ValueError):
         VnuPermutation(3, (0, 0, 1))
 
 
 def test_class1_schedule_frozen_map():
-    perm = schedule_class1(3, 4, 1)
+    perm = iteration_moves(SPEC_CLASS1)[0][2]
     assert perm.map == (8, 6, 7, 2, 0, 1, 5, 3, 4)
     # VNU 7 (group 2, slot 1) feeds VNU 3 (group 1, slot 0)
     assert perm.map[7] == 3
 
 
 def test_class1_schedule_is_layer_invariant():
-    one = schedule_class1(3, 4, 1)
-    for src, dst in layer_transitions(SPEC_CLASS1, wrap=False):
-        assert transition_permutation(SPEC_CLASS1, src, dst).map == one.map
-
-
-def test_class1_static_wiring_matches_schedule():
-    wires = class1_static_wiring(3, 4, 1)
-    perm = schedule_class1(3, 4, 1)
-    assert wires == list(enumerate(perm.map))
+    moves = iteration_moves(CodeSpec.class1(4, 3, 5, gamma=4, rho=6))
+    assert [(src, dst) for src, dst, _ in moves] == [(0, 1), (1, 2), (2, 3), (3, 0)]
+    for _, _, perm in moves[:-1]:
+        assert perm.map == moves[0][2].map
 
 
 def test_class1_transition_composition():
-    a = class1_transition(5, 16, 3, steps=1)
-    b = class1_transition(5, 16, 3, steps=2)
-    assert a.compose(a).map == b.map
+    spec = CodeSpec.class1(4, 3, 5, gamma=3, rho=5)
+    a = transition_permutation(spec, 0, 15)  # one block row
+    b = transition_permutation(spec, 0, 30)  # two block rows
+    assert np.array(a.map)[list(a.map)].tolist() == list(b.map)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
@@ -87,35 +73,50 @@ def test_index_matrix_frozen_n4():
 
 
 def test_class2_transition_moves_groups_only():
-    perm = schedule_class2(4, 4, 2, v=1)
+    perm = iteration_moves(SPEC_CLASS2)[0][2]
     qm1 = 3
     for g in range(4):
         dsts = {perm.map[g * qm1 + j] - j for j in range(qm1)}
         assert len(dsts) == 1  # whole group moves rigidly
-    with pytest.raises(ValueError):
-        schedule_class2(4, 4, 2, v=0)
 
 
 def test_class2_transition_rejects_partial_groups():
     with pytest.raises(ValueError, match="group index"):
-        class2_transition(3, 4, 2, 0, 1)
+        iteration_moves(CodeSpec.class2(2, 1, gamma=2, rho=3))
 
 
-def test_layer1_cycle_composes_to_identity():
-    for spec in (SPEC_CLASS1, SPEC_CLASS2):
-        total = identity_permutation(spec.rho * (spec.q - 1))
-        for src, dst in layer_transitions(spec):
-            total = total.compose(transition_permutation(spec, src, dst))
-        assert total.map == identity_permutation(total.size).map
+@st.composite
+def small_specs(draw):
+    """Any Class-I or Class-II spec with m <= 4."""
+    m = draw(st.integers(2, 4))
+    qm1 = (1 << m) - 1
+    if draw(st.booleans()):
+        c = draw(st.sampled_from([c for c in range(1, qm1 + 1) if qm1 % c == 0]))
+        return CodeSpec.class1(
+            m, c, qm1 // c, draw(st.integers(1, qm1)), draw(st.integers(1, qm1))
+        )
+    dim = qm1 + 1
+    return CodeSpec.class2(
+        m, draw(st.integers(1, m - 1)), draw(st.integers(1, dim)), draw(st.integers(1, dim))
+    )
 
 
-def test_layer2_cycle_composes_to_identity():
-    for spec in (SPEC_CLASS1, SPEC_CLASS2):
-        rows = spec.gamma * (spec.q - 1)
-        total = identity_permutation(spec.rho * (spec.q - 1))
-        for r in range(rows):
-            total = total.compose(_single_row_transition(spec, r, (r + 1) % rows))
-        assert total.map == identity_permutation(total.size).map
+@pytest.mark.parametrize("partition", [LAYER_I, LAYER_II])
+@given(spec=small_specs())
+@settings(max_examples=150, deadline=None)
+def test_iteration_moves_compose_to_identity(partition, spec):
+    try:
+        moves = iteration_moves(spec, partition)
+    except ValueError:
+        reject()  # Class-II group moves that do not fit rho
+    size = spec.rho * (spec.q - 1)
+    layers = spec.gamma * (spec.q - 1 if partition == LAYER_II else 1)
+    assert [(src, dst) for src, dst, _ in moves] == [(t, (t + 1) % layers) for t in range(layers)]
+    total = np.arange(size)
+    for _, _, perm in moves:
+        assert sorted(perm.map) == list(range(size))
+        total = np.array(perm.map)[total]
+    assert np.array_equal(total, np.arange(size))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,7 @@ def test_benes_rejects_bad_permutation():
 @given(st.permutations(list(range(16))))
 @settings(max_examples=60, deadline=None)
 def test_benes_property(perm):
-    out = simulate(benes_route(list(perm)), list(range(16)))
+    out = simulate(BenesNetwork(16).route(list(perm)), list(range(16)))
     assert out == _dest_order(list(perm))
 
 
@@ -221,20 +222,6 @@ def test_schedule_driven_matches_direct(spec):
         assert len(direct.trace) == len(shuffled.trace)
         for a, b in zip(direct.trace, shuffled.trace):
             assert np.array_equal(a, b)
-
-
-def test_schedule_driven_without_benes():
-    spec = SPEC_CLASS2
-    h, _, _, fld = build_code(spec)
-    schedule = build_layer_schedule(h, LAYER_I)
-    rng = np.random.default_rng(5)
-    channel = channel_reliability(np.zeros(h.cols, dtype=int), 0.9, fld, rng)
-    config = DecoderConfig(max_iter=4)
-    a = schedule_driven_decode(spec, h, channel, fld, config, use_benes=True)
-    b = schedule_driven_decode(spec, h, channel, fld, config, use_benes=False)
-    direct = decode(h, schedule, channel, fld, config)
-    assert np.array_equal(a.symbols, b.symbols)
-    assert np.array_equal(a.symbols, direct.symbols)
 
 
 def test_schedule_driven_detects_misalignment():
