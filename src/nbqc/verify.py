@@ -59,34 +59,43 @@ def _scope(region_rows: int, region_cols: int, dim: int) -> str:
     return f"top-left {region_rows}x{region_cols} region of {dim}x{dim} base matrix"
 
 
+def _compare(
+    check_id, w, c, n, region_rows, region_cols, partner, act=None, wrapped=None, values=True
+) -> CheckResult:
+    """Compare entry (i*n + k, j*n + l) of every block (i, j) and offset
+    (k, l) with the entry at partner(i, j, k, l), mapped by `act` if
+    given, all at once.  Pairs that leave the region are skipped, and so
+    are pairs marked by wrapped(i, j) unless the full matrix is given.  The
+    counterexample is the first mismatch in (i, j, k, l) order:
+    ((i, j), (k, l)), then both entries if `values`."""
+    ent, dim = _entries(w), c * n
+    rr = dim if region_rows is None else region_rows
+    rc = dim if region_cols is None else region_cols
+    i, j, k, l = np.indices((c, c, n, n))
+    (r1, c1), (r2, c2) = (i * n + k, j * n + l), partner(i, j, k, l)
+    keep = (np.maximum(r1, r2) < rr) & (np.maximum(c1, c2) < rc)
+    if wrapped is not None and not rr == rc == dim:
+        keep &= ~wrapped(i, j)
+    a = ent[np.minimum(r1, rr - 1), np.minimum(c1, rc - 1)]
+    b = ent[np.minimum(r2, rr - 1), np.minimum(c2, rc - 1)]
+    bad = np.argwhere(keep & (a != (b if act is None else act(b))))
+    if not len(bad):
+        return CheckResult(check_id, _scope(rr, rc, dim), True)
+    at = tuple(bad[0])
+    cex = ((int(at[0]), int(at[1])), (int(at[2]), int(at[3])))
+    cex += (int(a[at]), int(b[at])) if values else ()
+    return CheckResult(check_id, _scope(rr, rc, dim), False, cex)
+
+
 def check_class1_block_shift(
     w, c: int, n: int, region_rows: int | None = None, region_cols: int | None = None
 ) -> CheckResult:
     """Each n x n block equals its upper-left cyclic neighbor."""
-    ent = _entries(w)
-    dim = c * n
-    rr = dim if region_rows is None else region_rows
-    rc = dim if region_cols is None else region_cols
-    full = rr == dim and rc == dim
-    for i in range(c):
-        for j in range(c):
-            i2, j2 = (i - 1) % c, (j - 1) % c
-            if not full and (i2 > i or j2 > j):
-                continue  # wrapped neighbor not stored
-            for k in range(n):
-                for l in range(n):
-                    r1, c1 = i * n + k, j * n + l
-                    r2, c2 = i2 * n + k, j2 * n + l
-                    if max(r1, r2) >= rr or max(c1, c2) >= rc:
-                        continue
-                    if ent[r1, c1] != ent[r2, c2]:
-                        return CheckResult(
-                            "block_shift",
-                            _scope(rr, rc, dim),
-                            False,
-                            ((i, j), (k, l), int(ent[r1, c1]), int(ent[r2, c2])),
-                        )
-    return CheckResult("block_shift", _scope(rr, rc, dim), True)
+    return _compare(
+        "block_shift", w, c, n, region_rows, region_cols,
+        lambda i, j, k, l: ((i - 1) % c * n + k, (j - 1) % c * n + l),
+        wrapped=lambda i, j: ((i - 1) % c > i) | ((j - 1) % c > j),
+    )
 
 
 def check_class1_inner_shift(
@@ -99,26 +108,11 @@ def check_class1_inner_shift(
     region_cols: int | None = None,
 ) -> CheckResult:
     """Within each block, entry (k,l) = beta * entry((k-1) mod n, (l-1) mod n)."""
-    ent = _entries(w)
-    dim = c * n
-    rr = dim if region_rows is None else region_rows
-    rc = dim if region_cols is None else region_cols
-    for i in range(c):
-        for j in range(c):
-            for k in range(n):
-                for l in range(n):
-                    r1, c1 = i * n + k, j * n + l
-                    r2, c2 = i * n + (k - 1) % n, j * n + (l - 1) % n
-                    if max(r1, r2) >= rr or max(c1, c2) >= rc:
-                        continue
-                    if ent[r1, c1] != fld.mul(beta_elt, int(ent[r2, c2])):
-                        return CheckResult(
-                            "inner_shift",
-                            _scope(rr, rc, dim),
-                            False,
-                            ((i, j), (k, l), int(ent[r1, c1]), int(ent[r2, c2])),
-                        )
-    return CheckResult("inner_shift", _scope(rr, rc, dim), True)
+    return _compare(
+        "inner_shift", w, c, n, region_rows, region_cols,
+        lambda i, j, k, l: (i * n + (k - 1) % n, j * n + (l - 1) % n),
+        act=lambda b: fld.mul_table[beta_elt, b],
+    )
 
 
 def check_cpm_shift(fld: GF2m, elements=None) -> CheckResult:
@@ -141,78 +135,16 @@ def check_class2_symmetries(
     w, c: int, n: int, region_rows: int | None = None, region_cols: int | None = None
 ) -> list[CheckResult]:
     """Diagonal and anti-diagonal symmetry at block and within-block level."""
-    ent = _entries(w)
-    dim = c * n
-    rr = dim if region_rows is None else region_rows
-    rc = dim if region_cols is None else region_cols
-    scope = _scope(rr, rc, dim)
-    results = []
-
-    def cmp(check_id: str, pairs) -> CheckResult:
-        for (r1, c1), (r2, c2), coords in pairs:
-            if max(r1, r2) >= rr or max(c1, c2) >= rc:
-                continue
-            if ent[r1, c1] != ent[r2, c2]:
-                return CheckResult(check_id, scope, False, coords)
-        return CheckResult(check_id, scope, True)
-
-    results.append(
-        cmp(
-            "block_sym_diag",
-            (
-                ((i * n + k, j * n + l), (j * n + k, i * n + l), ((i, j), (k, l)))
-                for i in range(c)
-                for j in range(c)
-                for k in range(n)
-                for l in range(n)
-            ),
-        )
-    )
-    results.append(
-        cmp(
-            "block_sym_antidiag",
-            (
-                (
-                    (i * n + k, j * n + l),
-                    ((c - j - 1) * n + k, (c - i - 1) * n + l),
-                    ((i, j), (k, l)),
-                )
-                for i in range(c)
-                for j in range(c)
-                for k in range(n)
-                for l in range(n)
-            ),
-        )
-    )
-    results.append(
-        cmp(
-            "entry_sym_diag",
-            (
-                ((i * n + k, j * n + l), (i * n + l, j * n + k), ((i, j), (k, l)))
-                for i in range(c)
-                for j in range(c)
-                for k in range(n)
-                for l in range(n)
-            ),
-        )
-    )
-    results.append(
-        cmp(
-            "entry_sym_antidiag",
-            (
-                (
-                    (i * n + k, j * n + l),
-                    (i * n + (n - l - 1), j * n + (n - k - 1)),
-                    ((i, j), (k, l)),
-                )
-                for i in range(c)
-                for j in range(c)
-                for k in range(n)
-                for l in range(n)
-            ),
-        )
-    )
-    return results
+    partners = {
+        "block_sym_diag": lambda i, j, k, l: (j * n + k, i * n + l),
+        "block_sym_antidiag": lambda i, j, k, l: ((c - j - 1) * n + k, (c - i - 1) * n + l),
+        "entry_sym_diag": lambda i, j, k, l: (i * n + l, j * n + k),
+        "entry_sym_antidiag": lambda i, j, k, l: (i * n + (n - l - 1), j * n + (n - k - 1)),
+    }
+    return [
+        _compare(check_id, w, c, n, region_rows, region_cols, partner, values=False)
+        for check_id, partner in partners.items()
+    ]
 
 
 def check_subgroup_symmetry(indexing: SubgroupIndexing) -> list[CheckResult]:
