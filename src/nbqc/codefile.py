@@ -56,11 +56,12 @@ def parse_code(text: str) -> tuple[CodeSpec, ParityCheck, GF2m]:
     head = lines[0].split()
     if len(head) != 10 or head[0] != MAGIC or head[1] != VERSION:
         raise CodeFileError(f"bad header: {lines[0]!r}")
-    code_class = int(head[2])
-    m, c, n = int(head[3]), int(head[4]), int(head[5])
-    t = None if head[6] == "-" else int(head[6])
-    gamma, rho = int(head[7]), int(head[8])
-    poly = int(head[9], 16)
+    try:
+        code_class, m, c, n = map(int, head[2:6])
+        t = None if head[6] == "-" else int(head[6])
+        gamma, rho, poly = int(head[7]), int(head[8]), int(head[9], 16)
+    except ValueError:
+        raise CodeFileError(f"non-numeric header field: {lines[0]!r}") from None
     if code_class == CLASS_I:
         spec = CodeSpec.class1(m, c, n, gamma, rho, primitive_poly=poly)
     elif code_class == CLASS_II:
@@ -74,7 +75,10 @@ def parse_code(text: str) -> tuple[CodeSpec, ParityCheck, GF2m]:
     if not lines[-1].startswith("#rows"):
         raise CodeFileError("missing checksum line")
     chk = lines[-1].split()
-    if len(chk) != 4 or chk[0] != "#rows" or chk[2] != "#nnz":
+    if (
+        len(chk) != 4 or chk[0] != "#rows" or chk[2] != "#nnz"
+        or not (chk[1] + chk[3]).isdecimal()
+    ):
         raise CodeFileError(f"bad checksum line: {lines[-1]!r}")
     want_rows, want_nnz = int(chk[1]), int(chk[3])
 

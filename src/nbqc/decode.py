@@ -51,7 +51,6 @@ class LayerSchedule:
 
     partition: str
     layers: tuple[tuple[int, ...], ...]
-    heights: int  # rows per layer
     cols: tuple[np.ndarray, ...] = field(repr=False, compare=False)
     labels: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
@@ -61,7 +60,6 @@ class DecoderConfig:
     max_iter: int = 10
     quant: tuple[int, int] | None = None  # (b_q, b_f)
     rng_seed: int = 0
-    early_stop: bool = True
     trace: bool = False
 
     def __post_init__(self) -> None:
@@ -99,10 +97,8 @@ def build_layer_schedule(h: ParityCheck, partition: str) -> LayerSchedule:
         layers = tuple(
             tuple(range(b * qm1, (b + 1) * qm1)) for b in range(h.num_block_rows)
         )
-        heights = qm1
     elif partition == LAYER_II:
         layers = tuple((r,) for r in range(h.rows))
-        heights = 1
     else:
         raise ValueError(f"unknown partition {partition!r}")
     cols, labels, degree = h.dense
@@ -117,7 +113,7 @@ def build_layer_schedule(h: ParityCheck, partition: str) -> LayerSchedule:
             raise ValueError(f"column {used[count > 1][0]} appears twice in one layer")
         layer_cols.append(cols[rows, :d])
         layer_labels.append(labels[rows, :d])
-    return LayerSchedule(partition, layers, heights, tuple(layer_cols), tuple(layer_labels))
+    return LayerSchedule(partition, layers, tuple(layer_cols), tuple(layer_labels))
 
 
 def channel_reliability(
@@ -333,7 +329,7 @@ def decode(
             if router:
                 post, pos = router.move(t, post, pos)
         iterations += 1
-        if config.early_stop and syndrome_zero(h, fld, hard_decision(post[pos])):
+        if syndrome_zero(h, fld, hard_decision(post[pos])):
             break
     symbols = hard_decision(post[pos])
     return DecodeResult(symbols, iterations, syndrome_zero(h, fld, symbols), trace)
@@ -370,8 +366,10 @@ def _run_trial(args) -> tuple[int, int, int, int]:
 
 
 def snr_to_sigma(snr_db: float, rate: float, m: int) -> float:
-    """Eb/N0 in dB to per-bit AWGN noise std for unit-energy BPSK."""
-    return float(1.0 / np.sqrt(2.0 * rate * 10.0 ** (snr_db / 10.0)))
+    """Eb/N0 in dB to per-bit AWGN noise std for unit-energy BPSK.  The
+    power is a numpy float, so a huge SNR overflows to inf (sigma 0) rather
+    than raising."""
+    return float(1.0 / np.sqrt(2.0 * rate * np.power(10.0, snr_db / 10.0)))
 
 
 def run_monte_carlo(
@@ -392,21 +390,24 @@ def run_monte_carlo(
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     rate = (h.cols - h.rows) / h.cols
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sigmas = [snr_to_sigma(snr_db, rate, fld.m) for snr_db in snr_db_list]
     for snr_db, sigma in zip(snr_db_list, sigmas):
         if not (np.isfinite(sigma) and sigma > 0):
-            raise ValueError(f"SNR {snr_db} dB at design rate {rate:.4g} gives no finite noise std")
-    rows = []
-    for si, (snr_db, sigma) in enumerate(zip(snr_db_list, sigmas)):
-        jobs = [(h, schedule, fld, sigma, config, (si, t)) for t in range(trials)]
-        if workers > 1:
-            import multiprocessing
+            raise ValueError(f"SNR {snr_db} dB at design rate {rate:.4g} gives no positive, finite noise std")
+    jobs = [
+        [(h, schedule, fld, sigma, config, (si, t)) for t in range(trials)]
+        for si, sigma in enumerate(sigmas)
+    ]
+    if workers > 1:
+        import multiprocessing
 
-            with multiprocessing.Pool(workers) as pool:
-                results = pool.map(_run_trial, jobs)
-        else:
-            results = [_run_trial(j) for j in jobs]
+        with multiprocessing.Pool(workers) as pool:
+            sweep = [pool.map(_run_trial, point) for point in jobs]
+    else:
+        sweep = [[_run_trial(j) for j in point] for point in jobs]
+    rows = []
+    for snr_db, results in zip(snr_db_list, sweep):
         fe = sum(r[0] for r in results)
         se = sum(r[1] for r in results)
         be = sum(r[2] for r in results)

@@ -101,7 +101,9 @@ def transition_permutation(spec: CodeSpec, src: int, dst: int) -> VnuPermutation
     return VnuPermutation(perm.size, tuple(perm.ravel().tolist()))
 
 
-def iteration_moves(spec: CodeSpec, partition: str = LAYER_I) -> list[tuple[int, int, VnuPermutation]]:
+def iteration_moves(
+    spec: CodeSpec, partition: str = LAYER_I
+) -> list[tuple[int, int, VnuPermutation]]:
     """(source layer, destination layer, move) for every consecutive layer
     pair of one iteration, including the wrap back to layer 0.  A LAYER_I
     layer is a CPM block row, a LAYER_II layer a single H row."""

@@ -78,6 +78,21 @@ def test_verify_exit_codes_on_bad_files(capsys, tmp_path):
     assert "parse error" in err
 
 
+def test_non_numeric_header_field_is_a_parse_error(capsys, tmp_path):
+    path = construct_class2(capsys, tmp_path)
+    with open(path) as f:
+        lines = f.read().splitlines()
+    head = lines[0].split()
+    head[4] = "x"  # the c field
+    lines[0] = " ".join(head)
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    for argv in (["verify", path], ["route", "--code", path]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "parse error" in err and "header" in err
+
+
 def test_verify_detects_tampering(capsys, tmp_path):
     path = construct_class2(capsys, tmp_path)
     with open(path) as f:
@@ -122,6 +137,7 @@ def test_simulate_rejects_bad_snr_list(capsys, tmp_path):
         (["--snr-list", "1,inf"], "finite"),
         (["--snr-list", "1", "--max-iter", "0"], "max_iter"),
         (["--snr-list", "1", "--workers", "0"], "worker"),
+        (["--snr-list", "4000"], "finite"),
     ],
 )
 def test_simulate_rejects_malformed_input(capsys, tmp_path, flags, message):
