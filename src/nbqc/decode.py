@@ -394,7 +394,9 @@ def run_monte_carlo(
         sigmas = [snr_to_sigma(snr_db, rate, fld.m) for snr_db in snr_db_list]
     for snr_db, sigma in zip(snr_db_list, sigmas):
         if not (np.isfinite(sigma) and sigma > 0):
-            raise ValueError(f"SNR {snr_db} dB at design rate {rate:.4g} gives no positive, finite noise std")
+            raise ValueError(
+                f"SNR {snr_db} dB at design rate {rate:.4g} gives no positive, finite noise std"
+            )
     jobs = [
         [(h, schedule, fld, sigma, config, (si, t)) for t in range(trials)]
         for si, sigma in enumerate(sigmas)

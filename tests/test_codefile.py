@@ -53,6 +53,13 @@ def test_parse_rejects_bad_header():
         parse_code(text)
     with pytest.raises(CodeFileError, match="header"):
         parse_code("garbage\n")
+    text = good_text()
+    first = text.splitlines()[0]
+    for field, value in ((4, "x"), (8, "1.5"), (9, "xyz")):  # c, rho, polynomial
+        head = first.split()
+        head[field] = value
+        with pytest.raises(CodeFileError, match="header"):
+            parse_code(text.replace(first, " ".join(head)))
 
 
 def test_parse_rejects_bad_checksum():
@@ -62,20 +69,6 @@ def test_parse_rejects_bad_checksum():
         parse_code("\n".join(lines) + "\n")
     with pytest.raises(CodeFileError, match="checksum"):
         parse_code("\n".join(lines[:-1]) + "\n")
-
-
-@pytest.mark.parametrize("field, value", [(4, "x"), (8, "1.5"), (9, "xyz")])
-def test_parse_rejects_non_numeric_header_field(field, value):
-    lines = good_text().splitlines()
-    head = lines[0].split()
-    head[field] = value
-    lines[0] = " ".join(head)
-    with pytest.raises(CodeFileError, match="header"):
-        parse_code("\n".join(lines) + "\n")
-
-
-def test_parse_rejects_non_numeric_checksum():
-    lines = good_text().splitlines()
     lines[-1] = "#rows six #nnz 18"
     with pytest.raises(CodeFileError, match="checksum"):
         parse_code("\n".join(lines) + "\n")
