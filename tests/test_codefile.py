@@ -1,5 +1,7 @@
 """Code file serialization: round trips and parse validation."""
 
+import hashlib
+
 import pytest
 
 from nbqc.codefile import CodeFileError, format_code, parse_code, read_code, write_code
@@ -34,6 +36,38 @@ def test_file_round_trip(built, tmp_path):
     spec2, h2, _ = read_code(str(path))
     assert spec2 == spec
     assert h2.row_entries == h.row_entries
+
+
+# sha256 of `format_code` output, recorded from the per-entry writer, so
+# that a new in-memory form of H cannot change a code file unnoticed
+FILE_SPECS = {
+    # the acceptance suite's SANITY_SPECS
+    "c1-m2": CodeSpec.class1(2, 1, 3, gamma=2, rho=3),
+    "c1-m4": CodeSpec.class1(4, 3, 5, gamma=3, rho=6),
+    "c2-m2": CodeSpec.class2(2, 1, gamma=2, rho=4),
+    "c2-m3": CodeSpec.class2(3, 1, gamma=3, rho=6),
+    "c1-m3": CodeSpec.class1(3, 7, 1, gamma=3, rho=5),
+    # the headline codes: 64-ary (1260, 630) and 32-ary (992, 496)
+    "q64": CodeSpec.class1(6, 7, 9, gamma=10, rho=20),
+    "q32": CodeSpec.class2(5, 4, gamma=16, rho=32),
+}
+FILE_GOLDEN = {
+    "c1-m2": "67ec1b2a28bf6799aa9147801b63583ad55c2fddc08211839ab44e541a1f61b0",
+    "c1-m4": "761756ca0f4ee2dea6c82c4cd8eba3e8178cb974fc642168f63bb2f5ae565228",
+    "c2-m2": "da53ced2a15eeadc44bcee79ac869927e346770c666358ea2a7cc7851288165a",
+    "c2-m3": "823afb118ae861b5a405e0db19aa98fcb22b27af9d9a2f072e9d8013a728c822",
+    "c1-m3": "c75d38a73acf213e1f48941c950f26728e000551e9bfd38f1f773e942eeb85cb",
+    "q64": "bbb81c03251c2a8ed38d54bce11870300cde0a71a8c8baa9355e028e17c190d2",
+    "q32": "c3ce49c42e0d5bbaa436291b48655f3e2c4d34391c023314a24b36ddfba41836",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILE_SPECS))
+def test_format_code_golden(name):
+    spec = FILE_SPECS[name]
+    h, _, _, fld = build_code(spec)
+    text = format_code(spec, h, fld)
+    assert hashlib.sha256(text.encode()).hexdigest() == FILE_GOLDEN[name]
 
 
 def good_text():

@@ -4,7 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nbqc.codefile import format_code, parse_code
 from nbqc.construct import (
     CLASS_I,
     CLASS_II,
@@ -176,18 +178,33 @@ def test_column_entries_transpose():
             assert (c, v) in h.row_entries[r]
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        CodeSpec.class1(2, 1, 3, gamma=2, rho=3),
-        CodeSpec.class2(3, 1, gamma=3, rho=6),
-        CodeSpec.class2(2, 1, gamma=2, rho=4),
-    ],
-)
+@st.composite
+def constructible_specs(draw):
+    """Any Class-I or Class-II spec with m <= 5, with an explicit polynomial
+    so that it survives a trip through a code file."""
+    m = draw(st.integers(2, 5))
+    qm1 = (1 << m) - 1
+    poly = {"primitive_poly": GF2m(m).primitive_poly}
+    if draw(st.booleans()):
+        c = draw(st.sampled_from([c for c in range(1, qm1 + 1) if qm1 % c == 0]))
+        gamma, rho = draw(st.integers(1, qm1)), draw(st.integers(1, qm1))
+        return CodeSpec.class1(m, c, qm1 // c, gamma, rho, **poly)
+    gamma, rho = draw(st.integers(1, qm1 + 1)), draw(st.integers(1, qm1 + 1))
+    return CodeSpec.class2(m, draw(st.integers(1, m - 1)), gamma, rho, **poly)
+
+
+@given(spec=constructible_specs())
+@settings(max_examples=60, deadline=None)
 def test_recover_base_region_roundtrip(spec):
     h, w, _, fld = build_code(spec)
     region = recover_base_region(h, fld)
     assert np.array_equal(region, w.entries[: spec.gamma, : spec.rho])
+    text = format_code(spec, h, fld)
+    spec2, h2, fld2 = parse_code(text)
+    assert spec2 == spec
+    for a, b in zip(h2.dense, h.dense):
+        assert np.array_equal(a, b)
+    assert format_code(spec2, h2, fld2) == text
 
 
 def test_recover_base_region_detects_corruption():
