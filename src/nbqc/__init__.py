@@ -1,7 +1,7 @@
 """Non-binary QC-LDPC toolkit: construction, structure verification,
 layered Min-Max decoding, shuffle-network scheduling and cost modeling."""
 
-from .gf import GF2m, field_new
+from .gf import GF2m
 from .construct import (
     CLASS_I,
     CLASS_II,
@@ -14,7 +14,6 @@ from .construct import (
     build_code,
     cpm,
     index_subgroup,
-    location_vector,
     random_index_subgroup,
 )
 from .decode import (

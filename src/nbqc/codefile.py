@@ -7,14 +7,16 @@ Layout:
     #rows <count> #nnz <count>
 
 Values are stored as powers of alpha; zero entries are simply omitted, so
-a power never needs a zero marker.  Re-parsing a written file reproduces
-an identical sparse parity-check matrix, and writing it again is
-byte-identical.
+a power never needs a zero marker.  H is written from and read into its
+edge arrays (see ParityCheck); re-parsing a written file reproduces equal
+arrays, and writing them again is byte-identical.
 """
 
 from __future__ import annotations
 
 import re
+
+import numpy as np
 
 from .construct import CLASS_I, CLASS_II, CodeSpec, ParityCheck
 from .gf import GF2m
@@ -22,26 +24,32 @@ from .gf import GF2m
 MAGIC = "NBQC"
 VERSION = "v1"
 
-_ENTRY_RE = re.compile(r"\((\d+),(\d+)\)")
+_ENTRIES_RE = re.compile(r"(?: |(?: \(\d+,\d+\))+)?")  # what follows "<row>:"
+_SEPARATORS = str.maketrans(":(),", "    ")
 
 
 class CodeFileError(ValueError):
     pass
 
 
-def format_code(spec: CodeSpec, h: ParityCheck, fld: GF2m) -> str:
+def _header(spec: CodeSpec, fld: GF2m) -> str:
     t_field = "-" if spec.code_class == CLASS_I else str(spec.t)
-    lines = [
+    return (
         f"{MAGIC} {VERSION} {spec.code_class} {spec.m} {spec.c} {spec.n} "
         f"{t_field} {spec.gamma} {spec.rho} {fld.primitive_poly:x}"
-    ]
-    nnz = 0
-    for r, entries in enumerate(h.row_entries):
-        parts = [f"({c},{fld.log(v)})" for c, v in entries]
-        nnz += len(entries)
-        lines.append(f"{r}: " + " ".join(parts))
-    lines.append(f"#rows {h.rows} #nnz {nnz}")
-    return "\n".join(lines) + "\n"
+    )
+
+
+def format_code(spec: CodeSpec, h: ParityCheck, fld: GF2m) -> str:
+    """The code file of H, written from its edge arrays with one %-format
+    over all rows."""
+    powers = np.array(fld.log_table)[h.edge_labels]
+    slots = np.arange(h.edge_cols.shape[1]) < h.degree[:, None]
+    values = np.stack((h.edge_cols[slots], powers[slots]), axis=-1).ravel().tolist()
+    degree = h.degree.tolist()
+    edges = {d: " ".join(["(%d,%d)"] * d) for d in set(degree)}
+    body = "\n".join(f"{r}: {edges[d]}" for r, d in enumerate(degree)) % tuple(values)
+    return f"{_header(spec, fld)}\n{body}\n#rows {h.rows} #nnz {h.nnz()}\n"
 
 
 def write_code(path: str, spec: CodeSpec, h: ParityCheck, fld: GF2m) -> None:
@@ -50,6 +58,12 @@ def write_code(path: str, spec: CodeSpec, h: ParityCheck, fld: GF2m) -> None:
 
 
 def parse_code(text: str) -> tuple[CodeSpec, ParityCheck, GF2m]:
+    """Read a code file into (spec, H, field), H as its edge arrays.
+
+    The header must be the one format_code writes for the spec it names;
+    each row line must read `<row>: (<col>,<power>) ...` with strictly
+    increasing columns.  Every violation raises CodeFileError.
+    """
     lines = text.splitlines()
     if not lines:
         raise CodeFileError("empty code file")
@@ -57,18 +71,18 @@ def parse_code(text: str) -> tuple[CodeSpec, ParityCheck, GF2m]:
     if len(head) != 10 or head[0] != MAGIC or head[1] != VERSION:
         raise CodeFileError(f"bad header: {lines[0]!r}")
     try:
-        code_class, m, c, n = map(int, head[2:6])
-        t = None if head[6] == "-" else int(head[6])
-        gamma, rho, poly = int(head[7]), int(head[8]), int(head[9], 16)
-    except ValueError:
-        raise CodeFileError(f"non-numeric header field: {lines[0]!r}") from None
-    if code_class == CLASS_I:
-        spec = CodeSpec.class1(m, c, n, gamma, rho, primitive_poly=poly)
-    elif code_class == CLASS_II:
-        spec = CodeSpec.class2(m, t, gamma, rho, primitive_poly=poly)
-    else:
-        raise CodeFileError(f"unknown code class {code_class}")
-    fld = GF2m(m, poly)
+        code_class, m, c, n, gamma, rho = (int(head[i]) for i in (2, 3, 4, 5, 7, 8))
+        fld = GF2m(m, int(head[9], 16))
+        if code_class == CLASS_I:
+            spec = CodeSpec.class1(m, c, n, gamma, rho, primitive_poly=fld.primitive_poly)
+        elif code_class == CLASS_II:
+            spec = CodeSpec.class2(m, int(head[6]), gamma, rho, primitive_poly=fld.primitive_poly)
+        else:
+            raise ValueError(f"unknown code class {code_class}")
+    except ValueError as exc:
+        raise CodeFileError(f"bad header {lines[0]!r}: {exc}") from None
+    if _header(spec, fld) != lines[0]:
+        raise CodeFileError(f"bad header {lines[0]!r}: expected {_header(spec, fld)!r}")
     qm1 = fld.q - 1
     rows, cols = gamma * qm1, rho * qm1
 
@@ -85,35 +99,32 @@ def parse_code(text: str) -> tuple[CodeSpec, ParityCheck, GF2m]:
     body = lines[1:-1]
     if len(body) != rows or want_rows != rows:
         raise CodeFileError(f"expected {rows} rows, file has {len(body)} (checksum {want_rows})")
-    row_entries: list[list[tuple[int, int]]] = []
-    nnz = 0
+    rests = []
     for r, line in enumerate(body):
         prefix, _, rest = line.partition(":")
-        if prefix.strip() != str(r):
+        if prefix != str(r):
             raise CodeFileError(f"row index mismatch on line {r + 2}: {line!r}")
-        entries = []
-        rest = rest.strip()
-        consumed = 0
-        for match in _ENTRY_RE.finditer(rest):
-            col, power = int(match.group(1)), int(match.group(2))
-            if col >= cols:
-                raise CodeFileError(f"row {r}: column {col} out of range")
-            if power >= qm1:
-                raise CodeFileError(f"row {r}: power {power} out of range")
-            entries.append((col, fld.antilog_table[power]))
-            consumed += 1
-        if consumed != (len(rest.split()) if rest else 0):
+        if not _ENTRIES_RE.fullmatch(rest):
             raise CodeFileError(f"row {r}: malformed entries {rest!r}")
-        if entries != sorted(entries):
-            raise CodeFileError(f"row {r}: columns not sorted")
-        nnz += len(entries)
-        row_entries.append(entries)
-    if nnz != want_nnz:
-        raise CodeFileError(f"checksum nnz {want_nnz} != actual {nnz}")
-    h = ParityCheck(
-        rows, cols, fld.q, row_entries, [(r // qm1, r % qm1) for r in range(rows)]
-    )
-    return spec, h, fld
+        rests.append(rest)
+    degree = np.array([rest.count("(") for rest in rests], dtype=np.intp)
+    if degree.sum() != want_nnz:
+        raise CodeFileError(f"checksum nnz {want_nnz} != actual {degree.sum()}")
+    slots = np.arange(degree.max(initial=0)) < degree[:, None]
+    fields = np.zeros(slots.shape + (2,), dtype=np.intp)  # (column, power) per slot
+    if slots.any():  # np.fromstring would read no numbers as [0]
+        numbers = np.fromstring(" ".join(rests).translate(_SEPARATORS), dtype=np.intp, sep=" ")
+        fields[slots] = numbers.reshape(-1, 2)
+    for k, (what, limit) in enumerate((("column", cols), ("power", qm1))):
+        bad = np.argwhere(fields[..., k] >= limit)
+        if len(bad):
+            r, s = bad[0]
+            raise CodeFileError(f"row {r}: {what} {fields[r, s, k]} out of range")
+    unsorted = np.argwhere((np.diff(fields[..., 0], axis=1) <= 0) & slots[:, 1:])
+    if len(unsorted):
+        raise CodeFileError(f"row {unsorted[0, 0]}: columns not sorted strictly increasing")
+    labels = np.where(slots, np.array(fld.antilog_table)[fields[..., 1]], 0)
+    return spec, ParityCheck(rows, cols, fld.q, fields[..., 0].copy(), labels), fld
 
 
 def read_code(path: str) -> tuple[CodeSpec, ParityCheck, GF2m]:

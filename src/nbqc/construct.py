@@ -15,7 +15,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -106,19 +105,28 @@ class BaseMatrix:
         return self.entries[i * n : (i + 1) * n, j * n : (j + 1) * n]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ParityCheck:
-    """Sparse CPM-expanded parity-check matrix.
+    """CPM-expanded parity-check matrix, stored only as padded edge arrays.
 
-    row_entries[r] is the column-sorted list of (column, value) pairs of
-    row r; block_origin[r] = (block row, CPM row offset).
+    Row r's edges fill the first degree[r] slots of the read-only
+    (rows, max degree) arrays edge_cols (strictly increasing columns) and
+    edge_labels (nonzero field elements); the other slots hold column 0
+    with label 0, which adds nothing to a syndrome.  degree is derived
+    from the labels.
     """
 
     rows: int
     cols: int
     q: int
-    row_entries: list[list[tuple[int, int]]]
-    block_origin: list[tuple[int, int]] = field(repr=False, default_factory=list)
+    edge_cols: np.ndarray
+    edge_labels: np.ndarray
+    degree: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "degree", np.count_nonzero(self.edge_labels, axis=1))
+        for a in (self.edge_cols, self.edge_labels, self.degree):
+            a.flags.writeable = False
 
     @property
     def num_block_rows(self) -> int:
@@ -129,53 +137,31 @@ class ParityCheck:
         return self.cols // (self.q - 1)
 
     def nnz(self) -> int:
-        return sum(len(r) for r in self.row_entries)
+        return int(self.degree.sum())
 
-    @cached_property
-    def dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense edge form (cols, labels, degree): row r's entries fill the
-        first degree[r] slots of (rows, max degree) arrays; the other slots
-        hold column 0 with label 0, which adds nothing to a syndrome."""
-        degree = np.array([len(e) for e in self.row_entries], dtype=np.intp)
-        slots = np.arange(degree.max(initial=0)) < degree[:, None]
-        cols = np.zeros(slots.shape, dtype=np.intp)
-        labels = np.zeros(slots.shape, dtype=np.intp)
-        edges = np.array([e for entries in self.row_entries for e in entries], dtype=np.intp)
-        cols[slots], labels[slots] = edges.reshape(-1, 2).T
-        return cols, labels, degree
-
-    def column_entries(self) -> list[list[tuple[int, int]]]:
-        """Column-major view: per column, sorted list of (row, value)."""
-        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
-        for r, entries in enumerate(self.row_entries):
-            for c, v in entries:
-                cols[c].append((r, v))
-        return cols
+    @property
+    def row_entries(self) -> list[np.ndarray]:
+        """Derived read-only view: per row, a (degree, 2) array of
+        (column, value) pairs."""
+        pairs = np.stack((self.edge_cols, self.edge_labels), axis=-1)
+        pairs.flags.writeable = False
+        return [p[:d] for p, d in zip(pairs, self.degree.tolist())]
 
 
-def location_vector(fld: GF2m, d: int) -> list[tuple[int, int]]:
-    """Sparse (q-1)-vector for element d: value alpha^i at position i = log d.
+def cpm(fld: GF2m, d) -> tuple[np.ndarray, np.ndarray]:
+    """(q-1) x (q-1) circulant permutation matrix of element d, or of each
+    element of an array d, as (columns, values) of shape d.shape + (q-1,).
 
-    The zero element maps to the all-zero tuple (empty sparse list).
+    Row r is the location vector of alpha^r * d: value alpha^r * d at
+    column log(alpha^r * d).  So row r+1 is row r shifted right once and
+    times alpha.  The zero element gives the zero matrix: value 0 in every
+    row (column -1).
     """
-    fld.check_element(d)
-    if d == 0:
-        return []
-    return [(fld.log(d), d)]
-
-
-def cpm(fld: GF2m, d: int) -> list[tuple[int, int, int]]:
-    """Sparse (q-1) x (q-1) circulant permutation matrix of d.
-
-    Row r is the location vector of alpha^r * d; the zero element gives the
-    zero matrix.  Returned as (row, col, value) triples.
-    """
-    fld.check_element(d)
-    if d == 0:
-        return []
-    base = fld.log(d)
-    qm1 = fld.q - 1
-    return [(r, (base + r) % qm1, fld.antilog_table[(base + r) % qm1]) for r in range(qm1)]
+    d = np.asarray(d)
+    if ((d < 0) | (d >= fld.q)).any():
+        raise ValueError(f"not an element of GF({fld.q}): {d}")
+    values = fld.mul_table[d[..., None], np.array(fld.antilog_table)]
+    return np.array(fld.log_table)[values], values
 
 
 def index_subgroup(fld: GF2m, basis_powers: list[int]) -> tuple[int, ...]:
@@ -283,19 +269,30 @@ def build_base(spec: CodeSpec, fld: GF2m | None = None) -> tuple[BaseMatrix, Sub
     return w, indexing, fld
 
 
-def expand_base(fld: GF2m, w: BaseMatrix, gamma: int, rho: int) -> ParityCheck:
-    """CPM-expand the top-left gamma x rho block sub-array of W."""
+def _expand_slots(fld: GF2m, bj: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge arrays of the block rows whose slot s holds the CPM of d[:, s]
+    in block column bj[:, s]; CPM row r of block row i is H row i*(q-1) + r."""
     qm1 = fld.q - 1
-    rows = gamma * qm1
-    row_entries: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
-    block_origin = [(r // qm1, r % qm1) for r in range(rows)]
-    for bi in range(gamma):
-        for bj in range(rho):
-            for r, c, v in cpm(fld, int(w.entries[bi, bj])):
-                row_entries[bi * qm1 + r].append((bj * qm1 + c, v))
-    for entries in row_entries:
-        entries.sort()
-    return ParityCheck(rows, rho * qm1, fld.q, row_entries, block_origin)
+    cols, labels = cpm(fld, d)  # (block row, slot, CPM row)
+    cols = np.where(labels != 0, cols + bj[..., None] * qm1, 0)
+    shape = (d.shape[0] * qm1, d.shape[1])
+    return cols.transpose(0, 2, 1).reshape(shape), labels.transpose(0, 2, 1).reshape(shape)
+
+
+def expand_base(fld: GF2m, w: BaseMatrix, gamma: int, rho: int) -> ParityCheck:
+    """CPM-expand the top-left gamma x rho block region of W into H's edge
+    arrays, with one broadcast over the region.
+
+    A row's edges are the nonzero blocks of its block row in block-column
+    order; block (bi, bj) puts row r's edge at column bj*(q-1) +
+    log(alpha^r w) with label alpha^r w (see cpm).
+    """
+    region = w.entries[:gamma, :rho]
+    width = int(np.count_nonzero(region, axis=1).max(initial=0))
+    # per block row, the block columns of its nonzero blocks first, in order
+    bj = np.argsort(region == 0, axis=1, kind="stable")[:, :width]
+    edges = _expand_slots(fld, bj, np.take_along_axis(region, bj, axis=1))
+    return ParityCheck(gamma * (fld.q - 1), rho * (fld.q - 1), fld.q, *edges)
 
 
 def build_code(spec: CodeSpec) -> tuple[ParityCheck, BaseMatrix, SubgroupIndexing, GF2m]:
@@ -306,33 +303,23 @@ def build_code(spec: CodeSpec) -> tuple[ParityCheck, BaseMatrix, SubgroupIndexin
 
 
 def recover_base_region(h: ParityCheck, fld: GF2m) -> np.ndarray:
-    """Reconstruct the truncated base-matrix region from a sparse H.
+    """Read the truncated base-matrix region back from H's edge arrays.
 
-    Each stored CPM block is checked for internal consistency against the
-    expansion of its recovered value.
+    CPM row 0 of a block holds the block's element.  H must equal the
+    expansion of those rows 0 (as in expand_base), which one comparison
+    over (block row, CPM row, slot) checks.
     """
     qm1 = fld.q - 1
-    gamma = h.num_block_rows
-    rho = h.num_block_cols
-    blocks: list[list[dict[tuple[int, int], int]]] = [
-        [dict() for _ in range(rho)] for _ in range(gamma)
-    ]
-    for r, entries in enumerate(h.row_entries):
-        bi, off = r // qm1, r % qm1
-        for c, v in entries:
-            blocks[bi][c // qm1][(off, c % qm1)] = v
-    w = np.zeros((gamma, rho), dtype=np.int64)
-    for bi in range(gamma):
-        for bj in range(rho):
-            blk = blocks[bi][bj]
-            if not blk:
-                continue
-            row0 = [(c, v) for (r, c), v in blk.items() if r == 0]
-            if len(row0) != 1:
-                raise ValueError(f"block ({bi},{bj}): CPM row 0 is not a location vector")
-            d = row0[0][1]
-            expected = {(r, c): v for r, c, v in cpm(fld, d)}
-            if expected != blk:
-                raise ValueError(f"block ({bi},{bj}) is not the CPM of {d}")
-            w[bi, bj] = d
+    bj, d = h.edge_cols[::qm1] // qm1, h.edge_labels[::qm1]  # (block row, slot)
+    want_cols, want_labels = _expand_slots(fld, bj, d)
+    bad = np.argwhere((h.edge_cols != want_cols) | (h.edge_labels != want_labels))
+    if len(bad):
+        row, s = bad[0]
+        col = h.edge_cols[row, s] if h.edge_labels[row, s] else want_cols[row, s]
+        raise ValueError(
+            f"block ({row // qm1},{col // qm1}) is not a CPM: its row {row % qm1} is not row 0 shifted"
+        )
+    w = np.zeros((h.num_block_rows, h.num_block_cols), dtype=np.int64)
+    bi, s = np.nonzero(d)
+    w[bi, bj[bi, s]] = d[bi, s]
     return w

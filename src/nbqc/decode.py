@@ -5,8 +5,8 @@ polynomial-bit value of the field element, stacked along the last axis of
 numpy arrays; every message leaving an operation is normalized so its
 minimum entry is exactly 0 (the most likely symbol has reliability 0).
 
-The decoder works on a dense edge form built once per code: layer t of a
-schedule holds (rows, d) arrays of its column indices and edge labels,
+The decoder works on H's edge arrays, cut into layers once per code:
+layer t of a schedule holds (rows, d) arrays of its columns and labels,
 its check-to-variable messages are one (rows, d, q) array and the
 posteriors one (columns, q) array.  A layer update runs its rows in
 chunks sized from q so that the check-node workspace stays at 1 MB.  Edge
@@ -101,7 +101,7 @@ def build_layer_schedule(h: ParityCheck, partition: str) -> LayerSchedule:
         layers = tuple((r,) for r in range(h.rows))
     else:
         raise ValueError(f"unknown partition {partition!r}")
-    cols, labels, degree = h.dense
+    cols, labels, degree = h.edge_cols, h.edge_labels, h.degree
     layer_cols, layer_labels = [], []
     for layer in layers:
         rows = np.array(layer)
@@ -289,8 +289,7 @@ def hard_decision(posteriors) -> np.ndarray:
 
 
 def syndrome_zero(h: ParityCheck, fld: GF2m, symbols: np.ndarray) -> bool:
-    cols, labels, _ = h.dense
-    terms = fld.mul_table[labels, np.asarray(symbols)[cols]]
+    terms = fld.mul_table[h.edge_labels, np.asarray(symbols)[h.edge_cols]]
     return not np.bitwise_xor.reduce(terms, axis=1).any()
 
 
@@ -365,7 +364,7 @@ def _run_trial(args) -> tuple[int, int, int, int]:
     return (1 if sym_err else 0, sym_err, bit_err, result.iterations)
 
 
-def snr_to_sigma(snr_db: float, rate: float, m: int) -> float:
+def snr_to_sigma(snr_db: float, rate: float) -> float:
     """Eb/N0 in dB to per-bit AWGN noise std for unit-energy BPSK.  The
     power is a numpy float, so a huge SNR overflows to inf (sigma 0) rather
     than raising."""
@@ -391,7 +390,7 @@ def run_monte_carlo(
         raise ValueError(f"need at least one worker, got {workers}")
     rate = (h.cols - h.rows) / h.cols
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sigmas = [snr_to_sigma(snr_db, rate, fld.m) for snr_db in snr_db_list]
+        sigmas = [snr_to_sigma(snr_db, rate) for snr_db in snr_db_list]
     for snr_db, sigma in zip(snr_db_list, sigmas):
         if not (np.isfinite(sigma) and sigma > 0):
             raise ValueError(

@@ -110,11 +110,3 @@ class GF2m:
 
     def elements(self) -> range:
         return range(self.q)
-
-    def nonzero_elements(self) -> tuple[int, ...]:
-        return self.antilog_table
-
-
-def field_new(m: int, primitive_poly: int | None = None) -> GF2m:
-    """Build GF(2^m) field tables; deterministic for a given m."""
-    return GF2m(m, primitive_poly)

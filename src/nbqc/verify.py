@@ -118,17 +118,16 @@ def check_class1_inner_shift(
 def check_cpm_shift(fld: GF2m, elements=None) -> CheckResult:
     """Row r+1 of every CPM is row r cyclically shifted right once, times alpha."""
     qm1 = fld.q - 1
-    elems = fld.elements() if elements is None else elements
-    for d in elems:
-        mat = {}
-        for r, c, v in cpm(fld, d):
-            mat[r] = (c, v)
-        for r in range(len(mat)):
-            c, v = mat[r]
-            c2, v2 = mat[(r + 1) % qm1]
-            if c2 != (c + 1) % qm1 or v2 != fld.mul(fld.pow_alpha(1), v):
-                return CheckResult("cpm_shift", f"all CPMs over GF({fld.q})", False, (d, r))
-    return CheckResult("cpm_shift", f"all CPMs over GF({fld.q})", True)
+    elems = np.asarray(fld.elements() if elements is None else elements)
+    cols, values = cpm(fld, elems)
+    shifted = (np.roll(cols, -1, axis=-1) != (cols + 1) % qm1) | (
+        np.roll(values, -1, axis=-1) != fld.mul_table[fld.pow_alpha(1), values]
+    )
+    bad = np.argwhere(shifted & (values != 0))
+    scope = f"all CPMs over GF({fld.q})"
+    if len(bad):
+        return CheckResult("cpm_shift", scope, False, (int(elems[bad[0, 0]]), int(bad[0, 1])))
+    return CheckResult("cpm_shift", scope, True)
 
 
 def check_class2_symmetries(

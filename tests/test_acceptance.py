@@ -123,7 +123,7 @@ def test_schedule_soundness():
     for spec in (SPEC_CLASS1, SPEC_CLASS2):
         h, _, _, fld = build_code(spec)
         schedule = build_layer_schedule(h, LAYER_I)
-        sigma = snr_to_sigma(2.0, 0.5, fld.m)
+        sigma = snr_to_sigma(2.0, 0.5)
         config = DecoderConfig(max_iter=5, trace=True)
         for t in range(100):
             rng = np.random.default_rng(np.random.SeedSequence(2024, spawn_key=(0, t)))

@@ -78,15 +78,19 @@ def test_verify_exit_codes_on_bad_files(capsys, tmp_path):
     assert "parse error" in err
     path = construct_class2(capsys, tmp_path)
     with open(path) as f:
-        text = f.read()
-    head = text.splitlines()[0].split()
+        lines = f.read().splitlines()
+    head = lines[0].split()
     head[4] = "x"  # the c field
-    with open(path, "w") as f:
-        f.write(text.replace(text.splitlines()[0], " ".join(head)))
-    for argv in (["verify", path], ["route", "--code", path]):
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert "parse error" in err and "header" in err
+    # row 0 lists column 3 twice
+    twice = ["0: (3,0) (3,0) (7,1) (11,2)"] + lines[2:-1] + ["#rows 6 #nnz 19"]
+    for edited, why in (([" ".join(head)] + lines[1:], "header"), (lines[:1] + twice, "sorted")):
+        with open(path, "w") as f:
+            f.write("\n".join(edited) + "\n")
+        simulate = ["simulate", "--code", path, "--snr-list", "1", "--trials", "1"]
+        for argv in (["verify", path], ["route", "--code", path], simulate):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert "parse error" in err and why in err
 
 
 def test_verify_detects_tampering(capsys, tmp_path):

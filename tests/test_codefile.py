@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from nbqc.codefile import CodeFileError, format_code, parse_code, read_code, write_code
@@ -19,13 +20,19 @@ def built(request):
     return spec, h, fld
 
 
+def assert_same_arrays(h2, h):
+    assert (h2.rows, h2.cols, h2.q) == (h.rows, h.cols, h.q)
+    for name in ("edge_cols", "edge_labels", "degree"):
+        assert np.array_equal(getattr(h2, name), getattr(h, name))
+
+
 def test_round_trip_byte_identical(built):
     spec, h, fld = built
     text = format_code(spec, h, fld)
     spec2, h2, fld2 = parse_code(text)
     assert format_code(spec2, h2, fld2) == text
     assert spec2 == spec
-    assert h2.row_entries == h.row_entries
+    assert_same_arrays(h2, h)
     assert fld2.primitive_poly == fld.primitive_poly
 
 
@@ -35,7 +42,7 @@ def test_file_round_trip(built, tmp_path):
     write_code(str(path), spec, h, fld)
     spec2, h2, _ = read_code(str(path))
     assert spec2 == spec
-    assert h2.row_entries == h.row_entries
+    assert_same_arrays(h2, h)
 
 
 # sha256 of `format_code` output, recorded from the per-entry writer, so
@@ -94,6 +101,19 @@ def test_parse_rejects_bad_header():
         head[field] = value
         with pytest.raises(CodeFileError, match="header"):
             parse_code(text.replace(first, " ".join(head)))
+    # fields CodeSpec or GF2m refuse, and headers format_code would not write
+    for header in (
+        "NBQC v1 2 3 4 2 - 3 8 b",  # Class-II with no t
+        "NBQC v1 2 3 2 4 1 3 8 b",  # Class-II c and n that t does not give
+        "NBQC v1 1 2 1 3 1 2 3 7",  # Class-I with a numeric t
+        "NBQC v1 1 2 1 2 - 2 3 7",  # c*n != q-1
+        "NBQC v1 1 2 1 3 - 2 3 5",  # polynomial not primitive
+        "NBQC v1 1 9 1 511 - 2 3 201",  # m out of range
+        "NBQC v1 1 2 1 3 - 2 3 07",  # not the hex format_code writes
+        "NBQC v1 1 2 1 3 -  2 3 7",  # nor its spacing
+    ):
+        with pytest.raises(CodeFileError, match="header"):
+            parse_code(text.replace(first, header))
 
 
 def test_parse_rejects_bad_checksum():
@@ -121,6 +141,14 @@ def test_parse_rejects_unsorted_columns():
     entries = rest.split()
     assert len(entries) >= 2
     lines[1] = prefix + ": " + " ".join(reversed(entries))
+    with pytest.raises(CodeFileError, match="sorted"):
+        parse_code("\n".join(lines) + "\n")
+    # a column listed twice is not strictly increasing either
+    spec = CodeSpec.class2(2, 1, gamma=2, rho=4)
+    h, _, _, fld = build_code(spec)
+    lines = format_code(spec, h, fld).splitlines()
+    assert lines[1] == "0: (3,0) (7,1) (11,2)"
+    lines[1], lines[-1] = "0: (3,0) (3,0) (7,1) (11,2)", "#rows 6 #nnz 19"
     with pytest.raises(CodeFileError, match="sorted"):
         parse_code("\n".join(lines) + "\n")
 

@@ -1,5 +1,6 @@
 """Base-matrix construction, CPM expansion and subgroup orderings."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -18,7 +19,6 @@ from nbqc.construct import (
     cpm,
     expand_base,
     index_subgroup,
-    location_vector,
     random_index_subgroup,
     recover_base_region,
 )
@@ -28,19 +28,14 @@ CLASS1_SUITE = [(2, 1, 3), (3, 7, 1), (4, 3, 5), (6, 7, 9)]
 CLASS2_SUITE = [(2, 1), (3, 1), (4, 2), (5, 2)]
 
 
-def test_location_vector_gf4():
-    fld = GF2m(2)
-    assert location_vector(fld, 0) == []
-    assert location_vector(fld, 1) == [(0, 1)]
-    assert location_vector(fld, 2) == [(1, 2)]
-    assert location_vector(fld, 3) == [(2, 3)]
-
-
 def test_cpm_gf4():
     fld = GF2m(2)
     # d = alpha: row r has alpha^(1+r) at column (1+r) mod 3
-    assert cpm(fld, 2) == [(0, 1, 2), (1, 2, 3), (2, 0, 1)]
-    assert cpm(fld, 0) == []
+    cols, values = cpm(fld, 2)
+    assert (cols.tolist(), values.tolist()) == ([1, 2, 0], [2, 3, 1])
+    assert cpm(fld, 0)[1].tolist() == [0, 0, 0]
+    cols, values = cpm(fld, np.array([[2, 0]]))
+    assert (cols.shape, values.tolist()) == ((1, 2, 3), [[[2, 3, 1], [0, 0, 0]]])
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -48,11 +43,11 @@ def test_cpm_is_permutation_matrix(m):
     fld = GF2m(m)
     qm1 = fld.q - 1
     for d in range(1, fld.q):
-        triples = cpm(fld, d)
-        assert sorted(r for r, _, _ in triples) == list(range(qm1))
-        assert sorted(c for _, c, _ in triples) == list(range(qm1))
-        for r, c, v in triples:
+        cols, values = cpm(fld, d)
+        assert sorted(cols.tolist()) == list(range(qm1))
+        for r, (c, v) in enumerate(zip(cols.tolist(), values.tolist())):
             assert v == fld.mul(fld.pow_alpha(r), d)
+            assert c == fld.log(v)
 
 
 def test_index_subgroup_gf4_full():
@@ -161,21 +156,8 @@ def test_expand_base_shapes_and_nnz():
     assert h.num_block_rows == 2 and h.num_block_cols == 3
     # two zero blocks in the truncated 2x3 region
     assert h.nnz() == (fld.q - 1) * 4
-    for entries in h.row_entries:
-        assert entries == sorted(entries)
-    assert h.block_origin[4] == (1, 1)
-
-
-def test_column_entries_transpose():
-    spec = CodeSpec.class2(2, 1, gamma=2, rho=4)
-    h, _, _, _ = build_code(spec)
-    cols = h.column_entries()
-    assert len(cols) == h.cols
-    nnz = sum(len(c) for c in cols)
-    assert nnz == h.nnz()
-    for c, col in enumerate(cols):
-        for r, v in col:
-            assert (c, v) in h.row_entries[r]
+    for cols, d in zip(h.edge_cols, h.degree):
+        assert (np.diff(cols[:d]) > 0).all()
 
 
 @st.composite
@@ -202,18 +184,18 @@ def test_recover_base_region_roundtrip(spec):
     text = format_code(spec, h, fld)
     spec2, h2, fld2 = parse_code(text)
     assert spec2 == spec
-    for a, b in zip(h2.dense, h.dense):
-        assert np.array_equal(a, b)
+    for name in ("edge_cols", "edge_labels", "degree"):
+        assert np.array_equal(getattr(h2, name), getattr(h, name))
     assert format_code(spec2, h2, fld2) == text
 
 
 def test_recover_base_region_detects_corruption():
     spec = CodeSpec.class1(2, 1, 3, gamma=2, rho=3)
     h, _, _, fld = build_code(spec)
-    c, v = h.row_entries[0][0]
-    h.row_entries[0][0] = (c, fld.mul(v, 2))
+    labels = h.edge_labels.copy()
+    labels[0, 0] = fld.mul(int(labels[0, 0]), 2)
     with pytest.raises(ValueError, match="CPM"):
-        recover_base_region(h, fld)
+        recover_base_region(dataclasses.replace(h, edge_labels=labels), fld)
 
 
 def test_spec_validation_errors():

@@ -266,13 +266,13 @@ def test_layer_schedules():
 
 
 def test_layer_schedule_rejects_duplicate_columns():
-    bad = ParityCheck(2, 4, 3, [[(0, 1), (1, 1)], [(0, 2), (2, 1)]], [(0, 0), (0, 1)])
+    bad = ParityCheck(2, 4, 3, np.array([[0, 1], [0, 2]]), np.array([[1, 1], [2, 1]]))
     with pytest.raises(ValueError, match="twice"):
         build_layer_schedule(bad, LAYER_I)
 
 
 def test_layer_schedule_rejects_unequal_degrees_in_a_layer():
-    ragged = ParityCheck(2, 4, 3, [[(0, 1), (1, 1)], [(2, 2)]], [(0, 0), (0, 1)])
+    ragged = ParityCheck(2, 4, 3, np.array([[0, 1], [2, 0]]), np.array([[1, 1], [2, 0]]))
     with pytest.raises(ValueError, match="differ in degree"):
         build_layer_schedule(ragged, LAYER_I)
     s2 = build_layer_schedule(ragged, LAYER_II)
@@ -286,7 +286,7 @@ def test_layer_schedule_dense_form_matches_rows():
     for layer, cols, labels in zip(schedule.layers, schedule.cols, schedule.labels):
         assert cols.shape == labels.shape == (len(layer), len(h.row_entries[layer[0]]))
         for r, c_row, l_row in zip(layer, cols, labels):
-            assert list(zip(c_row.tolist(), l_row.tolist())) == h.row_entries[r]
+            assert np.array_equal(np.column_stack((c_row, l_row)), h.row_entries[r])
 
 
 def test_channel_reliability_properties():
@@ -326,8 +326,8 @@ def test_hard_channel():
 
 
 def test_snr_to_sigma():
-    assert snr_to_sigma(0.0, 0.5, 2) == 1.0
-    assert snr_to_sigma(10.0, 0.5, 2) == pytest.approx(1 / np.sqrt(10))
+    assert snr_to_sigma(0.0, 0.5) == 1.0
+    assert snr_to_sigma(10.0, 0.5) == pytest.approx(1 / np.sqrt(10))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +348,7 @@ def test_noiseless_decode_one_iteration():
 def test_decode_corrects_moderate_noise():
     h, fld = fig_code_class2()
     schedule = build_layer_schedule(h, LAYER_I)
-    sigma = snr_to_sigma(4.0, (h.cols - h.rows) / h.cols, fld.m)
+    sigma = snr_to_sigma(4.0, (h.cols - h.rows) / h.cols)
     rng = np.random.default_rng(21)
     ok = 0
     for _ in range(50):
@@ -363,7 +363,7 @@ def test_layer2_matches_layer1_row_order():
     h, fld = fig_code_class2()
     s1 = build_layer_schedule(h, LAYER_I)
     s2 = build_layer_schedule(h, LAYER_II)
-    sigma = snr_to_sigma(2.0, 0.5, fld.m)
+    sigma = snr_to_sigma(2.0, 0.5)
     for t in range(20):
         rng = np.random.default_rng(100 + t)
         channel = channel_reliability(np.zeros(h.cols, dtype=int), sigma, fld, rng)
@@ -378,7 +378,7 @@ def test_quantized_decode_preserves_decisions():
     # this code at this SNR (regression guard for the quantized path)
     h, fld = fig_code_class2()
     schedule = build_layer_schedule(h, LAYER_I)
-    sigma = snr_to_sigma(2.0, 0.5, fld.m)
+    sigma = snr_to_sigma(2.0, 0.5)
     for t in range(100):
         rng = np.random.default_rng(np.random.SeedSequence(123, spawn_key=(0, t)))
         channel = channel_reliability(np.zeros(h.cols, dtype=int), sigma, fld, rng)
@@ -409,7 +409,7 @@ def test_syndrome_zero():
 def test_syndrome_zero_rows_of_unequal_degree():
     # the short row's padding slot (column 0, label 0) must add nothing
     fld = GF2m(2)
-    h = ParityCheck(2, 3, 4, [[(0, 1), (1, 1)], [(2, 3)]], [(0, 0), (0, 1)])
+    h = ParityCheck(2, 3, 4, np.array([[0, 1], [2, 0]]), np.array([[1, 1], [3, 0]]))
     assert syndrome_zero(h, fld, np.array([1, 1, 0]))
     assert not syndrome_zero(h, fld, np.array([1, 1, 2]))
 

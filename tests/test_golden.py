@@ -67,7 +67,7 @@ def digest(arr: np.ndarray) -> str:
 def run_case(spec, partition, snr_db, seed, max_iter, quant):
     h, _, _, fld = build_code(spec)
     schedule = build_layer_schedule(h, partition)
-    sigma = snr_to_sigma(snr_db, (h.cols - h.rows) / h.cols, fld.m)
+    sigma = snr_to_sigma(snr_db, (h.cols - h.rows) / h.cols)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     channel = channel_reliability(np.zeros(h.cols, dtype=int), sigma, fld, rng)
     config = DecoderConfig(max_iter=max_iter, quant=quant, trace=True)

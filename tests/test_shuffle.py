@@ -210,7 +210,7 @@ def test_route_schedule_layer2():
 def test_schedule_driven_matches_direct(spec):
     h, _, _, fld = build_code(spec)
     schedule = build_layer_schedule(h, LAYER_I)
-    sigma = snr_to_sigma(2.0, 0.5, fld.m)
+    sigma = snr_to_sigma(2.0, 0.5)
     config = DecoderConfig(max_iter=5, trace=True)
     for t in range(10):
         rng = np.random.default_rng(np.random.SeedSequence(77, spawn_key=(0, t)))
