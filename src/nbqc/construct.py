@@ -158,8 +158,9 @@ def cpm(fld: GF2m, d) -> tuple[np.ndarray, np.ndarray]:
     row (column -1).
     """
     d = np.asarray(d)
-    if ((d < 0) | (d >= fld.q)).any():
-        raise ValueError(f"not an element of GF({fld.q}): {d}")
+    bad = (d < 0) | (d >= fld.q)
+    if bad.any():
+        raise ValueError(f"{d[bad][0]} is not an element of GF({fld.q})")
     values = fld.mul_table[d[..., None], np.array(fld.antilog_table)]
     return np.array(fld.log_table)[values], values
 

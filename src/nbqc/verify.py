@@ -120,10 +120,10 @@ def check_cpm_shift(fld: GF2m, elements=None) -> CheckResult:
     qm1 = fld.q - 1
     elems = np.asarray(fld.elements() if elements is None else elements)
     cols, values = cpm(fld, elems)
-    shifted = (np.roll(cols, -1, axis=-1) != (cols + 1) % qm1) | (
+    broken = (np.roll(cols, -1, axis=-1) != (cols + 1) % qm1) | (
         np.roll(values, -1, axis=-1) != fld.mul_table[fld.pow_alpha(1), values]
     )
-    bad = np.argwhere(shifted & (values != 0))
+    bad = np.argwhere(broken & (values != 0))
     scope = f"all CPMs over GF({fld.q})"
     if len(bad):
         return CheckResult("cpm_shift", scope, False, (int(elems[bad[0, 0]]), int(bad[0, 1])))

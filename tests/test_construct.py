@@ -36,6 +36,8 @@ def test_cpm_gf4():
     assert cpm(fld, 0)[1].tolist() == [0, 0, 0]
     cols, values = cpm(fld, np.array([[2, 0]]))
     assert (cols.shape, values.tolist()) == ((1, 2, 3), [[[2, 3, 1], [0, 0, 0]]])
+    with pytest.raises(ValueError, match="not an element"):
+        cpm(fld, np.array([1, 4]))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
