@@ -160,6 +160,8 @@ def test_expand_base_shapes_and_nnz():
     assert h.nnz() == (fld.q - 1) * 4
     for cols, d in zip(h.edge_cols, h.degree):
         assert (np.diff(cols[:d]) > 0).all()
+    with pytest.raises(ValueError):
+        h.edge_labels[0, 0] = 1  # read-only: no second copy of H can drift
 
 
 @st.composite
@@ -198,6 +200,12 @@ def test_recover_base_region_detects_corruption():
     labels[0, 0] = fld.mul(int(labels[0, 0]), 2)
     with pytest.raises(ValueError, match="CPM"):
         recover_base_region(dataclasses.replace(h, edge_labels=labels), fld)
+    # the same label one column further along its CPM row
+    cols = h.edge_cols.copy()
+    qm1 = fld.q - 1
+    cols[1, 0] = cols[1, 0] // qm1 * qm1 + (cols[1, 0] + 1) % qm1
+    with pytest.raises(ValueError, match="CPM"):
+        recover_base_region(dataclasses.replace(h, edge_cols=cols), fld)
 
 
 def test_spec_validation_errors():
