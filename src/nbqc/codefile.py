@@ -25,7 +25,7 @@ MAGIC = "NBQC"
 VERSION = "v1"
 
 _ENTRIES_RE = re.compile(r"(?: |(?: \(\d+,\d+\))+)?")  # what follows "<row>:"
-_SEPARATORS = str.maketrans(":(),", "    ")
+_SEPARATORS = str.maketrans("(),", "   ")
 
 
 class CodeFileError(ValueError):
