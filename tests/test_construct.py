@@ -179,9 +179,23 @@ def constructible_specs(draw):
     return CodeSpec.class2(m, draw(st.integers(1, m - 1)), gamma, rho, **poly)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CodeSpec.class1(2, 1, 3, gamma=2, rho=3),
+        CodeSpec.class2(3, 1, gamma=3, rho=6),
+        CodeSpec.class2(2, 1, gamma=2, rho=4),
+    ],
+)
+def test_recover_base_region_roundtrip(spec):
+    h, w, _, fld = build_code(spec)
+    region = recover_base_region(h, fld)
+    assert np.array_equal(region, w.entries[: spec.gamma, : spec.rho])
+
+
 @given(spec=constructible_specs())
 @settings(max_examples=60, deadline=None)
-def test_recover_base_region_roundtrip(spec):
+def test_recover_base_region_and_code_file_roundtrip(spec):
     h, w, _, fld = build_code(spec)
     region = recover_base_region(h, fld)
     assert np.array_equal(region, w.entries[: spec.gamma, : spec.rho])
