@@ -6,16 +6,17 @@ numpy arrays; every message leaving an operation is normalized so its
 minimum entry is exactly 0 (the most likely symbol has reliability 0).
 
 The decoder works on H's edge arrays, cut into layers once per code:
-layer t of a schedule holds (rows, d) arrays of its columns and labels,
-its check-to-variable messages are one (rows, d, q) array and the
-posteriors one (columns, q) array.  A layer update runs its rows in
-chunks sized from q so that the check-node workspace stays at 1 MB.  Edge
-labels act on messages as gathers through the field's multiply table, and
-the check node combines the min-max kernel
-C(a) = min over b+c=a of max(A(b), B(c)) forward and backward for every
-row of a chunk at once.  Min and max select values without rounding, so
-the batched update gives the same floats as one row at a time; a
-brute-force enumeration oracle defines ground truth for the check node.
+layer t of a schedule holds (rows, d) arrays of its columns and labels.
+F frames decode as one stack: (F, columns, q) posteriors and, per layer,
+(F, rows, d, q) check messages; a layer update runs every frame's rows in
+chunks that keep the check-node workspace at 1 MB, and a frame leaves the
+stack once its syndrome is zero.  Edge labels act on messages as gathers
+through the field's multiply table, and the check node combines the
+min-max kernel C(a) = min over b+c=a of max(A(b), B(c)) forward and
+backward for every row of a chunk at once.  Min and max select values
+without rounding, so each frame gets the same floats as when decoded
+alone, one row at a time; a brute-force enumeration oracle defines ground
+truth for the check node.
 """
 
 from __future__ import annotations
@@ -38,9 +39,13 @@ BACKWARD = "backward"
 HARD_PENALTY = 1e6
 
 #: float64 entries of the check-node workspace (1 MB); a layer update takes
-#: WORKSPACE // (2 q^2) rows at a time: a whole layer up to q=16, 16 rows at
-#: q=64, one row at q=256
+#: WORKSPACE // (2 q^2) (frame, row) pairs at a time: 1,024 at q=8, 16 at
+#: q=64 (one frame's 16 rows, or one row of 16 frames), one at q=256
 WORKSPACE = 1 << 17
+
+#: bytes of float64 decoder state (posteriors, check messages) in one
+#: Monte-Carlo batch: 390 frames of the 8-ary (42, 21) code, one at q=64
+BATCH_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,8 @@ def build_layer_schedule(h: ParityCheck, partition: str) -> LayerSchedule:
 
     LAYER_I: one layer per CPM block row (q-1 rows each); LAYER_II: one
     singleton layer per row.  Validates that the rows of a layer have
-    equal degree and that no column appears twice within a layer.
+    equal degree, at least 2 (a check node needs two edges), and that no
+    column appears twice within a layer.
     """
     qm1 = h.q - 1
     if partition == LAYER_I:
@@ -108,6 +114,8 @@ def build_layer_schedule(h: ParityCheck, partition: str) -> LayerSchedule:
         d = degree[rows[0]]
         if (degree[rows] != d).any():
             raise ValueError(f"rows {layer[0]}..{layer[-1]} of one layer differ in degree")
+        if d < 2:
+            raise ValueError(f"rows {layer[0]}..{layer[-1]} have check degree {d}; need >= 2")
         used, count = np.unique(cols[rows, :d], return_counts=True)
         if (count > 1).any():
             raise ValueError(f"column {used[count > 1][0]} appears twice in one layer")
@@ -149,7 +157,7 @@ def hard_channel(tx_symbols, fld: GF2m, penalty: float = HARD_PENALTY) -> np.nda
 
 def permute_message(msg: np.ndarray, h, direction: str, fld: GF2m) -> np.ndarray:
     """Edge-label action on messages: `msg` is (..., q) and `h` one label
-    or an array of labels of shape msg.shape[:-1].
+    or an array of labels that broadcasts to msg.shape[:-1].
 
     Forward maps out[a] = msg[h^-1 * a] so the check constraint becomes an
     unweighted sum; backward is the inverse.  Composing both is identity.
@@ -161,7 +169,7 @@ def permute_message(msg: np.ndarray, h, direction: str, fld: GF2m) -> np.ndarray
         h = fld.inv_table[h]
     elif direction != BACKWARD:
         raise ValueError(f"unknown direction {direction!r}")
-    return np.take_along_axis(msg, fld.mul_table[h], axis=-1)
+    return np.take_along_axis(msg, np.broadcast_to(fld.mul_table[h], msg.shape), axis=-1)
 
 
 @functools.cache
@@ -174,13 +182,18 @@ def _xor_table(q: int) -> np.ndarray:
 def _minmax_kernel(a: np.ndarray, b: np.ndarray, ws=None, out=None) -> np.ndarray:
     """C[..., x] = min over y of max(a[..., y], b[..., x XOR y]) for stacked
     messages; XOR is GF(2^m) addition.  `ws` is scratch space of at least
-    a.size * q entries; the result goes to `out` if given."""
+    a.size * q entries; the result goes to `out` if given.  The min over y
+    halves the candidates log2(q) times, which selects the same value as
+    one reduction."""
     q = a.shape[-1]
     n = a.size * q
     ws = (np.empty(n) if ws is None else ws[:n]).reshape(a.shape + (q,))
     np.take(b, _xor_table(q), axis=-1, out=ws, mode="clip")  # ws[..., y, x] = b[..., x ^ y]
     np.maximum(ws, a[..., :, None], out=ws)
-    return ws.min(axis=-2, out=out)
+    while q > 2:
+        q //= 2
+        np.minimum(ws[..., :q, :], ws[..., q : 2 * q, :], out=ws[..., :q, :])
+    return np.minimum(ws[..., 0, :], ws[..., 1, :], out=out)
 
 
 def check_node_min_max(inputs, ws=None):
@@ -265,22 +278,29 @@ def update_layer(
     quant: tuple[int, int] | None,
     ws: np.ndarray,
 ) -> None:
-    """Update one layer in place.
+    """Update one layer of F frames in place.
 
-    `post` holds the (columns, q) posteriors, `cols` and `labels` the
-    layer's (rows, d) edge form with `cols` indexing `post`, and `r_msg`
-    the layer's (rows, d, q) stored check messages.  Each row subtracts its
-    stored messages, permutes into the zero-sum domain, runs the check
-    node, permutes back and adds the new messages.  The rows of a layer
-    touch disjoint columns, so a chunk of them runs at once.
+    `post` holds the (F, columns, q) posteriors, `cols` and `labels` the
+    layer's (rows, d) edge form indexing post's column axis, and `r_msg`
+    the layer's (F, rows, d, q) stored check messages.  Each row subtracts
+    its stored messages, permutes into the zero-sum domain, runs the check
+    node, permutes back and adds the new messages.  Rows of a layer touch
+    disjoint columns, so each chunk of (frame, row) pairs that fits `ws`
+    (2 q^2 entries a pair) runs as one (pairs, d, q) check-node stack:
+    some rows of every frame, or one row of some frames.
     """
-    step = max(1, ws.size // (2 * fld.q * fld.q))
-    for lo in range(0, len(cols), step):
-        c, lab, r = cols[lo : lo + step], labels[lo : lo + step], r_msg[lo : lo + step]
-        l_cv = quantize_vec(normalize(post[c] - r), quant)
-        out = check_node_min_max(permute_message(l_cv, lab, FORWARD, fld), ws)
-        r[:] = quantize_vec(permute_message(out, lab, BACKWARD, fld), quant)
-        post[c] = quantize_vec(normalize(l_cv + r), quant)
+    frames, (rows, d), q = len(post), cols.shape, fld.q
+    pairs = max(1, ws.size // (2 * q * q))
+    step = min(rows, max(1, pairs // frames))  # rows per chunk; all frames if step > 1
+    for f in range(0, frames, pairs):
+        p, r_f = post[f : f + pairs], r_msg[f : f + pairs]
+        for lo in range(0, rows, step):
+            c, lab, r = cols[lo : lo + step], labels[lo : lo + step], r_f[:, lo : lo + step]
+            l_cv = quantize_vec(normalize(p[:, c] - r), quant)
+            flat = permute_message(l_cv, lab, FORWARD, fld).reshape(-1, d, q)
+            out = check_node_min_max(flat, ws).reshape(l_cv.shape)
+            r[:] = quantize_vec(permute_message(out, lab, BACKWARD, fld), quant)
+            p[:, c] = quantize_vec(normalize(l_cv + r), quant)
 
 
 def hard_decision(posteriors) -> np.ndarray:
@@ -288,9 +308,11 @@ def hard_decision(posteriors) -> np.ndarray:
     return np.asarray(posteriors).argmin(axis=-1)
 
 
-def syndrome_zero(h: ParityCheck, fld: GF2m, symbols: np.ndarray) -> bool:
-    terms = fld.mul_table[h.edge_labels, np.asarray(symbols)[h.edge_cols]]
-    return not np.bitwise_xor.reduce(terms, axis=1).any()
+def syndrome_zero(h: ParityCheck, fld: GF2m, symbols: np.ndarray):
+    """Whether H s = 0 for a (columns,) word, or for each word of an
+    (F, columns) stack (a boolean array of F)."""
+    terms = fld.mul_table[h.edge_labels, np.asarray(symbols)[..., h.edge_cols]]
+    return ~np.bitwise_xor.reduce(terms, axis=-1).any(axis=-1)
 
 
 def decode(
@@ -303,35 +325,47 @@ def decode(
 ) -> DecodeResult:
     """Layered Min-Max decoding, layers processed top to bottom.
 
-    The posterior of column v lives at row pos[v] of one (columns, q)
-    array.  pos stays the identity unless a `router` moves the messages, as
-    the schedule-driven decoder of nbqc.shuffle does: router.check(t, pos)
-    runs before layer t and router.move(t, post, pos) -> (post, pos) after
-    it.  Traces and decisions are always in column order.
+    `channel` is one frame's (columns, q) messages, giving one
+    DecodeResult, or an (F, columns, q) stack, giving a list of F.  After
+    each iteration one syndrome check over the stack retires the frames
+    that satisfy H; each frame's result equals that of decoding it alone.
+
+    The posterior of column v lives at index pos[v] of the column axis.
+    pos stays the identity unless a `router` moves the messages, as the
+    schedule-driven decoder of nbqc.shuffle does: router.check(t, pos) runs
+    before layer t and router.move(t, post, pos) -> (post, pos) after it.
+    Traces and decisions are always in column order.
     """
-    post = np.array(channel, dtype=float)
-    if post.shape != (h.cols, fld.q):
+    single = np.ndim(channel) == 2
+    post = np.array(channel, dtype=float, ndmin=3)
+    if post.ndim != 3 or post.shape[1:] != (h.cols, fld.q):
         raise ValueError(f"expected {h.cols} channel messages of {fld.q} entries, got {post.shape}")
     post = normalize(post)
+    frames = np.arange(len(post))  # the input index of each frame still decoding
     pos = np.arange(h.cols)
-    r_msg = [np.zeros(c.shape + (fld.q,)) for c in schedule.cols]
+    r_msg = [np.zeros((len(post),) + c.shape + (fld.q,)) for c in schedule.cols]
     ws = np.empty(WORKSPACE)
-    trace: list[np.ndarray] = []
-    iterations = 0
-    for _ in range(config.max_iter):
+    traces: list[list[np.ndarray]] = [[] for _ in frames]
+    results: list[DecodeResult] = [None] * len(frames)
+    for iterations in range(1, config.max_iter + 1):
         for t, (cols, labels) in enumerate(zip(schedule.cols, schedule.labels)):
             if router:
                 router.check(t, pos)
             update_layer(post, pos[cols], labels, r_msg[t], fld, config.quant, ws)
             if config.trace:
-                trace.append(post[pos])
+                for f, p in zip(frames, post[:, pos]):
+                    traces[f].append(p)
             if router:
                 post, pos = router.move(t, post, pos)
-        iterations += 1
-        if syndrome_zero(h, fld, hard_decision(post[pos])):
+        symbols = hard_decision(post[:, pos])
+        ok = syndrome_zero(h, fld, symbols)
+        done = ok | (iterations == config.max_iter)
+        for i, f in zip(np.flatnonzero(done), frames[done]):
+            results[f] = DecodeResult(symbols[i], iterations, bool(ok[i]), traces[f])
+        if done.all():
             break
-    symbols = hard_decision(post[pos])
-    return DecodeResult(symbols, iterations, syndrome_zero(h, fld, symbols), trace)
+        post, frames, r_msg = post[~done], frames[~done], [r[~done] for r in r_msg]
+    return results[0] if single else results
 
 
 @dataclass(frozen=True)
@@ -353,15 +387,30 @@ class SimResultRow:
         )
 
 
-def _run_trial(args) -> tuple[int, int, int, int]:
-    h, schedule, fld, sigma, config, seed_key = args
-    rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=seed_key))
+def _decode_frames(frames, code=None) -> np.ndarray:
+    """Decode the frames (sigma, seed key) of one batch as one stack: a row
+    (frame error, symbol errors, bit errors, iterations) per frame.  In a
+    pool worker the code and config come from `_init_worker`."""
+    h, schedule, fld, config = code or _worker_code
     tx = np.zeros(h.cols, dtype=int)  # all-zero codeword
-    channel = channel_reliability(tx, sigma, fld, rng)
-    result = decode(h, schedule, channel, fld, config)
-    sym_err = int(np.count_nonzero(result.symbols))
-    bit_err = int(((result.symbols[:, None] >> np.arange(fld.m)) & 1).sum())
-    return (1 if sym_err else 0, sym_err, bit_err, result.iterations)
+    channels = [
+        channel_reliability(tx, sigma, fld, np.random.default_rng(
+            np.random.SeedSequence(config.rng_seed, spawn_key=key)))
+        for sigma, key in frames
+    ]
+    results = decode(h, schedule, np.stack(channels), fld, config)
+    symbols = np.stack([r.symbols for r in results])
+    sym_err = np.count_nonzero(symbols, axis=1)
+    bit_err = ((symbols[..., None] >> np.arange(fld.m)) & 1).sum(axis=(1, 2))
+    return np.column_stack((sym_err > 0, sym_err, bit_err, [r.iterations for r in results]))
+
+
+_worker_code = None  # (h, schedule, fld, config) in a pool worker
+
+
+def _init_worker(*code) -> None:
+    global _worker_code
+    _worker_code = code
 
 
 def snr_to_sigma(snr_db: float, rate: float) -> float:
@@ -381,7 +430,14 @@ def run_monte_carlo(
     workers: int = 1,
 ) -> list[SimResultRow]:
     """All-zero-codeword FER/BER sweep; bit-reproducible for a fixed seed
-    regardless of worker count (one derived seed per trial index)."""
+    regardless of worker count or batching.
+
+    Frame t of SNR point si draws its channel from SeedSequence(rng_seed,
+    spawn_key=(si, t)).  The sweep's frames, all points mixed, are dealt
+    into batches of at most BATCH_BYTES of decoder state (set by H's nnz *
+    q), at least one per worker; `decode` runs each batch as one stack.
+    Pool workers receive the code and config once, at start-up.
+    """
     if not snr_db_list:
         raise ValueError("empty SNR list")
     if trials < 1:
@@ -396,32 +452,24 @@ def run_monte_carlo(
             raise ValueError(
                 f"SNR {snr_db} dB at design rate {rate:.4g} gives no positive, finite noise std"
             )
-    jobs = [
-        [(h, schedule, fld, sigma, config, (si, t)) for t in range(trials)]
-        for si, sigma in enumerate(sigmas)
-    ]
+    frames = [(sigma, (si, t)) for si, sigma in enumerate(sigmas) for t in range(trials)]
+    batch = max(1, BATCH_BYTES // (8 * fld.q * (h.nnz() + h.cols)))
+    jobs = min(len(frames), max(workers, -(-len(frames) // batch)))
+    batches = [frames[j::jobs] for j in range(jobs)]
+    code = (h, schedule, fld, config)
     if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
-            sweep = [pool.map(_run_trial, point) for point in jobs]
+        with multiprocessing.Pool(workers, _init_worker, code) as pool:
+            counts = pool.map(_decode_frames, batches)
     else:
-        sweep = [[_run_trial(j) for j in point] for point in jobs]
-    rows = []
-    for snr_db, results in zip(snr_db_list, sweep):
-        fe = sum(r[0] for r in results)
-        se = sum(r[1] for r in results)
-        be = sum(r[2] for r in results)
-        iters = sum(r[3] for r in results)
-        rows.append(
-            SimResultRow(
-                snr_db=snr_db,
-                trials=trials,
-                frame_errors=fe,
-                symbol_errors=se,
-                fer=fe / trials,
-                ber=be / (trials * h.cols * fld.m),
-                avg_iters=iters / trials,
-            )
-        )
-    return rows
+        counts = [_decode_frames(b, code) for b in batches]
+    per_frame = np.empty((len(frames), 4), dtype=np.int64)
+    for j, c in enumerate(counts):
+        per_frame[j::jobs] = c
+    totals = per_frame.reshape(len(sigmas), trials, 4).sum(axis=1).tolist()
+    bits = trials * h.cols * fld.m
+    return [
+        SimResultRow(snr_db, trials, fe, se, fe / trials, be / bits, iters / trials)
+        for snr_db, (fe, se, be, iters) in zip(snr_db_list, totals)
+    ]

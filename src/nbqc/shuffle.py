@@ -44,19 +44,28 @@ class VnuPermutation:
             raise ValueError("map is not a bijection on 0..size-1")
 
     def cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.size
-        out = []
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            cyc = []
-            a = start
-            while not seen[a]:
-                seen[a] = True
-                cyc.append(a)
-                a = self.map[a]
-            out.append(tuple(cyc))
-        return out
+        order, first = _cycle_order(np.array(self.map))
+        return [tuple(c.tolist()) for c in np.split(order, np.flatnonzero(first)[1:])]
+
+
+def _cycle_order(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every position, cycle by cycle (each from its smallest position,
+    following perm, in order of that position), and a mask of each cycle's
+    first.  Pointer doubling finds each position's cycle minimum `lead` and
+    its number of steps from it `rank` in log2(size) array passes."""
+    idx = np.arange(perm.size)
+    lead, jump = idx, perm
+    # after k passes lead[i] = min of perm^0(i) .. perm^(2^k - 1)(i)
+    while not np.array_equal(lead, nxt := np.minimum(lead, lead[jump])):
+        lead, jump = nxt, jump[jump]
+    back = np.empty_like(perm)  # one step back, stopping at the cycle minimum
+    back[perm] = idx
+    back[lead == idx] = idx[lead == idx]
+    rank = (lead != idx).astype(np.int64)
+    while (back != lead).any():
+        rank, back = rank + rank[back], back[back]
+    order = np.lexsort((rank, lead))
+    return order, rank[order] == 0
 
 
 def build_index_matrix(n: int) -> np.ndarray:
@@ -243,26 +252,6 @@ def simulate(settings: BenesSettings, inputs: list) -> list:
     return out
 
 
-def unified_class1_via_benes(rho: int, q: int, c: int) -> dict:
-    """Route the Class-I group-level cyclic shift i -> (i-1) mod rho through
-    a Benes network, padding to the next power of two with identity
-    terminals when rho is not a power of two."""
-    width = 1 << max(1, (rho - 1).bit_length())
-    group_map = [(i - 1) % rho for i in range(rho)] + list(range(rho, width))
-    net = BenesNetwork(width)
-    settings = net.route(group_map)
-    unpadded = BenesNetwork(rho).num_switches if rho & (rho - 1) == 0 else None
-    return {
-        "width": width,
-        "padded": width != rho,
-        "settings": settings,
-        "stages": net.num_stages,
-        "switches": net.num_switches,
-        "unpadded_switches": unpadded,
-        "control_bits": net.control_bits,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Routing reports
 # ---------------------------------------------------------------------------
@@ -293,10 +282,15 @@ class RoutingReport:
 
     def render(self) -> str:
         lines = []
+        if self.transitions:  # every move permutes the same positions
+            size = self.transitions[0].permutation.size
+            names = np.array([str(i) for i in range(size)], dtype=object)
         for t in self.transitions:
-            cyc = " ".join(
-                "(" + " ".join(map(str, c)) + ")" for c in t.permutation.cycles() if len(c) > 1
-            )
+            perm = np.array(t.permutation.map)
+            order, first = _cycle_order(perm)
+            toks, last = names[order], np.append(first[1:], True)
+            toks[first], toks[last] = "(" + toks[first], toks[last] + ")"
+            cyc = " ".join(toks[perm[order] != order].tolist())  # fixed points left out
             lines.append(
                 f"layer {t.src_layer}->{t.dst_layer}: stages={t.stages} "
                 f"switches={t.switches} control_bits={t.control_bits} "
@@ -387,7 +381,7 @@ class _Router:
 
     def move(self, t: int, post: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         perm, gather = self.moves[t]
-        return post[gather], perm[pos]
+        return post[..., gather, :], perm[pos]
 
 
 def _gather_index(spec: CodeSpec, perm: np.ndarray, qm1: int) -> np.ndarray:

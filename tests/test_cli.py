@@ -148,6 +148,17 @@ def test_simulate_rejects_malformed_input(capsys, tmp_path, flags, message):
     assert message in err
 
 
+def test_simulate_refuses_degree_one_checks(capsys, tmp_path):
+    path = str(tmp_path / "deg1.nbqc")
+    flags = ["--class", "1", "--m", "3", "--c", "1", "--n", "7", "--gamma", "1", "--rho", "2"]
+    code, out, err = run(capsys, "construct", *flags, "-o", path)
+    assert code == 0 and "H is 7x14" in out
+    code, out, err = run(capsys, "simulate", "--code", path, "--snr-list", "1", "--trials", "2")
+    assert code == 1
+    assert out == ""
+    assert "rows 0..6 have check degree 1" in err
+
+
 def test_schedule_output_class1(capsys, tmp_path):
     path = str(tmp_path / "c1.nbqc")
     run(

@@ -1,5 +1,6 @@
 """Min-Max decoding: message algebra, check node, quantization, decoding."""
 
+import importlib
 import itertools
 
 import numpy as np
@@ -28,6 +29,7 @@ from nbqc.decode import (
     run_monte_carlo,
     snr_to_sigma,
     syndrome_zero,
+    update_layer,
 )
 from nbqc.gf import GF2m
 
@@ -61,6 +63,35 @@ def fig_code_class2():
     spec = CodeSpec.class2(2, 1, gamma=2, rho=4)
     h, _, _, fld = build_code(spec)
     return h, fld
+
+
+# the acceptance suite's SANITY_SPECS
+SANITY_SPECS = [
+    CodeSpec.class1(2, 1, 3, gamma=2, rho=3),
+    CodeSpec.class1(4, 3, 5, gamma=3, rho=6),
+    CodeSpec.class2(2, 1, gamma=2, rho=4),
+    CodeSpec.class2(3, 1, gamma=3, rho=6),
+]
+
+
+def assert_same_result(alone, batched):
+    assert np.array_equal(alone.symbols, batched.symbols)
+    assert alone.iterations == batched.iterations
+    assert alone.syndrome_zero == batched.syndrome_zero
+    assert len(alone.trace) == len(batched.trace)
+    for a, b in zip(alone.trace, batched.trace):
+        assert np.array_equal(a, b)
+
+
+def frame_stack(h, fld, snrs, seed):
+    """One all-zero frame per SNR, frame 0 noiseless so that it stops
+    after the first iteration."""
+    frames = [hard_channel(np.zeros(h.cols, dtype=int), fld)]
+    for t, snr in enumerate(snrs[1:]):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+        sigma = snr_to_sigma(snr, 0.5)
+        frames.append(channel_reliability(np.zeros(h.cols, dtype=int), sigma, fld, rng))
+    return np.stack(frames)
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +303,24 @@ def test_layer_schedule_rejects_duplicate_columns():
 
 
 def test_layer_schedule_rejects_unequal_degrees_in_a_layer():
-    ragged = ParityCheck(2, 4, 3, np.array([[0, 1], [2, 0]]), np.array([[1, 1], [2, 0]]))
+    ragged = ParityCheck(
+        2, 4, 3, np.array([[0, 1, 3], [0, 2, 0]]), np.array([[1, 1, 2], [2, 1, 0]])
+    )
     with pytest.raises(ValueError, match="differ in degree"):
         build_layer_schedule(ragged, LAYER_I)
     s2 = build_layer_schedule(ragged, LAYER_II)
-    assert [c.tolist() for c in s2.cols] == [[[0, 1]], [[2]]]
-    assert [lab.tolist() for lab in s2.labels] == [[[1, 1]], [[2]]]
+    assert [c.tolist() for c in s2.cols] == [[[0, 1, 3]], [[0, 2]]]
+    assert [lab.tolist() for lab in s2.labels] == [[[1, 1, 2]], [[2, 1]]]
+
+
+@pytest.mark.parametrize("partition", [LAYER_I, LAYER_II])
+def test_layer_schedule_rejects_degree_one_checks(partition):
+    # a single block column of a gamma=1, rho=2 Class-I code is all zeros,
+    # so every row of H has one edge
+    h, _, _, _ = build_code(CodeSpec.class1(3, 1, 7, gamma=1, rho=2))
+    assert (h.degree == 1).all()
+    with pytest.raises(ValueError, match=r"rows 0\.\.\d+ have check degree 1"):
+        build_layer_schedule(h, partition)
 
 
 def test_layer_schedule_dense_form_matches_rows():
@@ -387,6 +430,54 @@ def test_quantized_decode_preserves_decisions():
         assert np.array_equal(a.symbols, b.symbols)
 
 
+@given(
+    st.sampled_from(range(len(SANITY_SPECS))),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([None, (4, 1), (3, 0)]),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_decode_stack_matches_frames_alone(spec_index, frames, quant, max_iter, seed):
+    h, _, _, fld = build_code(SANITY_SPECS[spec_index])
+    schedule = build_layer_schedule(h, LAYER_I)
+    snrs = np.random.default_rng(seed).uniform(0.0, 4.0, frames)
+    stack = frame_stack(h, fld, snrs, seed)
+    config = DecoderConfig(max_iter=max_iter, quant=quant, trace=True)
+    batched = decode(h, schedule, stack, fld, config)
+    assert len(batched) == frames
+    for channel, result in zip(stack, batched):
+        assert_same_result(decode(h, schedule, channel, fld, config), result)
+
+
+def test_decode_stack_frames_stop_at_their_own_iteration():
+    h, _, _, fld = build_code(SANITY_SPECS[1])
+    schedule = build_layer_schedule(h, LAYER_I)
+    stack = frame_stack(h, fld, [0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 1.0, 0.5], 5)
+    config = DecoderConfig(max_iter=6, quant=(4, 1), trace=True)
+    batched = decode(h, schedule, stack, fld, config)
+    assert len({r.iterations for r in batched}) >= 3
+    assert {r.syndrome_zero for r in batched} == {True, False}
+    for channel, result in zip(stack, batched):
+        assert_same_result(decode(h, schedule, channel, fld, config), result)
+
+
+def test_update_layer_chunks_do_not_change_result():
+    # a workspace of 3 (frame, row) pairs splits the 5 frames x 15 rows
+    # into single-row chunks of 3 frames and 2 frames
+    h, _, _, fld = build_code(SANITY_SPECS[1])
+    schedule = build_layer_schedule(h, LAYER_I)
+    rng = np.random.default_rng(6)
+    cols, labels = schedule.cols[0], schedule.labels[0]
+    post = normalize(rng.random((5, h.cols, fld.q)) * 8)
+    r_msg = normalize(rng.random((5,) + cols.shape + (fld.q,)))
+    small = (post.copy(), r_msg.copy())
+    update_layer(*small[:1], cols, labels, small[1], fld, (5, 1), np.empty(3 * 2 * fld.q**2))
+    update_layer(post, cols, labels, r_msg, fld, (5, 1), np.empty(WORKSPACE))
+    assert np.array_equal(small[0], post)
+    assert np.array_equal(small[1], r_msg)
+
+
 def test_decode_validates_channel_length():
     h, fld = fig_code_class2()
     schedule = build_layer_schedule(h, LAYER_I)
@@ -448,7 +539,7 @@ def test_run_monte_carlo_rejects_bad_input(snrs, workers, match):
 
 
 def test_run_monte_carlo_rejects_nonpositive_rate():
-    h, _, _, fld = build_code(CodeSpec.class2(2, 1, gamma=2, rho=2))
+    h, _, _, fld = build_code(CodeSpec.class1(2, 1, 3, gamma=3, rho=3))  # 9 x 9
     schedule = build_layer_schedule(h, LAYER_II)
     with pytest.raises(ValueError, match="rate"):
         run_monte_carlo(h, schedule, fld, [1.0], 5, DecoderConfig())
@@ -461,6 +552,26 @@ def test_run_monte_carlo_worker_count_reproducible():
     one = run_monte_carlo(h, schedule, fld, [1.0, 3.0], 12, config, workers=1)
     two = run_monte_carlo(h, schedule, fld, [1.0, 3.0], 12, config, workers=2)
     assert one == two
+    # 14 frames do not divide evenly among 3 workers
+    one = run_monte_carlo(h, schedule, fld, [1.0, 3.0], 7, config, workers=1)
+    three = run_monte_carlo(h, schedule, fld, [1.0, 3.0], 7, config, workers=3)
+    assert one == three
+    # more workers than frames
+    one = run_monte_carlo(h, schedule, fld, [1.0], 2, config, workers=1)
+    assert run_monte_carlo(h, schedule, fld, [1.0], 2, config, workers=3) == one
+
+
+def test_run_monte_carlo_batch_size_does_not_change_rows(monkeypatch):
+    h, fld = fig_code_class2()
+    schedule = build_layer_schedule(h, LAYER_I)
+    config = DecoderConfig(max_iter=5, quant=(4, 1), rng_seed=13)
+    whole = run_monte_carlo(h, schedule, fld, [0.0, 1.0, 3.0], 9, config)
+    module = importlib.import_module("nbqc.decode")  # the package's `decode` is the function
+    # a batch of 8 * q * (nnz + cols) bytes holds one frame
+    monkeypatch.setattr(module, "BATCH_BYTES", 8 * fld.q * (h.nnz() + h.cols))
+    assert run_monte_carlo(h, schedule, fld, [0.0, 1.0, 3.0], 9, config) == whole
+    monkeypatch.setattr(module, "BATCH_BYTES", 4 * 8 * fld.q * (h.nnz() + h.cols))
+    assert run_monte_carlo(h, schedule, fld, [0.0, 1.0, 3.0], 9, config) == whole
 
 
 def test_sim_result_csv_round_trip():

@@ -10,6 +10,8 @@ from nbqc.decode import DecoderConfig, LAYER_I, LAYER_II, build_layer_schedule, 
 from nbqc.gf import GF2m
 from nbqc.shuffle import (
     BenesNetwork,
+    RoutingReport,
+    TransitionReport,
     VnuPermutation,
     _dest_order,
     build_index_matrix,
@@ -18,7 +20,6 @@ from nbqc.shuffle import (
     schedule_driven_decode,
     simulate,
     transition_permutation,
-    unified_class1_via_benes,
 )
 
 SPEC_CLASS1 = CodeSpec.class1(2, 1, 3, gamma=2, rho=3)  # 4-ary (9, 3)
@@ -30,6 +31,30 @@ def test_vnu_permutation_basics():
     assert p.cycles() == [(0, 2, 1)]
     with pytest.raises(ValueError):
         VnuPermutation(3, (0, 0, 1))
+
+
+def cycle_walk(perm):
+    """Reference: the cycles met walking up from position 0."""
+    seen, out = set(), []
+    for start in range(len(perm)):
+        cyc, a = [], start
+        while a not in seen:
+            seen.add(a)
+            cyc.append(a)
+            a = perm[a]
+        if cyc:
+            out.append(tuple(cyc))
+    return out
+
+
+@given(st.integers(min_value=1, max_value=40).flatmap(lambda n: st.permutations(range(n))))
+@settings(max_examples=80, deadline=None)
+def test_cycles_and_render_match_cycle_walk(perm):
+    p = VnuPermutation(len(perm), tuple(perm))
+    assert p.cycles() == cycle_walk(perm)
+    want = " ".join("(" + " ".join(map(str, c)) + ")" for c in cycle_walk(perm) if len(c) > 1)
+    report = RoutingReport(2, LAYER_I, [TransitionReport(0, 1, p, None, 0, 0, 0, True)])
+    assert report.render().splitlines()[0].endswith(" cycles=" + (want or "(identity)"))
 
 
 def test_class1_schedule_frozen_map():
@@ -163,13 +188,12 @@ def test_benes_property(perm):
 
 
 def test_unified_class1_pads_to_power_of_two():
-    info = unified_class1_via_benes(20, 64, 7)
-    assert info["width"] == 32
-    assert info["padded"]
-    assert info["stages"] == 9
-    assert info["switches"] == 144
-    out = simulate(info["settings"], list(range(32)))
+    # the Class-I block shift i -> i - 1 mod 20 on a 32-terminal network,
+    # the 12 idle terminals wired straight through
+    net = BenesNetwork(32)
+    assert (net.num_stages, net.num_switches) == (9, 144)
     group_map = [(i - 1) % 20 for i in range(20)] + list(range(20, 32))
+    out = simulate(net.route(group_map), list(range(32)))
     assert out == _dest_order(group_map)
 
 
@@ -222,6 +246,33 @@ def test_schedule_driven_matches_direct(spec):
         assert len(direct.trace) == len(shuffled.trace)
         for a, b in zip(direct.trace, shuffled.trace):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("spec", [SPEC_CLASS1, SPEC_CLASS2])
+def test_schedule_driven_stack_matches_frames_alone(spec):
+    h, _, _, fld = build_code(spec)
+    sigma = snr_to_sigma(1.0, 0.5)
+    config = DecoderConfig(max_iter=5, quant=(4, 1), trace=True)
+    stack = np.stack([
+        channel_reliability(
+            np.zeros(h.cols, dtype=int), sigma, fld,
+            np.random.default_rng(np.random.SeedSequence(77, spawn_key=(0, t))),
+        )
+        for t in range(10)
+    ])
+    batched = schedule_driven_decode(spec, h, stack, fld, config)
+    assert len({r.iterations for r in batched}) > 1
+    schedule = build_layer_schedule(h, LAYER_I)
+    for channel, result in zip(stack, batched):
+        for alone in (
+            schedule_driven_decode(spec, h, channel, fld, config),
+            decode(h, schedule, channel, fld, config),
+        ):
+            assert np.array_equal(alone.symbols, result.symbols)
+            assert alone.iterations == result.iterations
+            assert len(alone.trace) == len(result.trace)
+            for a, b in zip(alone.trace, result.trace):
+                assert np.array_equal(a, b)
 
 
 def test_schedule_driven_detects_misalignment():
