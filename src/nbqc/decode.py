@@ -322,7 +322,7 @@ def decode(
     fld: GF2m,
     config: DecoderConfig,
     router=None,
-) -> DecodeResult:
+) -> DecodeResult | list[DecodeResult]:
     """Layered Min-Max decoding, layers processed top to bottom.
 
     `channel` is one frame's (columns, q) messages, giving one
@@ -338,7 +338,7 @@ def decode(
     """
     single = np.ndim(channel) == 2
     post = np.array(channel, dtype=float, ndmin=3)
-    if post.ndim != 3 or post.shape[1:] != (h.cols, fld.q):
+    if post.shape[1:] != (h.cols, fld.q) or not len(post):
         raise ValueError(f"expected {h.cols} channel messages of {fld.q} entries, got {post.shape}")
     post = normalize(post)
     frames = np.arange(len(post))  # the input index of each frame still decoding

@@ -483,6 +483,9 @@ def test_decode_validates_channel_length():
     schedule = build_layer_schedule(h, LAYER_I)
     with pytest.raises(ValueError):
         decode(h, schedule, [np.zeros(4)] * 3, fld, DecoderConfig())
+    for shape in ((0, h.cols, fld.q), (2, 1, h.cols, fld.q)):
+        with pytest.raises(ValueError, match="channel messages"):
+            decode(h, schedule, np.zeros(shape), fld, DecoderConfig())
 
 
 def test_hard_decision_tie_break():
