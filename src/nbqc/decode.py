@@ -434,9 +434,9 @@ def run_monte_carlo(
 
     Frame t of SNR point si draws its channel from SeedSequence(rng_seed,
     spawn_key=(si, t)).  The sweep's frames, all points mixed, are dealt
-    into batches of at most BATCH_BYTES of decoder state (set by H's nnz *
-    q), at least one per worker; `decode` runs each batch as one stack.
-    Pool workers receive the code and config once, at start-up.
+    into batches of as many frames as BATCH_BYTES of decoder state holds
+    (set by H's nnz * q; at least one), at least one batch per worker.
+    `decode` runs each batch as one stack; pool workers get the code once.
     """
     if not snr_db_list:
         raise ValueError("empty SNR list")

@@ -44,8 +44,8 @@ class VnuPermutation:
             raise ValueError("map is not a bijection on 0..size-1")
 
     def cycles(self) -> list[tuple[int, ...]]:
-        order, first = _cycle_order(np.array(self.map))
-        return [tuple(c.tolist()) for c in np.split(order, np.flatnonzero(first)[1:])]
+        order, first = _cycle_order(np.array(self.map, dtype=np.intp))
+        return [tuple(c.tolist()) for c in np.split(order, np.flatnonzero(first))[1:]]
 
 
 def _cycle_order(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

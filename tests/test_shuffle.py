@@ -29,6 +29,7 @@ SPEC_CLASS2 = CodeSpec.class2(2, 1, gamma=2, rho=4)  # 4-ary (12, 6)
 def test_vnu_permutation_basics():
     p = VnuPermutation(3, (2, 0, 1))
     assert p.cycles() == [(0, 2, 1)]
+    assert VnuPermutation(0, ()).cycles() == []
     with pytest.raises(ValueError):
         VnuPermutation(3, (0, 0, 1))
 
