@@ -38,6 +38,7 @@ from .shuffle import (
     route_schedule,
     schedule_driven_decode,
     simulate,
+    unified_class1_via_benes,
 )
 from .verify import PropertyReport, verify_class1, verify_class2
 from .cost import CostBreakdown, CostParams, cost, render_report, savings

@@ -252,6 +252,26 @@ def simulate(settings: BenesSettings, inputs: list) -> list:
     return out
 
 
+def unified_class1_via_benes(rho: int, q: int, c: int) -> dict:
+    """Route the Class-I group-level cyclic shift i -> (i-1) mod rho through
+    a Benes network, padding to the next power of two with identity
+    terminals when rho is not a power of two."""
+    width = 1 << max(1, (rho - 1).bit_length())
+    group_map = [(i - 1) % rho for i in range(rho)] + list(range(rho, width))
+    net = BenesNetwork(width)
+    settings = net.route(group_map)
+    unpadded = BenesNetwork(rho).num_switches if rho & (rho - 1) == 0 else None
+    return {
+        "width": width,
+        "padded": width != rho,
+        "settings": settings,
+        "stages": net.num_stages,
+        "switches": net.num_switches,
+        "unpadded_switches": unpadded,
+        "control_bits": net.control_bits,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Routing reports
 # ---------------------------------------------------------------------------
@@ -340,9 +360,9 @@ def schedule_driven_decode(
     channel,
     fld: GF2m,
     config: DecoderConfig,
-) -> DecodeResult:
+) -> DecodeResult | list[DecodeResult]:
     """Layered decode where posteriors move only through the generated
-    inter-layer permutations.
+    inter-layer permutations; one frame or an (F, columns, q) stack, as in `decode`.
 
     `decode` runs with a router that keeps the posteriors at physical
     positions and moves them by one gather after each layer.  A fixed

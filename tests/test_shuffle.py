@@ -20,6 +20,7 @@ from nbqc.shuffle import (
     schedule_driven_decode,
     simulate,
     transition_permutation,
+    unified_class1_via_benes,
 )
 
 SPEC_CLASS1 = CodeSpec.class1(2, 1, 3, gamma=2, rho=3)  # 4-ary (9, 3)
@@ -189,12 +190,13 @@ def test_benes_property(perm):
 
 
 def test_unified_class1_pads_to_power_of_two():
-    # the Class-I block shift i -> i - 1 mod 20 on a 32-terminal network,
-    # the 12 idle terminals wired straight through
-    net = BenesNetwork(32)
-    assert (net.num_stages, net.num_switches) == (9, 144)
+    info = unified_class1_via_benes(20, 64, 7)
+    assert info["width"] == 32
+    assert info["padded"]
+    assert info["stages"] == 9
+    assert info["switches"] == 144
+    out = simulate(info["settings"], list(range(32)))
     group_map = [(i - 1) % 20 for i in range(20)] + list(range(20, 32))
-    out = simulate(net.route(group_map), list(range(32)))
     assert out == _dest_order(group_map)
 
 
