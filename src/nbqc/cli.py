@@ -15,7 +15,7 @@ import numpy as np
 
 from . import codefile
 from .cost import CATEGORIES, VARIANTS, CostParams, cost as cost_breakdown, render_report, savings
-from .construct import CLASS_I, CLASS_II, CodeSpec, build_code, recover_base_region
+from .construct import CLASS_I, CLASS_II, CodeSpec, SubgroupIndexing, build_code, recover_base_region
 from .decode import LAYER_I, LAYER_II, DecoderConfig, SimResultRow, build_layer_schedule, run_monte_carlo
 from .shuffle import iteration_moves, route_schedule
 from .verify import PropertyReport, verify_class1, verify_class2
@@ -78,12 +78,10 @@ def cmd_verify(args) -> int:
         )
     else:
         indexing = None
-        if spec.rho == spec.dim:
-            from .construct import SubgroupIndexing
-
-            beta = tuple(int(region[0, l]) for l in range(spec.n))
-            delta = tuple(int(region[0, j * spec.n]) for j in range(spec.c))
-            indexing = SubgroupIndexing(beta, delta)
+        if spec.rho == spec.dim:  # row 0 holds the beta ordering, every n-th entry delta's
+            indexing = SubgroupIndexing(
+                tuple(region[0, : spec.n].tolist()), tuple(region[0, :: spec.n].tolist())
+            )
         report = verify_class2(
             fld, region, spec.c, spec.n, indexing,
             region_rows=spec.gamma, region_cols=spec.rho,

@@ -16,7 +16,9 @@ min-max kernel C(a) = min over b+c=a of max(A(b), B(c)) forward and
 backward for every row of a chunk at once.  Min and max select values
 without rounding, so each frame gets the same floats as when decoded
 alone, one row at a time; a brute-force enumeration oracle defines ground
-truth for the check node.
+truth for the check node.  With a (b_q, b_f) quantizer every check-node
+input is k * 2^-b_f for an integer 0 <= k < 2^b_q, so the check node runs
+exactly on the codes k as uint8 (b_q <= 8) or uint16 values.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ HARD_PENALTY = 1e6
 
 #: float64 entries of the check-node workspace (1 MB); a layer update takes
 #: WORKSPACE // (2 q^2) (frame, row) pairs at a time: 1,024 at q=8, 16 at
-#: q=64 (one frame's 16 rows, or one row of 16 frames), one at q=256
+#: q=64 (one frame's 16 rows, or one row of 16 frames), one at q=256;
+#: quantized check nodes run on integer codes in a byte view of it
 WORKSPACE = 1 << 17
 
 #: bytes of float64 decoder state (posteriors, check messages) in one
@@ -72,6 +75,8 @@ class DecoderConfig:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.quant is not None:
             b_q, b_f = self.quant
+            if not 1 <= b_q <= 16:
+                raise ValueError(f"quantization requires 1 <= b_q <= 16 bits, got b_q = {b_q}")
             if not b_f < b_q:
                 raise ValueError(f"quantization requires b_f < b_q, got ({b_q}, {b_f})")
 
@@ -181,15 +186,29 @@ def _xor_table(q: int) -> np.ndarray:
 
 def _minmax_kernel(a: np.ndarray, b: np.ndarray, ws=None, out=None) -> np.ndarray:
     """C[..., x] = min over y of max(a[..., y], b[..., x XOR y]) for stacked
-    messages; XOR is GF(2^m) addition.  `ws` is scratch space of at least
-    a.size * q entries; the result goes to `out` if given.  The min over y
-    halves the candidates log2(q) times, which selects the same value as
-    one reduction."""
-    q = a.shape[-1]
-    n = a.size * q
-    ws = (np.empty(n) if ws is None else ws[:n]).reshape(a.shape + (q,))
-    np.take(b, _xor_table(q), axis=-1, out=ws, mode="clip")  # ws[..., y, x] = b[..., x ^ y]
-    np.maximum(ws, a[..., :, None], out=ws)
+    messages of any dtype; XOR is GF(2^m) addition.  `ws` is scratch space
+    of at least a.nbytes * q bytes; the result goes to `out` if given.
+
+    ws[..., y, x] = b[..., x ^ y] takes two gathers where a lane of entries
+    fills an 8-byte word (8 uint8 codes, one float64): with y = yh * lane +
+    yl, a (lane, q) gather over yl permutes within words and a gather of
+    whole words moves them by yh, in (yl, yh) order, as `a` is read.  The
+    min over y halves the candidates log2(q) times, which selects the same
+    value as one reduction, in any order."""
+    lead, q = a.shape[:-1], a.shape[-1]
+    lane, n = min(q, 8 // a.itemsize), a.size * q
+    ws = np.empty(n, a.dtype) if ws is None else ws.view(a.dtype)[:n]
+    ws = ws.reshape(lead + (lane, q // lane, q))
+    if lane > 1:
+        words = np.dtype(f"u{lane * a.itemsize}")
+        b = b.take(_xor_table(q)[:lane], axis=-1).view(words)  # b[..., yl, x] = b[..., x ^ yl]
+        b.take(_xor_table(q // lane), axis=-1, out=ws.view(words), mode="clip")
+        a = a.reshape(lead + (q // lane, lane)).swapaxes(-1, -2)  # a[..., yl, yh]
+    else:
+        b.take(_xor_table(q), axis=-1, out=ws[..., 0, :, :], mode="clip")
+        a = a[..., None, :]
+    np.maximum(ws, a[..., None], out=ws)
+    ws = ws.reshape(lead + (q, q))
     while q > 2:
         q //= 2
         np.minimum(ws[..., :q, :], ws[..., q : 2 * q, :], out=ws[..., :q, :])
@@ -203,29 +222,32 @@ def check_node_min_max(inputs, ws=None):
     independent check rows; the outputs come back in the same form.
     Operates on the permuted domain (zero-sum constraint); output i is the
     min-max combination of all inputs except i, re-normalized to min 0.
-    `ws` is scratch space of at least 2 * B * q^2 entries.
+    Unsigned integer inputs (quantizer codes) stay in their dtype, any
+    other input runs as float64.  `ws` is scratch space of any dtype, of
+    at least 2 * B * q^2 entries of the inputs' dtype.
     """
-    x = np.asarray(inputs, dtype=float)
+    x = np.asarray(inputs)
+    x = x if x.dtype.kind == "u" else np.asarray(x, dtype=float)
     stacked = x.ndim == 3
     x = x if stacked else x[None]
     rows, d, q = x.shape
     if d < 2:
         raise ValueError(f"check degree must be >= 2, got {d}")
     if ws is None:
-        ws = np.empty(2 * rows * q * q)
+        ws = np.empty(2 * rows * q * q, x.dtype)
     out = np.empty_like(x)
     if d == 2:
         out[:, 0], out[:, 1] = x[:, 1], x[:, 0]
     else:
         # chain[:, 0, k] combines inputs 0..k, chain[:, 1, k] inputs d-1-k..d-1
         ends = np.stack([x, x[:, ::-1]], axis=1)
-        chain = np.empty((rows, 2, d - 1, q))
+        chain = np.empty((rows, 2, d - 1, q), x.dtype)
         chain[:, :, 0] = ends[:, :, 0]
         for k in range(1, d - 1):
             _minmax_kernel(chain[:, :, k - 1], ends[:, :, k], ws, chain[:, :, k])
         fwd, bwd = chain[:, 0], chain[:, 1, ::-1]  # bwd[:, i] combines inputs i+1..d-1
         out[:, 0], out[:, d - 1] = bwd[:, 0], fwd[:, d - 2]
-        width = max(1, ws.size // (rows * q * q))
+        width = max(1, ws.nbytes // (rows * q * q * x.itemsize))
         for i in range(1, d - 1, width):
             j = min(i + width, d - 1)
             _minmax_kernel(fwd[:, i - 1 : j - 1], bwd[:, i:j], ws, out[:, i:j])
@@ -263,10 +285,8 @@ def quantize_vec(vec: np.ndarray, quant: tuple[int, int] | None) -> np.ndarray:
     quant=None returns `vec` unchanged."""
     if quant is None:
         return vec
-    b_q, b_f = quant
-    step = 2.0 ** (-b_f)
-    top = (2**b_q - 1) * step
-    return np.minimum(np.floor(vec / step + 0.5) * step, top)
+    step = 2.0 ** -quant[1]
+    return np.minimum(np.floor(vec / step + 0.5), 2 ** quant[0] - 1) * step
 
 
 def update_layer(
@@ -284,7 +304,8 @@ def update_layer(
     layer's (rows, d) edge form indexing post's column axis, and `r_msg`
     the layer's (F, rows, d, q) stored check messages.  Each row subtracts
     its stored messages, permutes into the zero-sum domain, runs the check
-    node, permutes back and adds the new messages.  Rows of a layer touch
+    node (with `quant` on the integer codes k = message * 2^b_f < 2^b_q),
+    permutes back and adds the new messages.  Rows of a layer touch
     disjoint columns, so each chunk of (frame, row) pairs that fits `ws`
     (2 q^2 entries a pair) runs as one (pairs, d, q) check-node stack:
     some rows of every frame, or one row of some frames.
@@ -292,14 +313,17 @@ def update_layer(
     frames, (rows, d), q = len(post), cols.shape, fld.q
     pairs = max(1, ws.size // (2 * q * q))
     step = min(rows, max(1, pairs // frames))  # rows per chunk; all frames if step > 1
+    codes = None if quant is None else np.min_scalar_type(2 ** quant[0] - 1)
+    scale = 1.0 if quant is None else 2.0 ** quant[1]
     for f in range(0, frames, pairs):
         p, r_f = post[f : f + pairs], r_msg[f : f + pairs]
         for lo in range(0, rows, step):
             c, lab, r = cols[lo : lo + step], labels[lo : lo + step], r_f[:, lo : lo + step]
             l_cv = quantize_vec(normalize(p[:, c] - r), quant)
-            flat = permute_message(l_cv, lab, FORWARD, fld).reshape(-1, d, q)
+            x = l_cv if codes is None else (l_cv * scale).astype(codes)
+            flat = permute_message(x, lab, FORWARD, fld).reshape(-1, d, q)
             out = check_node_min_max(flat, ws).reshape(l_cv.shape)
-            r[:] = quantize_vec(permute_message(out, lab, BACKWARD, fld), quant)
+            np.divide(permute_message(out, lab, BACKWARD, fld), scale, out=r)
             p[:, c] = quantize_vec(normalize(l_cv + r), quant)
 
 

@@ -148,6 +148,15 @@ def test_simulate_rejects_malformed_input(capsys, tmp_path, flags, message):
     assert message in err
 
 
+def test_simulate_refuses_wide_quantizer(capsys, tmp_path):
+    path = construct_class2(capsys, tmp_path)
+    flags = ["--snr-list", "1", "--trials", "2", "--quant", "17,2"]
+    code, out, err = run(capsys, "simulate", "--code", path, *flags)
+    assert code == 1
+    assert out == ""
+    assert "1 <= b_q <= 16" in err and "Traceback" not in err
+
+
 def test_simulate_refuses_degree_one_checks(capsys, tmp_path):
     path = str(tmp_path / "deg1.nbqc")
     flags = ["--class", "1", "--m", "3", "--c", "1", "--n", "7", "--gamma", "1", "--rho", "2"]

@@ -157,6 +157,9 @@ def test_minmax_kernel_frozen_example():
     a = np.array([0.0, 1.0, 2.0, 3.0])
     b = np.array([0.0, 3.0, 1.0, 2.0])
     assert list(_minmax_kernel(a, b)) == [0.0, 1.0, 1.0, 1.0]
+    # the same messages as uint8 codes: all of a row is one 4-byte word
+    codes = _minmax_kernel(a.astype(np.uint8), b.astype(np.uint8))
+    assert codes.dtype == np.uint8 and list(codes) == [0, 1, 1, 1]
 
 
 def test_check_node_degree2_passthrough():
@@ -239,6 +242,28 @@ def test_batched_check_node_matches_brute_force_rows(rows, d, q, seed):
         check_node_min_max(stacked[:, :1])
 
 
+@given(
+    st.sampled_from([2, 4, 8, 16, 32, 64, 128, 256]),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=0, max_value=15),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_check_node_on_codes_matches_float(q, d, b_q, b_f, rows, seed):
+    # quantizer codes k stand for k * 2^-b_f; min and max only select, so
+    # the check node on codes is the float check node, scaled
+    rng = np.random.default_rng(seed)
+    top = 2**b_q - 1
+    codes = rng.integers(0, top, (rows, d, q), endpoint=True, dtype=np.min_scalar_type(top))
+    codes[rng.random(codes.shape) < 0.2] = top  # saturated messages
+    step = 2.0 ** -min(b_f, b_q - 1)
+    out = check_node_min_max(codes)
+    assert out.dtype == codes.dtype
+    assert np.array_equal(out * step, check_node_min_max(codes * step))
+
+
 def test_check_node_workspace_size_does_not_change_result():
     # the default workspace runs the middle outputs two at a time, the
     # decoder's 1 MB one all four at once
@@ -272,6 +297,15 @@ def test_quant_config_validation():
     with pytest.raises(ValueError):
         DecoderConfig(quant=(4, 4))
     DecoderConfig(quant=(5, 1))
+
+
+@pytest.mark.parametrize("b_q", [0, -1, 17, 32])
+def test_quant_config_refuses_unrepresentable_width(b_q):
+    # the check node runs on unsigned codes of at most 16 bits
+    with pytest.raises(ValueError, match=r"1 <= b_q <= 16"):
+        DecoderConfig(quant=(b_q, b_q - 1))
+    DecoderConfig(quant=(16, 8))
+    DecoderConfig(quant=(1, 0))
 
 
 def test_config_rejects_no_iterations():
