@@ -138,6 +138,7 @@ def test_simulate_rejects_bad_snr_list(capsys, tmp_path):
         (["--snr-list", "1", "--max-iter", "0"], "max_iter"),
         (["--snr-list", "1", "--workers", "0"], "worker"),
         (["--snr-list", "4000"], "finite"),
+        (["--snr-list", "1", "--quant", "17,2"], "1 <= b_q <= 16"),
     ],
 )
 def test_simulate_rejects_malformed_input(capsys, tmp_path, flags, message):
@@ -146,15 +147,6 @@ def test_simulate_rejects_malformed_input(capsys, tmp_path, flags, message):
     assert code == 1
     assert out == ""
     assert message in err
-
-
-def test_simulate_refuses_wide_quantizer(capsys, tmp_path):
-    path = construct_class2(capsys, tmp_path)
-    flags = ["--snr-list", "1", "--trials", "2", "--quant", "17,2"]
-    code, out, err = run(capsys, "simulate", "--code", path, *flags)
-    assert code == 1
-    assert out == ""
-    assert "1 <= b_q <= 16" in err and "Traceback" not in err
 
 
 def test_simulate_refuses_degree_one_checks(capsys, tmp_path):
