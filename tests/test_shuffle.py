@@ -1,6 +1,8 @@
 """Routing schedules, the index table, the Benes model and the
 schedule-driven decoder."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -300,3 +302,50 @@ def test_schedule_driven_detects_misalignment():
             schedule_driven_decode(spec, h, channel, fld, DecoderConfig(max_iter=2))
     finally:
         shuffle_mod.transition_permutation = orig
+
+
+def decodable_specs(max_m):
+    """Every spec with m <= max_m whose H cuts into LAYER_I layers."""
+    for m in range(2, max_m + 1):
+        qm1 = (1 << m) - 1
+        shapes = [(g, r) for g in range(1, qm1 + 2) for r in range(1, qm1 + 2)]
+        specs = [
+            CodeSpec.class1(m, c, qm1 // c, g, r)
+            for c in range(1, qm1 + 1) if qm1 % c == 0 and np.gcd(c, qm1 // c) == 1
+            for g, r in shapes if max(g, r) <= qm1
+        ] + [CodeSpec.class2(m, t, g, r) for t in range(1, m) for g, r in shapes]
+        for spec in specs:
+            h, _, _, fld = build_code(spec)
+            try:
+                build_layer_schedule(h, LAYER_I)
+            except ValueError:
+                continue
+            yield spec, h, fld
+
+
+def schedule_verdict(spec, h, fld):
+    """The refusal of `schedule_driven_decode` (type and text), or the
+    sha256 of the symbols it decodes from two fixed -2 dB frames."""
+    sigma = snr_to_sigma(-2.0, 0.5)
+    stack = np.stack([
+        channel_reliability(
+            np.zeros(h.cols, dtype=int), sigma, fld,
+            np.random.default_rng(np.random.SeedSequence(8, spawn_key=(f,))),
+        )
+        for f in range(2)
+    ])
+    try:
+        results = schedule_driven_decode(spec, h, stack, fld, DecoderConfig(max_iter=3))
+    except (AssertionError, ValueError) as e:
+        return f"{type(e).__name__}: {e}"
+    symbols = np.stack([r.symbols for r in results]).astype(np.int64)
+    return hashlib.sha256(symbols.tobytes()).hexdigest()
+
+
+def test_schedule_verdicts_pinned():
+    # 180 specs with m <= 3: 42 decode, 70 misalign, 68 raise ValueError
+    lines = [schedule_verdict(*code) for code in decodable_specs(3)]
+    kinds = [line.split(":")[0] if ":" in line else "decoded" for line in lines]
+    assert [kinds.count(k) for k in ("decoded", "AssertionError", "ValueError")] == [42, 70, 68]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "e775c0692ea6d2a2e0afeb9727e3b8fa69c4baa33ce1c20005e3dbed97768a17"
