@@ -102,8 +102,7 @@ def _parse_quant(text: str | None):
 
 def cmd_simulate(args) -> int:
     spec, h, fld = _read_code(args.code)
-    partition = LAYER_I if args.partition == "layer1" else LAYER_II
-    schedule = build_layer_schedule(h, partition)
+    schedule = build_layer_schedule(h, args.partition)
     try:
         snrs = [float(s) for s in args.snr_list.split(",") if s.strip()]
     except ValueError:
@@ -122,8 +121,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_schedule(args) -> int:
     spec, h, fld = _read_code(args.code)
-    partition = LAYER_I if args.partition == "layer1" else LAYER_II
-    for s, d, perm in iteration_moves(spec, partition):
+    for s, d, perm in iteration_moves(spec, args.partition):
         moved = ", ".join(f"{src} -> {dst}" for src, dst in enumerate(perm.map))
         print(f"transition layer {s} to layer {d}: {moved}")
     return 0
@@ -131,8 +129,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_route(args) -> int:
     spec, h, fld = _read_code(args.code)
-    partition = LAYER_I if args.partition == "layer1" else LAYER_II
-    report = route_schedule(spec, partition)
+    report = route_schedule(spec, args.partition)
     print(report.render())
     if any(not t.realized for t in report.transitions):
         raise CliError("internal error: a scheduled permutation failed to route", 1)
@@ -225,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-list", required=True, help="comma-separated Eb/N0 values in dB")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--max-iter", type=int, default=10)
-    p.add_argument("--partition", choices=("layer1", "layer2"), default="layer1")
+    p.add_argument("--partition", choices=(LAYER_I, LAYER_II), default=LAYER_I)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quant", default=None, metavar="BQ,BF")
     p.add_argument("--workers", type=int, default=1)
@@ -233,12 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="print inter-layer routing maps")
     p.add_argument("--code", required=True)
-    p.add_argument("--partition", choices=("layer1", "layer2"), default="layer1")
+    p.add_argument("--partition", choices=(LAYER_I, LAYER_II), default=LAYER_I)
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("route", help="route schedules through the network model")
     p.add_argument("--code", required=True)
-    p.add_argument("--partition", choices=("layer1", "layer2"), default="layer1")
+    p.add_argument("--partition", choices=(LAYER_I, LAYER_II), default=LAYER_I)
     p.set_defaults(func=cmd_route)
 
     p = sub.add_parser("cost", help="hardware complexity comparison table")

@@ -345,7 +345,6 @@ def decode(
     channel,
     fld: GF2m,
     config: DecoderConfig,
-    router=None,
 ) -> DecodeResult | list[DecodeResult]:
     """Layered Min-Max decoding, layers processed top to bottom.
 
@@ -353,12 +352,8 @@ def decode(
     DecodeResult, or an (F, columns, q) stack, giving a list of F.  After
     each iteration one syndrome check over the stack retires the frames
     that satisfy H; each frame's result equals that of decoding it alone.
-
-    The posterior of column v lives at index pos[v] of the column axis.
-    pos stays the identity unless a `router` moves the messages, as the
-    schedule-driven decoder of nbqc.shuffle does: router.check(t, pos) runs
-    before layer t and router.move(t, post, pos) -> (post, pos) after it.
-    Traces and decisions are always in column order.
+    The schedule-driven decoder of nbqc.shuffle checks the inter-layer
+    wiring once, before it calls this loop.
     """
     single = np.ndim(channel) == 2
     post = np.array(channel, dtype=float, ndmin=3)
@@ -366,22 +361,17 @@ def decode(
         raise ValueError(f"expected {h.cols} channel messages of {fld.q} entries, got {post.shape}")
     post = normalize(post)
     frames = np.arange(len(post))  # the input index of each frame still decoding
-    pos = np.arange(h.cols)
     r_msg = [np.zeros((len(post),) + c.shape + (fld.q,)) for c in schedule.cols]
     ws = np.empty(WORKSPACE)
     traces: list[list[np.ndarray]] = [[] for _ in frames]
     results: list[DecodeResult] = [None] * len(frames)
     for iterations in range(1, config.max_iter + 1):
         for t, (cols, labels) in enumerate(zip(schedule.cols, schedule.labels)):
-            if router:
-                router.check(t, pos)
-            update_layer(post, pos[cols], labels, r_msg[t], fld, config.quant, ws)
+            update_layer(post, cols, labels, r_msg[t], fld, config.quant, ws)
             if config.trace:
-                for f, p in zip(frames, post[:, pos]):
+                for f, p in zip(frames, post.copy()):  # post changes in place
                     traces[f].append(p)
-            if router:
-                post, pos = router.move(t, post, pos)
-        symbols = hard_decision(post[:, pos])
+        symbols = hard_decision(post)
         ok = syndrome_zero(h, fld, symbols)
         done = ok | (iterations == config.max_iter)
         for i, f in zip(np.flatnonzero(done), frames[done]):

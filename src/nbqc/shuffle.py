@@ -9,8 +9,8 @@ rho and s = steps*c; a Class-II move permutes whole CPM column groups by
 the XOR translation read off an n x n index table (s = 0), realizable on a
 Benes network of 2*log2(rho) - 1 crossbar stages.  Between single rows
 (LAYER_II) s also takes the change of CPM row offset.  The schedule-driven
-decoder runs `decode`'s layer update on posteriors that move only through
-these permutations and must reproduce the direct decoder bit for bit.
+decoder walks one iteration of these moves before decoding and refuses a
+schedule unless every layer finds its columns at layer 0's fixed wiring.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .decode import (
     LAYER_II,
     DecodeResult,
     DecoderConfig,
-    LayerSchedule,
     build_layer_schedule,
     decode,
 )
@@ -252,26 +251,6 @@ def simulate(settings: BenesSettings, inputs: list) -> list:
     return out
 
 
-def unified_class1_via_benes(rho: int, q: int, c: int) -> dict:
-    """Route the Class-I group-level cyclic shift i -> (i-1) mod rho through
-    a Benes network, padding to the next power of two with identity
-    terminals when rho is not a power of two."""
-    width = 1 << max(1, (rho - 1).bit_length())
-    group_map = [(i - 1) % rho for i in range(rho)] + list(range(rho, width))
-    net = BenesNetwork(width)
-    settings = net.route(group_map)
-    unpadded = BenesNetwork(rho).num_switches if rho & (rho - 1) == 0 else None
-    return {
-        "width": width,
-        "padded": width != rho,
-        "settings": settings,
-        "stages": net.num_stages,
-        "switches": net.num_switches,
-        "unpadded_switches": unpadded,
-        "control_bits": net.control_bits,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Routing reports
 # ---------------------------------------------------------------------------
@@ -361,55 +340,30 @@ def schedule_driven_decode(
     fld: GF2m,
     config: DecoderConfig,
 ) -> DecodeResult | list[DecodeResult]:
-    """Layered decode where posteriors move only through the generated
-    inter-layer permutations; one frame or an (F, columns, q) stack, as in `decode`.
+    """Layered decode of a schedule whose inter-layer moves must deliver
+    every layer's posteriors to fixed check-node wiring; one frame or an
+    (F, columns, q) stack, as in `decode`.
 
-    `decode` runs with a router that keeps the posteriors at physical
-    positions and moves them by one gather after each layer.  A fixed
-    wiring table is captured from layer 0; before each layer the router
-    asserts that the schedule has parked every needed message at a wired
-    position.  Class-II moves follow token simulation on the Benes network;
-    Class-I moves the static wire list.  Posterior traces are bit-identical
-    to the direct-indexed decoder's.
+    Before any layer is decoded, one walk over `route_schedule`'s moves
+    (Class-II moves routed on the Benes network, which checks its token
+    flow) tracks the physical position of every column.  Each layer must
+    find its columns at the wiring fixed from layer 0's nonzero pattern,
+    or the schedule is refused.  Positions depend only on the schedule and
+    one iteration's moves compose to the identity, so the posteriors are
+    then those of the direct decoder, bit for bit.
     """
     schedule = build_layer_schedule(h, LAYER_I)
-    return decode(h, schedule, channel, fld, config, _Router(spec, schedule, fld.q - 1))
-
-
-class _Router:
-    """Wiring check and physical moves of `schedule_driven_decode`."""
-
-    def __init__(self, spec: CodeSpec, schedule: LayerSchedule, qm1: int) -> None:
-        self.cols = schedule.cols
-        # wiring fixed at design time from layer 0's nonzero pattern
-        self.wired = np.sort(schedule.cols[0], axis=1)
-        self.moves = {}
-        for src, _, move in iteration_moves(spec):
-            perm = np.array(move.map)
-            self.moves[src] = (perm, _gather_index(spec, perm, qm1))
-
-    def check(self, t: int, pos: np.ndarray) -> None:
-        got = np.sort(pos[self.cols[t]], axis=1)
-        same = got.shape == self.wired.shape
-        bad = np.flatnonzero((got != self.wired).any(axis=1)) if same else [0]
+    wired = np.sort(schedule.cols[0], axis=1)
+    pos = np.arange(h.cols)
+    for t, (cols, move) in enumerate(zip(schedule.cols, route_schedule(spec).transitions)):
+        got = np.sort(pos[cols], axis=1)
+        same = got.shape == wired.shape
+        bad = np.flatnonzero((got != wired).any(axis=1)) if same else [0]
         if len(bad):
             e = bad[0]
             raise AssertionError(
                 f"layer {t} row offset {e}: schedule misalignment, "
-                f"wired={self.wired[e].tolist()} got={got[e].tolist()}"
+                f"wired={wired[e].tolist()} got={got[e].tolist()}"
             )
-
-    def move(self, t: int, post: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        perm, gather = self.moves[t]
-        return post[..., gather, :], perm[pos]
-
-
-def _gather_index(spec: CodeSpec, perm: np.ndarray, qm1: int) -> np.ndarray:
-    """Source position of each physical destination: the inverse of the
-    static wires for Class-I, the Benes network's token flow on whole CPM
-    column groups for Class-II."""
-    if spec.code_class == CLASS_I:
-        return np.argsort(perm)
-    settings = BenesNetwork(spec.rho).route((perm[::qm1] // qm1).tolist())
-    src = np.array(simulate(settings, list(range(spec.rho))))
-    return (src[:, None] * qm1 + np.arange(qm1)).ravel()
+        pos = np.array(move.permutation.map)[pos]
+    return decode(h, schedule, channel, fld, config)

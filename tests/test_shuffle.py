@@ -2,6 +2,7 @@
 schedule-driven decoder."""
 
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from nbqc.shuffle import (
     schedule_driven_decode,
     simulate,
     transition_permutation,
-    unified_class1_via_benes,
 )
 
 SPEC_CLASS1 = CodeSpec.class1(2, 1, 3, gamma=2, rho=3)  # 4-ary (9, 3)
@@ -192,13 +192,11 @@ def test_benes_property(perm):
 
 
 def test_unified_class1_pads_to_power_of_two():
-    info = unified_class1_via_benes(20, 64, 7)
-    assert info["width"] == 32
-    assert info["padded"]
-    assert info["stages"] == 9
-    assert info["switches"] == 144
-    out = simulate(info["settings"], list(range(32)))
+    # the rho = 20 Class-I group shift, padded with idle terminals to 32
     group_map = [(i - 1) % 20 for i in range(20)] + list(range(20, 32))
+    net = BenesNetwork(32)
+    assert (net.width, net.num_stages, net.num_switches) == (32, 9, 144)
+    out = simulate(net.route(group_map), list(range(32)))
     assert out == _dest_order(group_map)
 
 
@@ -280,12 +278,13 @@ def test_schedule_driven_stack_matches_frames_alone(spec):
                 assert np.array_equal(a, b)
 
 
-def test_schedule_driven_detects_misalignment():
+def test_schedule_driven_detects_misalignment(monkeypatch):
     # a wrong transition map must trip the wiring assertion, proving the
-    # alignment check is live
+    # alignment check is live, and before any layer is decoded
     spec = SPEC_CLASS2
     h, _, _, fld = build_code(spec)
     channel = [np.zeros(fld.q) for _ in range(h.cols)]
+    decode_mod = importlib.import_module("nbqc.decode")  # nbqc.decode is also the function
     import nbqc.shuffle as shuffle_mod
 
     orig = shuffle_mod.transition_permutation
@@ -296,12 +295,12 @@ def test_schedule_driven_detects_misalignment():
         m[0], m[3] = m[3], m[0]
         return VnuPermutation(perm.size, tuple(m))
 
-    shuffle_mod.transition_permutation = broken
-    try:
-        with pytest.raises(AssertionError, match="misalignment"):
-            schedule_driven_decode(spec, h, channel, fld, DecoderConfig(max_iter=2))
-    finally:
-        shuffle_mod.transition_permutation = orig
+    calls = []
+    monkeypatch.setattr(shuffle_mod, "transition_permutation", broken)
+    monkeypatch.setattr(decode_mod, "update_layer", lambda *args: calls.append(args))
+    with pytest.raises(AssertionError, match="misalignment"):
+        schedule_driven_decode(spec, h, channel, fld, DecoderConfig(max_iter=2))
+    assert not calls
 
 
 def decodable_specs(max_m):
