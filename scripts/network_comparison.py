@@ -4,7 +4,8 @@ example codes and cross-check the crossbar counts against a constructed
 Benes network.
 """
 
-from nbqc import BenesNetwork, CostParams, cost, render_report, savings
+from nbqc import BenesNetwork, CostParams, render_report, savings
+from nbqc.cost import cost
 
 
 def main() -> None:

@@ -26,13 +26,11 @@ from .decode import (
     channel_reliability,
     check_node_brute_force,
     check_node_min_max,
-    decode,
     permute_message,
     run_monte_carlo,
 )
 from .shuffle import (
     BenesNetwork,
-    VnuPermutation,
     build_index_matrix,
     iteration_moves,
     route_schedule,
@@ -40,7 +38,7 @@ from .shuffle import (
     simulate,
 )
 from .verify import PropertyReport, verify_class1, verify_class2
-from .cost import CostBreakdown, CostParams, cost, render_report, savings
+from .cost import CostBreakdown, CostParams, render_report, savings
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -122,17 +122,14 @@ def cmd_simulate(args) -> int:
 def cmd_schedule(args) -> int:
     spec, h, fld = _read_code(args.code)
     for s, d, perm in iteration_moves(spec, args.partition):
-        moved = ", ".join(f"{src} -> {dst}" for src, dst in enumerate(perm.map))
+        moved = ", ".join(f"{src} -> {dst}" for src, dst in enumerate(perm.tolist()))
         print(f"transition layer {s} to layer {d}: {moved}")
     return 0
 
 
 def cmd_route(args) -> int:
     spec, h, fld = _read_code(args.code)
-    report = route_schedule(spec, args.partition)
-    print(report.render())
-    if any(not t.realized for t in report.transitions):
-        raise CliError("internal error: a scheduled permutation failed to route", 1)
+    print(route_schedule(spec, args.partition).render())
     return 0
 
 

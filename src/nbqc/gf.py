@@ -43,7 +43,7 @@ class GF2m:
         if not 2 <= m <= 8:
             raise ValueError(f"extension degree m={m} out of range [2, 8]")
         poly = DEFAULT_PRIMITIVE_POLY[m] if primitive_poly is None else primitive_poly
-        if poly.bit_length() != m + 1:
+        if poly < 0 or poly.bit_length() != m + 1:
             raise ValueError(f"polynomial {poly:#x} does not have degree {m}")
         self.m = m
         self.q = 1 << m

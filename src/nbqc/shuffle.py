@@ -8,7 +8,10 @@ advances `steps` block rows is a fixed wiring with G[g] = (g - steps) mod
 rho and s = steps*c; a Class-II move permutes whole CPM column groups by
 the XOR translation read off an n x n index table (s = 0), realizable on a
 Benes network of 2*log2(rho) - 1 crossbar stages.  Between single rows
-(LAYER_II) s also takes the change of CPM row offset.  The schedule-driven
+(LAYER_II) s also takes the change of CPM row offset.  Each move is one
+read-only intp array, a bijection by construction.  A routing report exists
+only when every Class-II move routed (`route_schedule` raises otherwise),
+which is why every line of it reads realized=yes.  The schedule-driven
 decoder walks one iteration of these moves before decoding and refuses a
 schedule unless every layer finds its columns at layer 0's fixed wiring.
 """
@@ -29,22 +32,6 @@ from .decode import (
     decode,
 )
 from .gf import GF2m
-
-
-@dataclass(frozen=True)
-class VnuPermutation:
-    """Bijective source-to-destination map over rho*(q-1) VNU positions."""
-
-    size: int
-    map: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.map) != self.size or set(self.map) != set(range(self.size)):
-            raise ValueError("map is not a bijection on 0..size-1")
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        order, first = _cycle_order(np.array(self.map, dtype=np.intp))
-        return [tuple(c.tolist()) for c in np.split(order, np.flatnonzero(first))[1:]]
 
 
 def _cycle_order(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,9 +67,10 @@ def build_index_matrix(n: int) -> np.ndarray:
     return idx[:, None] ^ idx[None, :]
 
 
-def transition_permutation(spec: CodeSpec, src: int, dst: int) -> VnuPermutation:
+def transition_permutation(spec: CodeSpec, src: int, dst: int) -> np.ndarray:
     """The move from the layer starting at H row `src` to the layer
-    starting at H row `dst`: perm[g*(q-1) + j] = G[g]*(q-1) + (j - s) mod (q-1).
+    starting at H row `dst`, as a read-only intp array:
+    perm[g*(q-1) + j] = G[g]*(q-1) + (j - s) mod (q-1).
 
     Class-I: G[g] = (g - steps) mod rho, s = steps*c, where `steps` is the
     change of block row.  Class-II: G takes the index-table row of the
@@ -105,13 +93,14 @@ def transition_permutation(spec: CodeSpec, src: int, dst: int) -> VnuPermutation
         group, shift = np.empty_like(g), 0
         group[src_g] = dst_g
     shift += dst_off - src_off
-    perm = group[:, None] * qm1 + (np.arange(qm1) - shift) % qm1
-    return VnuPermutation(perm.size, tuple(perm.ravel().tolist()))
+    perm = (group[:, None] * qm1 + (np.arange(qm1) - shift) % qm1).ravel()
+    perm.flags.writeable = False
+    return perm
 
 
 def iteration_moves(
     spec: CodeSpec, partition: str = LAYER_I
-) -> list[tuple[int, int, VnuPermutation]]:
+) -> list[tuple[int, int, np.ndarray]]:
     """(source layer, destination layer, move) for every consecutive layer
     pair of one iteration, including the wrap back to layer 0.  A LAYER_I
     layer is a CPM block row, a LAYER_II layer a single H row."""
@@ -257,43 +246,31 @@ def simulate(settings: BenesSettings, inputs: list) -> list:
 
 
 @dataclass
-class TransitionReport:
-    src_layer: int
-    dst_layer: int
-    permutation: VnuPermutation
-    group_map: tuple[int, ...] | None  # Class-II block-level component
-    stages: int
-    switches: int
-    control_bits: int
-    realized: bool
-
-
-@dataclass
 class RoutingReport:
-    code_class: int
-    partition: str
-    transitions: list[TransitionReport] = field(default_factory=list)
+    moves: list[tuple[int, int, np.ndarray]]  # as from `iteration_moves`
+    network: BenesNetwork | None  # every Class-II move routes on it; None: fixed wires
     notes: list[str] = field(default_factory=list)
 
     @property
     def total_control_bits(self) -> int:
-        return sum(t.control_bits for t in self.transitions)
+        return len(self.moves) * self.network.control_bits if self.network else 0
 
     def render(self) -> str:
+        net = self.network
+        counts = (
+            f"stages={net.num_stages} switches={net.num_switches} control_bits={net.control_bits}"
+            if net else "stages=0 switches=0 control_bits=0"
+        )
         lines = []
-        if self.transitions:  # every move permutes the same positions
-            size = self.transitions[0].permutation.size
-            names = np.array([str(i) for i in range(size)], dtype=object)
-        for t in self.transitions:
-            perm = np.array(t.permutation.map)
+        if self.moves:  # every move permutes the same positions
+            names = np.array([str(i) for i in range(self.moves[0][2].size)], dtype=object)
+        for src, dst, perm in self.moves:
             order, first = _cycle_order(perm)
             toks, last = names[order], np.append(first[1:], True)
             toks[first], toks[last] = "(" + toks[first], toks[last] + ")"
             cyc = " ".join(toks[perm[order] != order].tolist())  # fixed points left out
             lines.append(
-                f"layer {t.src_layer}->{t.dst_layer}: stages={t.stages} "
-                f"switches={t.switches} control_bits={t.control_bits} "
-                f"realized={'yes' if t.realized else 'NO'} cycles={cyc or '(identity)'}"
+                f"layer {src}->{dst}: {counts} realized=yes cycles={cyc or '(identity)'}"
             )
         lines.append(f"total control bits: {self.total_control_bits}")
         lines.extend(f"note: {n}" for n in self.notes)
@@ -304,28 +281,19 @@ def route_schedule(spec: CodeSpec, partition: str = LAYER_I) -> RoutingReport:
     """Route every inter-layer move of one iteration through the
     class-appropriate network model.
 
-    Class-I moves ride on fixed wires (zero control bits); the Class-II
-    group map is routed through a Benes network, whose `route` raises
+    Class-I moves ride on fixed wires (zero control bits); each Class-II
+    group map is routed through one Benes network, whose `route` raises
     unless the switch settings realize it.
     """
-    report = RoutingReport(spec.code_class, partition)
-    qm1 = spec.q - 1
-    for src, dst, perm in iteration_moves(spec, partition):
-        if spec.code_class == CLASS_I:
-            report.transitions.append(TransitionReport(src, dst, perm, None, 0, 0, 0, realized=True))
-            continue
-        group_map = tuple(d // qm1 for d in perm.map[::qm1])
-        net = BenesNetwork(spec.rho)
-        net.route(group_map)
-        report.transitions.append(
-            TransitionReport(
-                src, dst, perm, group_map, net.num_stages, net.num_switches, net.control_bits,
-                realized=True,
-            )
-        )
+    moves = iteration_moves(spec, partition)
     if spec.code_class == CLASS_I:
-        report.notes.append("fixed interconnections; no switches or control bits required")
-    return report
+        note = "fixed interconnections; no switches or control bits required"
+        return RoutingReport(moves, None, [note])
+    qm1 = spec.q - 1
+    net = BenesNetwork(spec.rho)
+    for _, _, perm in moves:
+        net.route((perm[::qm1] // qm1).tolist())
+    return RoutingReport(moves, net)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +323,7 @@ def schedule_driven_decode(
     schedule = build_layer_schedule(h, LAYER_I)
     wired = np.sort(schedule.cols[0], axis=1)
     pos = np.arange(h.cols)
-    for t, (cols, move) in enumerate(zip(schedule.cols, route_schedule(spec).transitions)):
+    for t, (cols, (_, _, move)) in enumerate(zip(schedule.cols, route_schedule(spec).moves)):
         got = np.sort(pos[cols], axis=1)
         same = got.shape == wired.shape
         bad = np.flatnonzero((got != wired).any(axis=1)) if same else [0]
@@ -365,5 +333,5 @@ def schedule_driven_decode(
                 f"layer {t} row offset {e}: schedule misalignment, "
                 f"wired={wired[e].tolist()} got={got[e].tolist()}"
             )
-        pos = np.array(move.permutation.map)[pos]
+        pos = move[pos]
     return decode(h, schedule, channel, fld, config)

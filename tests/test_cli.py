@@ -51,6 +51,13 @@ def test_construct_rejects_bad_factorization(capsys, tmp_path):
     )
     assert code == 1
     assert "factorization" in err
+    code, out, err = run(
+        capsys,
+        "construct", "--class", "1", "--m", "3", "--c", "1", "--n", "7",
+        "--gamma", "1", "--rho", "1", "--poly=-b", "-o", str(tmp_path / "x"),
+    )
+    assert code == 1
+    assert "polynomial -0xb does not have degree 3" in err
 
 
 def test_verify_fails_on_randomized_ordering(capsys, tmp_path):
@@ -91,6 +98,19 @@ def test_verify_exit_codes_on_bad_files(capsys, tmp_path):
             code, out, err = run(capsys, *argv)
             assert code == 2
             assert "parse error" in err and why in err
+    m3 = str(tmp_path / "m3.nbqc")
+    run(
+        capsys,
+        "construct", "--class", "1", "--m", "3", "--c", "1", "--n", "7",
+        "--gamma", "2", "--rho", "2", "-o", m3,
+    )
+    with open(m3) as f:
+        text = f.read()
+    with open(m3, "w") as f:
+        f.write(text.replace(" b\n", " -b\n", 1))  # negative primitive polynomial
+    code, out, err = run(capsys, "verify", m3)
+    assert code == 2
+    assert "parse error" in err and "header" in err
 
 
 def test_verify_detects_tampering(capsys, tmp_path):

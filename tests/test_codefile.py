@@ -108,6 +108,7 @@ def test_parse_rejects_bad_header():
         "NBQC v1 1 2 1 3 1 2 3 7",  # Class-I with a numeric t
         "NBQC v1 1 2 1 2 - 2 3 7",  # c*n != q-1
         "NBQC v1 1 2 1 3 - 2 3 5",  # polynomial not primitive
+        "NBQC v1 1 3 1 7 - 2 3 -b",  # negative polynomial of bit length 4
         "NBQC v1 1 9 1 511 - 2 3 201",  # m out of range
         "NBQC v1 1 2 1 3 - 2 3 07",  # not the hex format_code writes
         "NBQC v1 1 2 1 3 -  2 3 7",  # nor its spacing

@@ -1,6 +1,5 @@
 """Min-Max decoding: message algebra, check node, quantization, decoding."""
 
-import importlib
 import itertools
 
 import numpy as np
@@ -598,7 +597,7 @@ def test_run_monte_carlo_batch_size_does_not_change_rows(monkeypatch):
     schedule = build_layer_schedule(h, LAYER_I)
     config = DecoderConfig(max_iter=5, quant=(4, 1), rng_seed=13)
     whole = run_monte_carlo(h, schedule, fld, [0.0, 1.0, 3.0], 9, config)
-    module = importlib.import_module("nbqc.decode")  # the package's `decode` is the function
+    import nbqc.decode as module
     # a batch of 8 * q * (nnz + cols) bytes holds one frame
     monkeypatch.setattr(module, "BATCH_BYTES", 8 * fld.q * (h.nnz() + h.cols))
     assert run_monte_carlo(h, schedule, fld, [0.0, 1.0, 3.0], 9, config) == whole

@@ -35,6 +35,9 @@ def test_non_primitive_polynomial_rejected():
 def test_wrong_degree_polynomial_rejected():
     with pytest.raises(ValueError, match="degree"):
         GF2m(4, 0b111)
+    for poly in (-0b1011, -1, 0):  # -0b1011 passed the bit-length check
+        with pytest.raises(ValueError, match="degree"):
+            GF2m(3, poly)
 
 
 def test_degree_out_of_range_rejected():
