@@ -24,7 +24,6 @@ from .decode import (
     LayerSchedule,
     build_layer_schedule,
     channel_reliability,
-    check_node_brute_force,
     check_node_min_max,
     permute_message,
     run_monte_carlo,

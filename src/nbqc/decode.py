@@ -10,15 +10,16 @@ layer t of a schedule holds (rows, d) arrays of its columns and labels.
 F frames decode as one stack: (F, columns, q) posteriors and, per layer,
 (F, rows, d, q) check messages; a layer update runs every frame's rows in
 chunks that keep the check-node workspace at 1 MB, and a frame leaves the
-stack once its syndrome is zero.  Edge labels act on messages as gathers
-through the field's multiply table, and the check node combines the
-min-max kernel C(a) = min over b+c=a of max(A(b), B(c)) forward and
-backward for every row of a chunk at once.  Min and max select values
-without rounding, so each frame gets the same floats as when decoded
-alone, one row at a time; a brute-force enumeration oracle defines ground
-truth for the check node.  With a (b_q, b_f) quantizer every check-node
-input is k * 2^-b_f for an integer 0 <= k < 2^b_q, so the check node runs
-exactly on the codes k as uint8 (b_q <= 8) or uint16 values.
+stack once its syndrome is zero.  Edge labels permute a message's entries
+through the field's multiply table; a layer update applies them inside
+its gather of the posteriors and its scatter of the new ones, and keeps
+its check messages in the permuted, zero-sum domain.  The check node
+combines the min-max kernel C(a) = min over b+c=a of max(A(b), B(c))
+forward and backward for every row of a chunk at once.  Min and max select
+values without rounding, so each frame gets the same floats as when
+decoded alone, one row at a time.  With a (b_q, b_f) quantizer every
+check-node input is k * 2^-b_f for an integer 0 <= k < 2^b_q, so the check
+node runs exactly on the codes k as uint8 (b_q <= 8) or uint16 values.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ BACKWARD = "backward"
 HARD_PENALTY = 1e6
 
 #: float64 entries of the check-node workspace (1 MB); a layer update takes
-#: WORKSPACE // (2 q^2) (frame, row) pairs at a time: 1,024 at q=8, 16 at
-#: q=64 (one frame's 16 rows, or one row of 16 frames), one at q=256;
-#: quantized check nodes run on integer codes in a byte view of it
+#: as many (frame, row) pairs at a time as fit 2 q^2 entries of the check
+#: node's dtype each: as float64, 1,024 at q=8, 16 at q=64 (one frame's 16
+#: rows, or one row of 16 frames) and one at q=256; as uint8 codes, 128 at
+#: q=64 (a whole 63-row layer) and 8 at q=256
 WORKSPACE = 1 << 17
 
 #: bytes of float64 decoder state (posteriors, check messages) in one
@@ -89,9 +91,10 @@ class DecodeResult:
     trace: list[np.ndarray] = field(default_factory=list, repr=False)
 
 
-def normalize(vec: np.ndarray) -> np.ndarray:
-    """Shift each message (last axis) so that its minimum entry is 0."""
-    return vec - vec.min(axis=-1, keepdims=True)
+def normalize(vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Shift each message (last axis) so that its minimum entry is 0; the
+    result goes to `out` if given (which may be `vec`)."""
+    return np.subtract(vec, vec.min(axis=-1, keepdims=True), out=out)
 
 
 def build_layer_schedule(h: ParityCheck, partition: str) -> LayerSchedule:
@@ -255,38 +258,22 @@ def check_node_min_max(inputs, ws=None):
     return out if stacked else list(out[0])
 
 
-def check_node_brute_force(inputs: list[np.ndarray]) -> list[np.ndarray]:
-    """Direct enumeration of all satisfying configurations (oracle)."""
-    d = len(inputs)
-    if d < 2:
-        raise ValueError(f"check degree must be >= 2, got {d}")
-    q = len(inputs[0])
-    if q ** (d - 1) > 1 << 20:
-        raise ValueError(f"enumeration guard exceeded: {q}^{d - 1} configurations")
-    outs = []
-    for i in range(d):
-        others = [j for j in range(d) if j != i]
-        agg_max = np.zeros((1,) * len(others))
-        agg_xor = np.zeros((1,) * len(others), dtype=np.intp)
-        for ax, j in enumerate(others):
-            shape = [1] * len(others)
-            shape[ax] = q
-            agg_max = np.maximum(agg_max, inputs[j].reshape(shape))
-            agg_xor = agg_xor ^ np.arange(q).reshape(shape)
-        out = np.full(q, np.inf)
-        np.minimum.at(out, agg_xor.ravel(), agg_max.ravel())
-        outs.append(normalize(out))
-    return outs
-
-
-def quantize_vec(vec: np.ndarray, quant: tuple[int, int] | None) -> np.ndarray:
+def quantize_vec(
+    vec: np.ndarray, quant: tuple[int, int] | None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Unsigned (b_q, b_f) uniform quantization: round to the nearest
     multiple of 2^-b_f (ties up), saturating at (2^b_q - 1) * 2^-b_f.
-    quant=None returns `vec` unchanged."""
+    The result goes to `out` if given (which may be `vec`); quant=None
+    returns `vec` unchanged."""
     if quant is None:
         return vec
     step = 2.0 ** -quant[1]
-    return np.minimum(np.floor(vec / step + 0.5), 2 ** quant[0] - 1) * step
+    out = np.divide(vec, step, out=out)
+    out += 0.5
+    np.floor(out, out=out)
+    np.minimum(out, 2 ** quant[0] - 1, out=out)
+    out *= step
+    return out
 
 
 def update_layer(
@@ -302,29 +289,36 @@ def update_layer(
 
     `post` holds the (F, columns, q) posteriors, `cols` and `labels` the
     layer's (rows, d) edge form indexing post's column axis, and `r_msg`
-    the layer's (F, rows, d, q) stored check messages.  Each row subtracts
-    its stored messages, permutes into the zero-sum domain, runs the check
-    node (with `quant` on the integer codes k = message * 2^b_f < 2^b_q),
-    permutes back and adds the new messages.  Rows of a layer touch
-    disjoint columns, so each chunk of (frame, row) pairs that fits `ws`
-    (2 q^2 entries a pair) runs as one (pairs, d, q) check-node stack:
-    some rows of every frame, or one row of some frames.
+    the layer's (F, rows, d, q) stored check messages, kept in the
+    check node's zero-sum domain.  Each row gathers its posteriors through
+    the forward edge-label permutation, subtracts its stored messages,
+    runs the check node (with `quant` on the integer codes k = message *
+    2^b_f < 2^b_q), adds the new messages and scatters the result back
+    through the same index, which is the backward permutation.  Labels
+    permute the q entries, so this equals permuting around the check node
+    alone.  Rows of a layer touch disjoint columns, so each chunk of
+    (frame, row) pairs that fits `ws` (2 q^2 check-node entries a pair)
+    runs as one (pairs, d, q) check-node stack: some rows of every frame,
+    or one row of some frames.
     """
     frames, (rows, d), q = len(post), cols.shape, fld.q
-    pairs = max(1, ws.size // (2 * q * q))
-    step = min(rows, max(1, pairs // frames))  # rows per chunk; all frames if step > 1
-    codes = None if quant is None else np.min_scalar_type(2 ** quant[0] - 1)
+    dtype = np.dtype(float) if quant is None else np.min_scalar_type(2 ** quant[0] - 1)
     scale = 1.0 if quant is None else 2.0 ** quant[1]
+    pairs = max(1, ws.nbytes // (2 * q * q * dtype.itemsize))
+    step = min(rows, max(1, pairs // frames))  # rows per chunk; all frames if step > 1
     for f in range(0, frames, pairs):
         p, r_f = post[f : f + pairs], r_msg[f : f + pairs]
         for lo in range(0, rows, step):
-            c, lab, r = cols[lo : lo + step], labels[lo : lo + step], r_f[:, lo : lo + step]
-            l_cv = quantize_vec(normalize(p[:, c] - r), quant)
-            x = l_cv if codes is None else (l_cv * scale).astype(codes)
-            flat = permute_message(x, lab, FORWARD, fld).reshape(-1, d, q)
-            out = check_node_min_max(flat, ws).reshape(l_cv.shape)
-            np.divide(permute_message(out, lab, BACKWARD, fld), scale, out=r)
-            p[:, c] = quantize_vec(normalize(l_cv + r), quant)
+            c, r = cols[lo : lo + step, :, None], r_f[:, lo : lo + step]
+            g = fld.mul_table[fld.inv_table[labels[lo : lo + step]]]  # out[a] = msg[g[a]]
+            l_cv = p[:, c, g]  # updated in place to keep the chunk's float temporaries few
+            l_cv -= r
+            quantize_vec(normalize(l_cv, out=l_cv), quant, out=l_cv)
+            x = l_cv if quant is None else (l_cv * scale).astype(dtype)
+            out = check_node_min_max(x.reshape(-1, d, q), ws).reshape(l_cv.shape)
+            np.divide(out, scale, out=r)
+            l_cv += r
+            p[:, c, g] = quantize_vec(normalize(l_cv, out=l_cv), quant, out=l_cv)
 
 
 def hard_decision(posteriors) -> np.ndarray:

@@ -1,0 +1,29 @@
+"""Reference implementations that the tests compare the decoder against."""
+
+import numpy as np
+
+from nbqc.decode import normalize
+
+
+def check_node_brute_force(inputs: list[np.ndarray]) -> list[np.ndarray]:
+    """Direct enumeration of all satisfying configurations (oracle)."""
+    d = len(inputs)
+    if d < 2:
+        raise ValueError(f"check degree must be >= 2, got {d}")
+    q = len(inputs[0])
+    if q ** (d - 1) > 1 << 20:
+        raise ValueError(f"enumeration guard exceeded: {q}^{d - 1} configurations")
+    outs = []
+    for i in range(d):
+        others = [j for j in range(d) if j != i]
+        agg_max = np.zeros((1,) * len(others))
+        agg_xor = np.zeros((1,) * len(others), dtype=np.intp)
+        for ax, j in enumerate(others):
+            shape = [1] * len(others)
+            shape[ax] = q
+            agg_max = np.maximum(agg_max, inputs[j].reshape(shape))
+            agg_xor = agg_xor ^ np.arange(q).reshape(shape)
+        out = np.full(q, np.inf)
+        np.minimum.at(out, agg_xor.ravel(), agg_max.ravel())
+        outs.append(normalize(out))
+    return outs

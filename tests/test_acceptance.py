@@ -18,7 +18,6 @@ from nbqc.decode import (
     LAYER_I,
     build_layer_schedule,
     channel_reliability,
-    check_node_brute_force,
     check_node_min_max,
     decode,
     hard_channel,
@@ -35,6 +34,7 @@ from nbqc.shuffle import (
     schedule_driven_decode,
 )
 from nbqc.verify import verify_class1, verify_class2
+from oracles import check_node_brute_force
 
 CLASS1_SUITE = [(2, 1, 3), (3, 7, 1), (4, 3, 5), (6, 7, 9)]
 CLASS2_SUITE = [(2, 1), (3, 1), (4, 2), (5, 2)]

@@ -17,7 +17,6 @@ from nbqc.decode import (
     _minmax_kernel,
     build_layer_schedule,
     channel_reliability,
-    check_node_brute_force,
     check_node_min_max,
     decode,
     hard_channel,
@@ -31,6 +30,7 @@ from nbqc.decode import (
     update_layer,
 )
 from nbqc.gf import GF2m
+from oracles import check_node_brute_force
 
 
 def check_node_brute_force_loop(inputs):
@@ -290,6 +290,8 @@ def test_quantize_vec_matches_scalar():
     got = quantize_vec(vec, (6, 2))
     for x, y in zip(vec, got):
         assert quantize(float(x), 6, 2) == y
+    assert quantize_vec(vec, (6, 2), out=vec) is vec
+    assert np.array_equal(vec, got)
 
 
 def test_quant_config_validation():
@@ -491,19 +493,78 @@ def test_decode_stack_frames_stop_at_their_own_iteration():
 
 
 def test_update_layer_chunks_do_not_change_result():
-    # a workspace of 3 (frame, row) pairs splits the 5 frames x 15 rows
-    # into single-row chunks of 3 frames and 2 frames
+    # a workspace of 3 (frame, row) pairs of the check node's dtype splits
+    # the 5 frames x 15 rows into single-row chunks of 3 frames and 2 frames
     h, _, _, fld = build_code(SANITY_SPECS[1])
     schedule = build_layer_schedule(h, LAYER_I)
-    rng = np.random.default_rng(6)
     cols, labels = schedule.cols[0], schedule.labels[0]
-    post = normalize(rng.random((5, h.cols, fld.q)) * 8)
-    r_msg = normalize(rng.random((5,) + cols.shape + (fld.q,)))
-    small = (post.copy(), r_msg.copy())
-    update_layer(*small[:1], cols, labels, small[1], fld, (5, 1), np.empty(3 * 2 * fld.q**2))
-    update_layer(post, cols, labels, r_msg, fld, (5, 1), np.empty(WORKSPACE))
-    assert np.array_equal(small[0], post)
-    assert np.array_equal(small[1], r_msg)
+    for quant, dtype in ((None, float), ((5, 1), np.uint8), ((10, 4), np.uint16)):
+        rng = np.random.default_rng(6)
+        post = normalize(rng.random((5, h.cols, fld.q)) * 8)
+        r_msg = normalize(rng.random((5,) + cols.shape + (fld.q,)))
+        small = (post.copy(), r_msg.copy())
+        ws = np.empty(3 * 2 * fld.q**2, dtype)
+        update_layer(small[0], cols, labels, small[1], fld, quant, ws)
+        update_layer(post, cols, labels, r_msg, fld, quant, np.empty(WORKSPACE))
+        assert np.array_equal(small[0], post)
+        assert np.array_equal(small[1], r_msg)
+
+
+def reference_update_layer(post, cols, labels, r_msg, fld, quant):
+    """update_layer with the edge labels applied by permute_message around
+    the check node and the check messages stored unpermuted."""
+    codes = None if quant is None else np.min_scalar_type(2 ** quant[0] - 1)
+    scale = 1.0 if quant is None else 2.0 ** quant[1]
+    l_cv = quantize_vec(normalize(post[:, cols] - r_msg), quant)
+    x = l_cv if codes is None else (l_cv * scale).astype(codes)
+    flat = permute_message(x, labels, FORWARD, fld).reshape((-1,) + x.shape[2:])
+    out = check_node_min_max(flat).reshape(l_cv.shape)
+    r_msg[:] = permute_message(out, labels, BACKWARD, fld) / scale
+    post[:, cols] = quantize_vec(normalize(l_cv + r_msg), quant)
+
+
+@given(
+    st.sampled_from(range(len(SANITY_SPECS))),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([None, (4, 1), (10, 4)]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_update_layer_matches_reference(spec_index, frames, quant, seed):
+    h, _, _, fld = build_code(SANITY_SPECS[spec_index])
+    schedule = build_layer_schedule(h, LAYER_I)
+    snrs = np.random.default_rng(seed).uniform(0.0, 4.0, frames)
+    post = normalize(frame_stack(h, fld, snrs, seed))
+    ref = post.copy()
+    r_msg = [np.zeros((frames,) + c.shape + (fld.q,)) for c in schedule.cols]
+    ref_msg = [r.copy() for r in r_msg]
+    ws = np.empty(WORKSPACE)
+    for _ in range(2):
+        for t, (cols, labels) in enumerate(zip(schedule.cols, schedule.labels)):
+            update_layer(post, cols, labels, r_msg[t], fld, quant, ws)
+            reference_update_layer(ref, cols, labels, ref_msg[t], fld, quant)
+            assert np.array_equal(post, ref)
+            assert np.array_equal(r_msg[t], permute_message(ref_msg[t], labels, FORWARD, fld))
+
+
+@pytest.mark.parametrize("quant, calls", [((6, 2), 10), (None, 40)])
+def test_update_layer_check_node_calls(monkeypatch, quant, calls):
+    # one iteration of the 64-ary (1260, 630) code: ten 63-row layers, each
+    # one check-node call on uint8 codes (128 pairs fit the workspace) or
+    # four as float64 (16 pairs)
+    import nbqc.decode as module
+
+    h, _, _, fld = build_code(CodeSpec.class1(6, 7, 9, gamma=10, rho=20))
+    schedule = build_layer_schedule(h, LAYER_I)
+    rows = []
+    check_node = module.check_node_min_max
+    monkeypatch.setattr(
+        module, "check_node_min_max", lambda x, ws: rows.append(len(x)) or check_node(x, ws)
+    )
+    channel = hard_channel(np.zeros(h.cols, dtype=int), fld)
+    decode(h, schedule, channel, fld, DecoderConfig(max_iter=1, quant=quant))
+    assert len(rows) == calls
+    assert sum(rows) == h.rows
 
 
 def test_decode_validates_channel_length():
