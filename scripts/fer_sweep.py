@@ -10,7 +10,6 @@ import argparse
 from nbqc import (
     CodeSpec,
     DecoderConfig,
-    LAYER_I,
     build_code,
     build_layer_schedule,
     run_monte_carlo,
@@ -28,7 +27,7 @@ def main() -> None:
 
     spec = CodeSpec.class2(m=2, t=1, gamma=2, rho=4)
     h, _, _, fld = build_code(spec)
-    schedule = build_layer_schedule(h, LAYER_I)
+    schedule = build_layer_schedule(h)
     config = DecoderConfig(max_iter=args.max_iter, rng_seed=args.seed)
     snrs = [float(s) for s in args.snrs.split(",")]
     rows = run_monte_carlo(h, schedule, fld, snrs, args.trials, config)

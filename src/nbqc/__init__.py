@@ -5,7 +5,6 @@ from .gf import GF2m
 from .construct import (
     CLASS_I,
     CLASS_II,
-    BaseMatrix,
     CodeSpec,
     ParityCheck,
     SubgroupIndexing,
@@ -18,7 +17,6 @@ from .construct import (
 )
 from .decode import (
     LAYER_I,
-    LAYER_II,
     DecodeResult,
     DecoderConfig,
     LayerSchedule,

@@ -16,7 +16,7 @@ import numpy as np
 from . import codefile
 from .cost import CATEGORIES, VARIANTS, CostParams, cost as cost_breakdown, render_report, savings
 from .construct import CLASS_I, CLASS_II, CodeSpec, SubgroupIndexing, build_code, recover_base_region
-from .decode import LAYER_I, LAYER_II, DecoderConfig, SimResultRow, build_layer_schedule, run_monte_carlo
+from .decode import DecoderConfig, SimResultRow, build_layer_schedule, run_monte_carlo
 from .shuffle import iteration_moves, route_schedule
 from .verify import PropertyReport, verify_class1, verify_class2
 
@@ -102,7 +102,7 @@ def _parse_quant(text: str | None):
 
 def cmd_simulate(args) -> int:
     spec, h, fld = _read_code(args.code)
-    schedule = build_layer_schedule(h, args.partition)
+    schedule = build_layer_schedule(h)
     try:
         snrs = [float(s) for s in args.snr_list.split(",") if s.strip()]
     except ValueError:
@@ -121,7 +121,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_schedule(args) -> int:
     spec, h, fld = _read_code(args.code)
-    for s, d, perm in iteration_moves(spec, args.partition):
+    for s, d, perm in iteration_moves(spec):
         moved = ", ".join(f"{src} -> {dst}" for src, dst in enumerate(perm.tolist()))
         print(f"transition layer {s} to layer {d}: {moved}")
     return 0
@@ -129,7 +129,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_route(args) -> int:
     spec, h, fld = _read_code(args.code)
-    print(route_schedule(spec, args.partition).render())
+    print(route_schedule(spec).render())
     return 0
 
 
@@ -219,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-list", required=True, help="comma-separated Eb/N0 values in dB")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--max-iter", type=int, default=10)
-    p.add_argument("--partition", choices=(LAYER_I, LAYER_II), default=LAYER_I)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quant", default=None, metavar="BQ,BF")
     p.add_argument("--workers", type=int, default=1)
@@ -227,12 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="print inter-layer routing maps")
     p.add_argument("--code", required=True)
-    p.add_argument("--partition", choices=(LAYER_I, LAYER_II), default=LAYER_I)
     p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("route", help="route schedules through the network model")
     p.add_argument("--code", required=True)
-    p.add_argument("--partition", choices=(LAYER_I, LAYER_II), default=LAYER_I)
     p.set_defaults(func=cmd_route)
 
     p = sub.add_parser("cost", help="hardware complexity comparison table")

@@ -63,6 +63,8 @@ class CodeSpec:
                 raise ValueError(
                     f"Class-I factorization violated: gcd(c, n) must be 1, got gcd({self.c}, {self.n})"
                 )
+            if self.surjective_seed is not None:
+                raise ValueError("a random subgroup ordering (surjective_seed) is Class-II only")
         else:
             if self.t is None or not 1 <= self.t < self.m:
                 raise ValueError(f"Class-II split exponent t={self.t} out of range [1, m)")
@@ -92,17 +94,6 @@ class SubgroupIndexing:
 
     beta: tuple[int, ...]
     delta: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class BaseMatrix:
-    """The dense (c*n) x (c*n) base matrix W of field elements."""
-
-    dim: int
-    entries: np.ndarray  # shape (dim, dim), dtype int
-
-    def block(self, i: int, j: int, n: int) -> np.ndarray:
-        return self.entries[i * n : (i + 1) * n, j * n : (j + 1) * n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,25 +193,18 @@ def random_index_subgroup(fld: GF2m, basis_powers: list[int], seed: int) -> tupl
     return tuple([0] + rest)
 
 
-def build_base_class1(fld: GF2m, c: int, n: int) -> tuple[BaseMatrix, SubgroupIndexing]:
+def build_base_class1(fld: GF2m, c: int, n: int) -> tuple[np.ndarray, SubgroupIndexing]:
     """Base matrix with entry (i,j)(k,l) = delta^(j-i) * beta^k + beta^l."""
     q = fld.q
     if c * n != q - 1:
         raise ValueError(f"need c*n = q-1, got {c}*{n} != {q - 1}")
     if math.gcd(c, n) != 1:
         raise ValueError(f"need gcd(c, n) = 1, got gcd({c}, {n})")
-    beta = [fld.pow_alpha(c * k) for k in range(n)]
-    delta = [fld.pow_alpha(n * j) for j in range(c)]
-    dim = c * n
-    w = np.zeros((dim, dim), dtype=np.int64)
-    for i in range(c):
-        for j in range(c):
-            dpow = fld.pow_alpha(n * ((j - i) % (q - 1)))
-            for k in range(n):
-                lead = fld.mul(dpow, beta[k])
-                for l in range(n):
-                    w[i * n + k, j * n + l] = lead ^ beta[l]
-    return BaseMatrix(dim, w), SubgroupIndexing(tuple(beta), tuple(delta))
+    beta = np.array([fld.pow_alpha(c * k) for k in range(n)])
+    delta = np.array([fld.pow_alpha(n * j) for j in range(c)])
+    i, k, j, l = np.ix_(range(c), range(n), range(c), range(n))
+    w = fld.mul_table[delta[(j - i) % c], beta[k]] ^ beta[l]  # delta has order c
+    return w.reshape(c * n, c * n), SubgroupIndexing(tuple(beta.tolist()), tuple(delta.tolist()))
 
 
 def build_base_class2(
@@ -228,7 +212,7 @@ def build_base_class2(
     t: int,
     beta: tuple[int, ...] | None = None,
     delta: tuple[int, ...] | None = None,
-) -> tuple[BaseMatrix, SubgroupIndexing]:
+) -> tuple[np.ndarray, SubgroupIndexing]:
     """Base matrix with entry (i,j)(k,l) = (delta_i + delta_j) + (beta_k + beta_l).
 
     beta/delta default to the symmetry-inducing subgroup orderings; pass
@@ -241,20 +225,14 @@ def build_base_class2(
         beta = index_subgroup(fld, list(range(t)))
     if delta is None:
         delta = index_subgroup(fld, list(range(t, m)))
-    n = 1 << t
-    c = 1 << (m - t)
-    dim = c * n
-    w = np.zeros((dim, dim), dtype=np.int64)
-    for i in range(c):
-        for j in range(c):
-            dpart = delta[i] ^ delta[j]
-            for k in range(n):
-                for l in range(n):
-                    w[i * n + k, j * n + l] = dpart ^ beta[k] ^ beta[l]
-    return BaseMatrix(dim, w), SubgroupIndexing(tuple(beta), tuple(delta))
+    n, c = 1 << t, 1 << (m - t)
+    b, d = np.array(beta), np.array(delta)
+    i, k, j, l = np.ix_(range(c), range(n), range(c), range(n))
+    w = d[i] ^ d[j] ^ b[k] ^ b[l]
+    return w.reshape(c * n, c * n), SubgroupIndexing(tuple(beta), tuple(delta))
 
 
-def build_base(spec: CodeSpec, fld: GF2m | None = None) -> tuple[BaseMatrix, SubgroupIndexing, GF2m]:
+def build_base(spec: CodeSpec, fld: GF2m | None = None) -> tuple[np.ndarray, SubgroupIndexing, GF2m]:
     spec.validate()
     if fld is None:
         fld = GF2m(spec.m, spec.primitive_poly)
@@ -280,7 +258,7 @@ def _expand_slots(fld: GF2m, bj: np.ndarray, d: np.ndarray) -> tuple[np.ndarray,
     return cols.transpose(0, 2, 1).reshape(shape), labels.transpose(0, 2, 1).reshape(shape)
 
 
-def expand_base(fld: GF2m, w: BaseMatrix, gamma: int, rho: int) -> ParityCheck:
+def expand_base(fld: GF2m, w: np.ndarray, gamma: int, rho: int) -> ParityCheck:
     """CPM-expand the top-left gamma x rho block region of W into H's edge
     arrays, with one broadcast over the region.
 
@@ -288,7 +266,7 @@ def expand_base(fld: GF2m, w: BaseMatrix, gamma: int, rho: int) -> ParityCheck:
     order; block (bi, bj) puts row r's edge at column bj*(q-1) +
     log(alpha^r w) with label alpha^r w (see cpm).
     """
-    region = w.entries[:gamma, :rho]
+    region = w[:gamma, :rho]
     width = int(np.count_nonzero(region, axis=1).max(initial=0))
     # per block row, the block columns of its nonzero blocks first, in order
     bj = np.argsort(region == 0, axis=1, kind="stable")[:, :width]
@@ -296,7 +274,7 @@ def expand_base(fld: GF2m, w: BaseMatrix, gamma: int, rho: int) -> ParityCheck:
     return ParityCheck(gamma * (fld.q - 1), rho * (fld.q - 1), fld.q, *edges)
 
 
-def build_code(spec: CodeSpec) -> tuple[ParityCheck, BaseMatrix, SubgroupIndexing, GF2m]:
+def build_code(spec: CodeSpec) -> tuple[ParityCheck, np.ndarray, SubgroupIndexing, GF2m]:
     """Full construction: base matrix, truncation and CPM expansion."""
     w, indexing, fld = build_base(spec)
     h = expand_base(fld, w, spec.gamma, spec.rho)

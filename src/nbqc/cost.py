@@ -49,6 +49,8 @@ class CostParams:
         for name in ("b_q", "n_m", "d_c", "q", "gamma", "rho"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if self.p is not None and self.p < 1:
+            raise ValueError(f"LUT word size p must be a positive integer, got {self.p}")
 
     @property
     def lut_word(self) -> int:
@@ -156,14 +158,6 @@ def savings(a: CostBreakdown, b: CostBreakdown, weights: dict[str, float] | None
     if not used or den == 0:
         raise ZeroDivisionError("no comparable weighted categories with nonzero total")
     return 1.0 - num / den
-
-
-def per_category_ratios(a: CostBreakdown, b: CostBreakdown) -> dict[str, float | None]:
-    out: dict[str, float | None] = {}
-    for cat in CATEGORIES:
-        va, vb = a.category(cat), b.category(cat)
-        out[cat] = None if va is None or vb is None or vb == 0 else va / vb
-    return out
 
 
 _FORMULAS = {

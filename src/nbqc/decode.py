@@ -5,8 +5,8 @@ polynomial-bit value of the field element, stacked along the last axis of
 numpy arrays; every message leaving an operation is normalized so its
 minimum entry is exactly 0 (the most likely symbol has reliability 0).
 
-The decoder works on H's edge arrays, cut into layers once per code:
-layer t of a schedule holds (rows, d) arrays of its columns and labels.
+The decoder works on H's edge arrays, cut once per code into one layer per
+CPM block row: layer t holds (q-1, d) arrays of its columns and labels.
 F frames decode as one stack: (F, columns, q) posteriors and, per layer,
 (F, rows, d, q) check messages; a layer update runs every frame's rows in
 chunks that keep the check-node workspace at 1 MB, and a frame leaves the
@@ -33,7 +33,6 @@ from .construct import ParityCheck
 from .gf import GF2m
 
 LAYER_I = "layer1"
-LAYER_II = "layer2"
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -53,16 +52,14 @@ WORKSPACE = 1 << 17
 BATCH_BYTES = 1 << 22
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerSchedule:
-    """H's rows in layers, with each layer's dense edge form: cols[t] and
-    labels[t] are (rows, d) arrays of the column indices and edge labels
-    of layer t's rows."""
+    """H's rows in layers, one per CPM block row, with each layer's dense
+    edge form: cols[t] and labels[t] are (q-1, d) arrays of the column
+    indices and edge labels of block row t's rows."""
 
-    partition: str
-    layers: tuple[tuple[int, ...], ...]
-    cols: tuple[np.ndarray, ...] = field(repr=False, compare=False)
-    labels: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    cols: tuple[np.ndarray, ...] = field(repr=False)
+    labels: tuple[np.ndarray, ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -97,39 +94,31 @@ def normalize(vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.subtract(vec, vec.min(axis=-1, keepdims=True), out=out)
 
 
-def build_layer_schedule(h: ParityCheck, partition: str) -> LayerSchedule:
-    """Partition H's rows into layers and cut each layer's dense edge form
-    out of H's.
+def build_layer_schedule(h: ParityCheck, partition: str = LAYER_I) -> LayerSchedule:
+    """Cut H's dense edge form into layers, one per CPM block row (q-1
+    rows each); LAYER_I is the only partition.
 
-    LAYER_I: one layer per CPM block row (q-1 rows each); LAYER_II: one
-    singleton layer per row.  Validates that the rows of a layer have
-    equal degree, at least 2 (a check node needs two edges), and that no
-    column appears twice within a layer.
+    Validates that the rows of a layer have equal degree, at least 2 (a
+    check node needs two edges), and that no column appears twice within
+    a layer.
     """
-    qm1 = h.q - 1
-    if partition == LAYER_I:
-        layers = tuple(
-            tuple(range(b * qm1, (b + 1) * qm1)) for b in range(h.num_block_rows)
-        )
-    elif partition == LAYER_II:
-        layers = tuple((r,) for r in range(h.rows))
-    else:
+    if partition != LAYER_I:
         raise ValueError(f"unknown partition {partition!r}")
-    cols, labels, degree = h.edge_cols, h.edge_labels, h.degree
+    qm1 = h.q - 1
     layer_cols, layer_labels = [], []
-    for layer in layers:
-        rows = np.array(layer)
-        d = degree[rows[0]]
-        if (degree[rows] != d).any():
-            raise ValueError(f"rows {layer[0]}..{layer[-1]} of one layer differ in degree")
+    for lo in range(0, h.num_block_rows * qm1, qm1):
+        rows, span = slice(lo, lo + qm1), f"rows {lo}..{lo + qm1 - 1}"
+        d = h.degree[lo]
+        if (h.degree[rows] != d).any():
+            raise ValueError(f"{span} of one layer differ in degree")
         if d < 2:
-            raise ValueError(f"rows {layer[0]}..{layer[-1]} have check degree {d}; need >= 2")
-        used, count = np.unique(cols[rows, :d], return_counts=True)
+            raise ValueError(f"{span} have check degree {d}; need >= 2")
+        used, count = np.unique(h.edge_cols[rows, :d], return_counts=True)
         if (count > 1).any():
             raise ValueError(f"column {used[count > 1][0]} appears twice in one layer")
-        layer_cols.append(cols[rows, :d])
-        layer_labels.append(labels[rows, :d])
-    return LayerSchedule(partition, layers, tuple(layer_cols), tuple(layer_labels))
+        layer_cols.append(h.edge_cols[rows, :d])
+        layer_labels.append(h.edge_labels[rows, :d])
+    return LayerSchedule(tuple(layer_cols), tuple(layer_labels))
 
 
 def channel_reliability(

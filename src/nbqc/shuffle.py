@@ -7,13 +7,14 @@ perm[g*(q-1) + j] = G[g]*(q-1) + (j - s) mod (q-1).  A Class-I move that
 advances `steps` block rows is a fixed wiring with G[g] = (g - steps) mod
 rho and s = steps*c; a Class-II move permutes whole CPM column groups by
 the XOR translation read off an n x n index table (s = 0), realizable on a
-Benes network of 2*log2(rho) - 1 crossbar stages.  Between single rows
-(LAYER_II) s also takes the change of CPM row offset.  Each move is one
-read-only intp array, a bijection by construction.  A routing report exists
-only when every Class-II move routed (`route_schedule` raises otherwise),
-which is why every line of it reads realized=yes.  The schedule-driven
-decoder walks one iteration of these moves before decoding and refuses a
-schedule unless every layer finds its columns at layer 0's fixed wiring.
+Benes network of 2*log2(rho) - 1 crossbar stages.  A layer is a CPM block
+row: row r+1 of a CPM is row r shifted once, so moves within a block row
+carry no routing information.  Each move is one read-only intp array, a
+bijection by construction.  A routing report exists only when every
+Class-II move routed (`route_schedule` raises otherwise), which is why
+every line of it reads realized=yes.  The schedule-driven decoder walks
+one iteration of these moves before decoding and refuses a schedule
+unless every layer finds its columns at layer 0's fixed wiring.
 """
 
 from __future__ import annotations
@@ -23,14 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construct import CLASS_I, CodeSpec, ParityCheck
-from .decode import (
-    LAYER_I,
-    LAYER_II,
-    DecodeResult,
-    DecoderConfig,
-    build_layer_schedule,
-    decode,
-)
+from .decode import DecodeResult, DecoderConfig, build_layer_schedule, decode
 from .gf import GF2m
 
 
@@ -68,49 +62,39 @@ def build_index_matrix(n: int) -> np.ndarray:
 
 
 def transition_permutation(spec: CodeSpec, src: int, dst: int) -> np.ndarray:
-    """The move from the layer starting at H row `src` to the layer
-    starting at H row `dst`, as a read-only intp array:
-    perm[g*(q-1) + j] = G[g]*(q-1) + (j - s) mod (q-1).
+    """The move from block row `src` to block row `dst`, as a read-only
+    intp array: perm[g*(q-1) + j] = G[g]*(q-1) + (j - s) mod (q-1).
 
     Class-I: G[g] = (g - steps) mod rho, s = steps*c, where `steps` is the
     change of block row.  Class-II: G takes the index-table row of the
     source block row (mod n) to that of the destination within each group
-    of n column blocks, s = 0.  Both add the change of CPM row offset to s.
+    of n column blocks, s = 0.
     """
     qm1 = spec.q - 1
-    (src_base, src_off), (dst_base, dst_off) = divmod(src, qm1), divmod(dst, qm1)
     g = np.arange(spec.rho)
     if spec.code_class == CLASS_I:
-        steps = dst_base - src_base
+        steps = dst - src
         group, shift = (g - steps) % spec.rho, steps * spec.c
     else:
         n = spec.n
         index = build_index_matrix(n)
-        src_g = index[src_base % n, g % n] + g // n * n
-        dst_g = index[dst_base % n, g % n] + g // n * n
+        src_g = index[src % n, g % n] + g // n * n
+        dst_g = index[dst % n, g % n] + g // n * n
         if max(src_g.max(), dst_g.max()) >= spec.rho:
             raise ValueError(f"group index out of range for rho={spec.rho} (needs n | rho)")
         group, shift = np.empty_like(g), 0
         group[src_g] = dst_g
-    shift += dst_off - src_off
     perm = (group[:, None] * qm1 + (np.arange(qm1) - shift) % qm1).ravel()
     perm.flags.writeable = False
     return perm
 
 
-def iteration_moves(
-    spec: CodeSpec, partition: str = LAYER_I
-) -> list[tuple[int, int, np.ndarray]]:
-    """(source layer, destination layer, move) for every consecutive layer
-    pair of one iteration, including the wrap back to layer 0.  A LAYER_I
-    layer is a CPM block row, a LAYER_II layer a single H row."""
-    if partition not in (LAYER_I, LAYER_II):
-        raise ValueError(f"unknown partition {partition!r}")
-    height = spec.q - 1 if partition == LAYER_I else 1
-    layers = spec.gamma * (spec.q - 1) // height
+def iteration_moves(spec: CodeSpec) -> list[tuple[int, int, np.ndarray]]:
+    """(source layer, destination layer, move) for every consecutive pair
+    of block rows of one iteration, including the wrap back to layer 0."""
     return [
-        (t, (t + 1) % layers, transition_permutation(spec, t * height, (t + 1) % layers * height))
-        for t in range(layers)
+        (t, (t + 1) % spec.gamma, transition_permutation(spec, t, (t + 1) % spec.gamma))
+        for t in range(spec.gamma)
     ]
 
 
@@ -277,7 +261,7 @@ class RoutingReport:
         return "\n".join(lines)
 
 
-def route_schedule(spec: CodeSpec, partition: str = LAYER_I) -> RoutingReport:
+def route_schedule(spec: CodeSpec) -> RoutingReport:
     """Route every inter-layer move of one iteration through the
     class-appropriate network model.
 
@@ -285,7 +269,7 @@ def route_schedule(spec: CodeSpec, partition: str = LAYER_I) -> RoutingReport:
     group map is routed through one Benes network, whose `route` raises
     unless the switch settings realize it.
     """
-    moves = iteration_moves(spec, partition)
+    moves = iteration_moves(spec)
     if spec.code_class == CLASS_I:
         note = "fixed interconnections; no switches or control bits required"
         return RoutingReport(moves, None, [note])
@@ -320,7 +304,7 @@ def schedule_driven_decode(
     one iteration's moves compose to the identity, so the posteriors are
     then those of the direct decoder, bit for bit.
     """
-    schedule = build_layer_schedule(h, LAYER_I)
+    schedule = build_layer_schedule(h)
     wired = np.sort(schedule.cols[0], axis=1)
     pos = np.arange(h.cols)
     for t, (cols, (_, _, move)) in enumerate(zip(schedule.cols, route_schedule(spec).moves)):

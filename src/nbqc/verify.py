@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import BaseMatrix, SubgroupIndexing
+from .construct import SubgroupIndexing
 from .gf import GF2m
 
 
@@ -49,10 +49,6 @@ class PropertyReport:
         return "\n".join(lines)
 
 
-def _entries(w) -> np.ndarray:
-    return w.entries if isinstance(w, BaseMatrix) else np.asarray(w)
-
-
 def _scope(region_rows: int, region_cols: int, dim: int) -> str:
     if region_rows == dim and region_cols == dim:
         return f"full {dim}x{dim} base matrix"
@@ -68,7 +64,7 @@ def _compare(
     are pairs marked by wrapped(i, j) unless the full matrix is given.  The
     counterexample is the first mismatch in (i, j, k, l) order:
     ((i, j), (k, l)), then both entries if `values`."""
-    ent, dim = _entries(w), c * n
+    ent, dim = np.asarray(w), c * n
     rr = dim if region_rows is None else region_rows
     rc = dim if region_cols is None else region_cols
     i, j, k, l = np.indices((c, c, n, n))

@@ -1,7 +1,9 @@
-"""Reference implementations that the tests compare the decoder against."""
+"""Reference implementations that the tests compare the decoder against,
+and helpers that only the tests use."""
 
 import numpy as np
 
+from nbqc.cost import CATEGORIES
 from nbqc.decode import normalize
 
 
@@ -27,3 +29,13 @@ def check_node_brute_force(inputs: list[np.ndarray]) -> list[np.ndarray]:
         np.minimum.at(out, agg_xor.ravel(), agg_max.ravel())
         outs.append(normalize(out))
     return outs
+
+
+def per_category_ratios(a, b) -> dict[str, float | None]:
+    """a's count over b's in every cost category; None where either design
+    lacks the category or b's count is 0."""
+    out = {}
+    for cat in CATEGORIES:
+        va, vb = a.category(cat), b.category(cat)
+        out[cat] = None if va is None or vb is None or vb == 0 else va / vb
+    return out

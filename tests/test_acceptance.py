@@ -12,7 +12,7 @@ from nbqc.construct import (
     build_base_class2,
     build_code,
 )
-from nbqc.cost import AMBIGUITY_NOTE, CostParams, cost, per_category_ratios, savings
+from nbqc.cost import AMBIGUITY_NOTE, CostParams, cost, savings
 from nbqc.decode import (
     DecoderConfig,
     LAYER_I,
@@ -34,7 +34,7 @@ from nbqc.shuffle import (
     schedule_driven_decode,
 )
 from nbqc.verify import verify_class1, verify_class2
-from oracles import check_node_brute_force
+from oracles import check_node_brute_force, per_category_ratios
 
 CLASS1_SUITE = [(2, 1, 3), (3, 7, 1), (4, 3, 5), (6, 7, 9)]
 CLASS2_SUITE = [(2, 1), (3, 1), (4, 2), (5, 2)]
@@ -111,7 +111,7 @@ def test_benes_network_model():
     ok = net.num_stages == 9 and net.num_switches == 144
     # every scheduled group-level move of the 32-ary size-32 design routes
     spec32 = CodeSpec.class2(5, 2, gamma=16, rho=32)
-    rpt = route_schedule(spec32, LAYER_I)
+    rpt = route_schedule(spec32)
     ok = ok and len(rpt.moves) == 16
     ok = ok and rpt.network.num_stages == 9 and rpt.network.num_switches == 144
     report("benes-network-model", ok)
@@ -202,15 +202,15 @@ def test_fault_injection():
         w, _ = build_base_class1(fld, c, n)
         rng = random.Random(m)
         for _ in range(50):
-            ent = w.entries.copy()
-            ent[rng.randrange(w.dim), rng.randrange(w.dim)] ^= rng.randrange(1, fld.q)
+            ent = w.copy()
+            ent[rng.randrange(len(w)), rng.randrange(len(w))] ^= rng.randrange(1, fld.q)
             ok = ok and not verify_class1(fld, ent, c, n).all_passed
     for m, t in [(2, 1), (4, 2)]:
         fld = GF2m(m)
         w, _ = build_base_class2(fld, t)
         rng = random.Random(10 * m + t)
         for _ in range(50):
-            ent = w.entries.copy()
-            ent[rng.randrange(w.dim), rng.randrange(w.dim)] ^= rng.randrange(1, fld.q)
+            ent = w.copy()
+            ent[rng.randrange(len(w)), rng.randrange(len(w))] ^= rng.randrange(1, fld.q)
             ok = ok and not verify_class2(fld, ent, 1 << (m - t), 1 << t).all_passed
     report("fault-injection", ok)

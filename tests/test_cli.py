@@ -60,6 +60,18 @@ def test_construct_rejects_bad_factorization(capsys, tmp_path):
     assert "polynomial -0xb does not have degree 3" in err
 
 
+def test_construct_rejects_class1_random_ordering(capsys, tmp_path):
+    path = tmp_path / "c1.nbqc"
+    code, out, err = run(
+        capsys,
+        "construct", "--class", "1", "--m", "2", "--c", "1", "--n", "3",
+        "--gamma", "2", "--rho", "3", "--random-surjective", "4", "-o", str(path),
+    )
+    assert code == 1
+    assert "Class-II only" in err
+    assert not path.exists()
+
+
 def test_verify_fails_on_randomized_ordering(capsys, tmp_path):
     path = str(tmp_path / "bad.nbqc")
     code, out, err = run(
@@ -195,11 +207,14 @@ def test_schedule_output_class1(capsys, tmp_path):
     assert "0 -> 8" in first
 
 
-def test_schedule_layer2(capsys, tmp_path):
+def test_partition_option_is_gone(capsys, tmp_path):
+    # every layer is a CPM block row; --partition is an unknown argument
     path = construct_class2(capsys, tmp_path)
-    code, out, err = run(capsys, "schedule", "--code", path, "--partition", "layer2")
-    assert code == 0
-    assert len(out.splitlines()) == 6  # one transition per H row
+    for argv in (["simulate", "--snr-list", "1"], ["schedule"], ["route"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--code", path, "--partition", "layer1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --partition layer1" in capsys.readouterr().err
 
 
 def test_route_class1_and_class2(capsys, tmp_path):

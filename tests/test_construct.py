@@ -119,7 +119,7 @@ def test_class1_base_gf4():
     fld = GF2m(2)
     w, indexing = build_base_class1(fld, 1, 3)
     expected = np.array([[0, 3, 2], [3, 0, 1], [2, 1, 0]])
-    assert np.array_equal(w.entries, expected)
+    assert np.array_equal(w, expected)
     assert indexing.beta == (1, 2, 3)
     assert indexing.delta == (1,)
 
@@ -130,25 +130,50 @@ def test_class2_base_gf4():
     b = np.array([[0, 1], [1, 0]])
     c = b ^ 2
     expected = np.block([[b, c], [c, b]])
-    assert np.array_equal(w.entries, expected)
+    assert np.array_equal(w, expected)
     assert indexing.beta == (0, 1)
     assert indexing.delta == (0, 2)
+
+
+def entry_loop(c, n, entry):
+    """Reference: the base matrix entry by entry, row (i, k), column (j, l)."""
+    blocks = list(itertools.product(range(c), range(n)))
+    return np.array([[entry(i, j, k, l) for j, l in blocks] for i, k in blocks])
+
+
+@pytest.mark.parametrize("m,c,n", CLASS1_SUITE)
+def test_class1_base_matches_entry_loop(m, c, n):
+    fld = GF2m(m)
+    w, _ = build_base_class1(fld, c, n)
+    a = fld.pow_alpha
+    want = entry_loop(c, n, lambda i, j, k, l: fld.mul(a(n * (j - i)), a(c * k)) ^ a(c * l))
+    assert w.dtype == np.int64 and np.array_equal(w, want)
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+@pytest.mark.parametrize("m,t", CLASS2_SUITE)
+def test_class2_base_matches_entry_loop(m, t, seed):
+    fld = GF2m(m)
+    w, ind, _ = build_base(CodeSpec.class2(m, t, gamma=1, rho=1, surjective_seed=seed), fld)
+    b, d = ind.beta, ind.delta
+    want = entry_loop(1 << (m - t), 1 << t, lambda i, j, k, l: d[i] ^ d[j] ^ b[k] ^ b[l])
+    assert w.dtype == np.int64 and np.array_equal(w, want)
 
 
 @pytest.mark.parametrize("m,c,n", CLASS1_SUITE)
 def test_class1_zeros_exactly_on_diagonal(m, c, n):
     fld = GF2m(m)
     w, _ = build_base_class1(fld, c, n)
-    zeros = np.argwhere(w.entries == 0)
-    assert np.array_equal(zeros, np.array([[i, i] for i in range(w.dim)]))
+    zeros = np.argwhere(w == 0)
+    assert np.array_equal(zeros, np.array([[i, i] for i in range(len(w))]))
 
 
 @pytest.mark.parametrize("m,t", CLASS2_SUITE)
 def test_class2_zeros_exactly_on_diagonal(m, t):
     fld = GF2m(m)
     w, _ = build_base_class2(fld, t)
-    zeros = np.argwhere(w.entries == 0)
-    assert np.array_equal(zeros, np.array([[i, i] for i in range(w.dim)]))
+    zeros = np.argwhere(w == 0)
+    assert np.array_equal(zeros, np.array([[i, i] for i in range(len(w))]))
 
 
 def test_expand_base_shapes_and_nnz():
@@ -190,7 +215,7 @@ def constructible_specs(draw):
 def test_recover_base_region_roundtrip(spec):
     h, w, _, fld = build_code(spec)
     region = recover_base_region(h, fld)
-    assert np.array_equal(region, w.entries[: spec.gamma, : spec.rho])
+    assert np.array_equal(region, w[: spec.gamma, : spec.rho])
 
 
 @given(spec=constructible_specs())
@@ -198,7 +223,7 @@ def test_recover_base_region_roundtrip(spec):
 def test_recover_base_region_and_code_file_roundtrip(spec):
     h, w, _, fld = build_code(spec)
     region = recover_base_region(h, fld)
-    assert np.array_equal(region, w.entries[: spec.gamma, : spec.rho])
+    assert np.array_equal(region, w[: spec.gamma, : spec.rho])
     text = format_code(spec, h, fld)
     spec2, h2, fld2 = parse_code(text)
     assert spec2 == spec
@@ -237,6 +262,9 @@ def test_spec_validation_errors():
         CodeSpec.class1(2, 1, 3, gamma=3, rho=0)
     with pytest.raises(ValueError, match="code class"):
         CodeSpec(3, 2, 1, 3, 1, 1).validate()
+    # build_base orders subgroups at random only for Class-II
+    with pytest.raises(ValueError, match="surjective_seed.*Class-II only"):
+        CodeSpec.class1(2, 1, 3, gamma=1, rho=1, surjective_seed=4)
 
 
 def test_surjective_seed_randomizes_both_orderings():

@@ -9,11 +9,11 @@ from nbqc.cost import (
     CostParams,
     _crossbar_counts,
     cost,
-    per_category_ratios,
     render_report,
     savings,
 )
 from nbqc.shuffle import BenesNetwork
+from oracles import per_category_ratios
 
 # 64-ary (1260, 630) rate-0.5 example: q=64, gamma=10, rho=20
 P64 = CostParams(b_q=6, n_m=16, d_c=4, q=64, gamma=10, rho=20)
@@ -105,6 +105,9 @@ def test_params_validation_and_lut_word():
         CostParams(b_q=0, n_m=1, d_c=1, q=4, gamma=1, rho=1)
     assert CostParams(b_q=5, n_m=1, d_c=1, q=32, gamma=1, rho=1).lut_word == 5
     assert CostParams(b_q=5, n_m=1, d_c=1, q=32, gamma=1, rho=1, p=7).lut_word == 7
+    for p in (0, -3):  # a LUT word size below 1 gave zero or negative LUT bits
+        with pytest.raises(ValueError, match="LUT word size p"):
+            CostParams(b_q=5, n_m=1, d_c=1, q=32, gamma=1, rho=1, p=p)
     with pytest.raises(ValueError):
         cost("P9", P64)
 

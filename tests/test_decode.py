@@ -11,7 +11,6 @@ from nbqc.decode import (
     BACKWARD,
     FORWARD,
     LAYER_I,
-    LAYER_II,
     WORKSPACE,
     DecoderConfig,
     _minmax_kernel,
@@ -317,13 +316,12 @@ def test_config_rejects_no_iterations():
 def test_layer_schedules():
     h, fld = fig_code_class2()
     s1 = build_layer_schedule(h, LAYER_I)
-    assert len(s1.layers) == h.num_block_rows
-    assert all(len(layer) == fld.q - 1 for layer in s1.layers)
-    s2 = build_layer_schedule(h, LAYER_II)
-    assert len(s2.layers) == h.rows
-    assert all(len(layer) == 1 for layer in s2.layers)
-    with pytest.raises(ValueError):
-        build_layer_schedule(h, "layer3")
+    assert len(s1.cols) == len(s1.labels) == h.num_block_rows
+    assert all(len(cols) == fld.q - 1 for cols in s1.cols)
+    assert s1 != build_layer_schedule(h)  # equal only to itself, not on no fields at all
+    for partition in ("layer2", "layer3"):  # the CPM block row is the only layer
+        with pytest.raises(ValueError, match="unknown partition"):
+            build_layer_schedule(h, partition)
 
 
 def test_layer_schedule_rejects_duplicate_columns():
@@ -336,29 +334,26 @@ def test_layer_schedule_rejects_unequal_degrees_in_a_layer():
     ragged = ParityCheck(
         2, 4, 3, np.array([[0, 1, 3], [0, 2, 0]]), np.array([[1, 1, 2], [2, 1, 0]])
     )
-    with pytest.raises(ValueError, match="differ in degree"):
+    with pytest.raises(ValueError, match=r"rows 0\.\.1 of one layer differ in degree"):
         build_layer_schedule(ragged, LAYER_I)
-    s2 = build_layer_schedule(ragged, LAYER_II)
-    assert [c.tolist() for c in s2.cols] == [[[0, 1, 3]], [[0, 2]]]
-    assert [lab.tolist() for lab in s2.labels] == [[[1, 1, 2]], [[2, 1]]]
 
 
-@pytest.mark.parametrize("partition", [LAYER_I, LAYER_II])
-def test_layer_schedule_rejects_degree_one_checks(partition):
+def test_layer_schedule_rejects_degree_one_checks():
     # a single block column of a gamma=1, rho=2 Class-I code is all zeros,
     # so every row of H has one edge
     h, _, _, _ = build_code(CodeSpec.class1(3, 1, 7, gamma=1, rho=2))
     assert (h.degree == 1).all()
     with pytest.raises(ValueError, match=r"rows 0\.\.\d+ have check degree 1"):
-        build_layer_schedule(h, partition)
+        build_layer_schedule(h, LAYER_I)
 
 
 def test_layer_schedule_dense_form_matches_rows():
     h, fld = fig_code_class2()
     schedule = build_layer_schedule(h, LAYER_I)
-    for layer, cols, labels in zip(schedule.layers, schedule.cols, schedule.labels):
-        assert cols.shape == labels.shape == (len(layer), len(h.row_entries[layer[0]]))
-        for r, c_row, l_row in zip(layer, cols, labels):
+    qm1 = fld.q - 1
+    for b, (cols, labels) in enumerate(zip(schedule.cols, schedule.labels)):
+        assert cols.shape == labels.shape == (qm1, len(h.row_entries[b * qm1]))
+        for r, c_row, l_row in zip(range(b * qm1, (b + 1) * qm1), cols, labels):
             assert np.array_equal(np.column_stack((c_row, l_row)), h.row_entries[r])
 
 
@@ -429,21 +424,6 @@ def test_decode_corrects_moderate_noise():
         result = decode(h, schedule, channel, fld, DecoderConfig(max_iter=10))
         ok += int(result.syndrome_zero and not result.symbols.any())
     assert ok >= 45
-
-
-def test_layer2_matches_layer1_row_order():
-    # singleton layers process rows in the same order, so results agree
-    h, fld = fig_code_class2()
-    s1 = build_layer_schedule(h, LAYER_I)
-    s2 = build_layer_schedule(h, LAYER_II)
-    sigma = snr_to_sigma(2.0, 0.5)
-    for t in range(20):
-        rng = np.random.default_rng(100 + t)
-        channel = channel_reliability(np.zeros(h.cols, dtype=int), sigma, fld, rng)
-        a = decode(h, s1, channel, fld, DecoderConfig(max_iter=5))
-        b = decode(h, s2, channel, fld, DecoderConfig(max_iter=5))
-        assert np.array_equal(a.symbols, b.symbols)
-        assert a.iterations == b.iterations
 
 
 def test_quantized_decode_preserves_decisions():
@@ -632,7 +612,7 @@ def test_run_monte_carlo_rejects_bad_input(snrs, workers, match):
 
 def test_run_monte_carlo_rejects_nonpositive_rate():
     h, _, _, fld = build_code(CodeSpec.class1(2, 1, 3, gamma=3, rho=3))  # 9 x 9
-    schedule = build_layer_schedule(h, LAYER_II)
+    schedule = build_layer_schedule(h, LAYER_I)
     with pytest.raises(ValueError, match="rate"):
         run_monte_carlo(h, schedule, fld, [1.0], 5, DecoderConfig())
 

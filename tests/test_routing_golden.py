@@ -2,10 +2,10 @@
 sha256 digests of their stdout, with their exit codes, so that a rewrite
 of the transition code cannot change a printed map or report unnoticed.
 
-Covers both partitions of the acceptance suite's SANITY_SPECS and of a
-few more small codes, LAYER_I of the two headline codes, and the refusals:
-a Class-II code whose group moves do not fit rho, and `route` on a
-Class-II rho that is not a power of two (both exit 1 with no output).
+Covers the acceptance suite's SANITY_SPECS, a few more small codes, the
+two headline codes, and the refusals: a Class-II code whose group moves
+do not fit rho, and `route` on a Class-II rho that is not a power of two
+(both exit 1 with no output).
 """
 
 import hashlib
@@ -34,51 +34,29 @@ SPECS = {
 
 SMALL = ("c1-m2", "c1-m4", "c2-m2", "c2-m3", "c1-m3", "c2-m4", "c2-m2-rho3")
 
-# case -> (code, command, partition)
+# case -> (code, command); every layer is a CPM block row (LAYER_I, "layer1")
 CASES = {
-    **{
-        f"{name}-{cmd}-{part}": (name, cmd, part)
-        for name in SMALL
-        for cmd in ("schedule", "route")
-        for part in ("layer1", "layer2")
-    },
-    **{
-        f"{name}-{cmd}-layer1": (name, cmd, "layer1")
-        for name in ("q64", "q32")
-        for cmd in ("schedule", "route")
-    },
+    f"{name}-{cmd}-layer1": (name, cmd)
+    for name in SMALL + ("q64", "q32")
+    for cmd in ("schedule", "route")
 }
 
 # case -> (exit code, sha256 of stdout)
 GOLDEN = {
     "c1-m2-route-layer1": (0, "458455b3beb5bf23e2ccf4e07982c10a07328dc5f996d8b1b13b3cd3883c7330"),
-    "c1-m2-route-layer2": (0, "f54897ca8d8d5cff8220b7976a3b635d574d1f0578c867e9d09a559d19d9312a"),
     "c1-m2-schedule-layer1": (0, "0a2b5588cd5eb3c4dad34816abbf29a7b2a10d21a5dcb1701f0bb2b384cca3ca"),
-    "c1-m2-schedule-layer2": (0, "ccbdfe11fe4fc9c859098d675d974e5145aca241a4eac9c20dc752ba5191774a"),
     "c1-m3-route-layer1": (0, "8cfbf3f28b30a42f4696811fa506c497771b1643df725e219e243c76dbb5e3a4"),
-    "c1-m3-route-layer2": (0, "5615fa6f475ee189073cf0c86451ba8099c656c59043d7b828825481193f6cc9"),
     "c1-m3-schedule-layer1": (0, "bcc86ef83dd6dab7dcd98a9a6f82dff2eb8360ffd96f1419d2a08734075e1cd6"),
-    "c1-m3-schedule-layer2": (0, "6e5b37165ce4c4cbd40868c2b526e310a49edef23edc262ee3b6eb62881c3964"),
     "c1-m4-route-layer1": (0, "ca0f156e38f5e84d5b93d4de07517757328e7d57b3728a6e2ec06280a3cd8d4b"),
-    "c1-m4-route-layer2": (0, "25c8a085f8859614b09a4ac93dd594da2f4c9b2a5c4c81434a7ca8727c37f0e7"),
     "c1-m4-schedule-layer1": (0, "1305d81055b29d346ff658f6671a7eb11b3a93f695630acd7df7b6022241ba9d"),
-    "c1-m4-schedule-layer2": (0, "c1b4eb2b8afcc54c7107219019c0f1b3e2a85a2919ab77505107d1dacd0e52e8"),
     "c2-m2-rho3-route-layer1": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "c2-m2-rho3-route-layer2": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "c2-m2-rho3-schedule-layer1": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "c2-m2-rho3-schedule-layer2": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "c2-m2-route-layer1": (0, "c061b9b559ad4487a6946f0ceba2b43edf50cec70458346b3460d261a75f2205"),
-    "c2-m2-route-layer2": (0, "3b79da8d5fb7ff931df983766259bb00779f160ee9d6631ad4c1763f2fc9c007"),
     "c2-m2-schedule-layer1": (0, "c6feb11dbaa5979ce894bbe47409b1a0fde13c9d5bc27b50c298e146b911c6e5"),
-    "c2-m2-schedule-layer2": (0, "0d92172b9de9455e7ad7f720000aa9d4a9b0363c813a49e37a6559b7ac5ea433"),
     "c2-m3-route-layer1": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "c2-m3-route-layer2": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "c2-m3-schedule-layer1": (0, "4f26e670963b22259dd99f593402f8237f9412dfac2cdedfe1ea9a42b1515e3e"),
-    "c2-m3-schedule-layer2": (0, "f0510e14ec09ddd91181e95c2f9fa86169b2ba7bb35eb584b08ef9da7a65287d"),
     "c2-m4-route-layer1": (0, "3f3880d76beb8881501223554a723b7c34597dc5c63e351059592691f882b23a"),
-    "c2-m4-route-layer2": (0, "4612524782274287727b0b9afcaae2cb1eb4a6704e7ce3ef672217a43fde0fed"),
     "c2-m4-schedule-layer1": (0, "fca5fe11ca7587af0019be1c0f13b095b6c9653fd33503597ef23330ef3445ea"),
-    "c2-m4-schedule-layer2": (0, "b60da1a0eca17d0a457ec600e75807e4c117990f0bb6bc5477a115a21fa2f7e5"),
     "q32-route-layer1": (0, "f6399d101cc080c5fbeb7caafc65923f52cd11eda7a2c6ee27e6fda5e7dde717"),
     "q32-schedule-layer1": (0, "a4138423ec2ed9f3dd7eb5eff7dd1f60ffdcee0a4667de2e321c0b352d1b3069"),
     "q64-route-layer1": (0, "3ba42a256110ede7c2c6ae1114092820828322c1c460e9cd5f29588a3877c7cb"),
@@ -97,7 +75,7 @@ def code_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_routing_output_pinned(case, code_dir, capsys):
-    name, cmd, partition = CASES[case]
-    code = main([cmd, "--code", str(code_dir / f"{name}.nbqc"), "--partition", partition])
+    name, cmd = CASES[case]
+    code = main([cmd, "--code", str(code_dir / f"{name}.nbqc")])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[case]

@@ -89,9 +89,9 @@ def test_class1_single_entry_fault_detected(m, c, n):
     w, _ = build_base_class1(fld, c, n)
     rng = random.Random(m * 100 + c)
     for _ in range(10):
-        ent = w.entries.copy()
-        r = rng.randrange(w.dim)
-        col = rng.randrange(w.dim)
+        ent = w.copy()
+        r = rng.randrange(len(w))
+        col = rng.randrange(len(w))
         ent[r, col] ^= rng.randrange(1, fld.q)
         report = verify_class1(fld, ent, c, n)
         assert not report.all_passed, (r, col)
@@ -103,9 +103,9 @@ def test_class2_single_entry_fault_detected(m, t):
     w, _ = build_base_class2(fld, t)
     rng = random.Random(m * 10 + t)
     for _ in range(10):
-        ent = w.entries.copy()
-        r = rng.randrange(w.dim)
-        col = rng.randrange(w.dim)
+        ent = w.copy()
+        r = rng.randrange(len(w))
+        col = rng.randrange(len(w))
         ent[r, col] ^= rng.randrange(1, fld.q)
         report = verify_class2(fld, ent, 1 << (m - t), 1 << t)
         assert not report.all_passed, (r, col)
@@ -114,7 +114,7 @@ def test_class2_single_entry_fault_detected(m, t):
 def test_counterexample_reporting():
     fld = GF2m(2)
     w, _ = build_base_class1(fld, 1, 3)
-    ent = w.entries.copy()
+    ent = w.copy()
     ent[1, 2] ^= 1
     res = check_class1_inner_shift(ent, 1, 3, fld, fld.pow_alpha(1))
     assert not res.passed
@@ -198,7 +198,7 @@ def test_counterexamples_pinned(case):
         (w, _), c, n, verify = build_base_class1(fld, 3, 5), 3, 5, verify_class1
     else:
         (w, _), c, n, verify = build_base_class2(fld, 2), 4, 4, verify_class2
-    ent = w.entries.copy()
+    ent = w.copy()
     ent[pos] ^= 3
     rows, cols = region or (None, None)
     report = verify(fld, ent, c, n, region_rows=rows, region_cols=cols)
