@@ -30,6 +30,8 @@ class CliError(Exception):
 def _spec_from_args(args) -> CodeSpec:
     try:
         if args.code_class == 1:
+            if args.t is not None:
+                raise ValueError("--t is Class-II only")
             if args.c is None or args.n is None:
                 raise ValueError("Class-I construction requires --c and --n")
             return CodeSpec.class1(
@@ -37,6 +39,9 @@ def _spec_from_args(args) -> CodeSpec:
                 primitive_poly=args.poly,
                 surjective_seed=args.random_surjective,
             )
+        for flag, value in (("--c", args.c), ("--n", args.n)):
+            if value is not None:
+                raise ValueError(f"{flag} is Class-I only")
         if args.t is None:
             raise ValueError("Class-II construction requires --t")
         return CodeSpec.class2(
@@ -68,10 +73,7 @@ def _read_code(path: str):
 
 def cmd_verify(args) -> int:
     spec, h, fld = _read_code(args.code)
-    try:
-        region = recover_base_region(h, fld)
-    except ValueError as exc:
-        raise CliError(f"CPM structure violated: {exc}", 1)
+    region = recover_base_region(h, fld)
     if spec.code_class == CLASS_I:
         report = verify_class1(
             fld, region, spec.c, spec.n, region_rows=spec.gamma, region_cols=spec.rho

@@ -1,31 +1,28 @@
 """Text file format for constructed codes.
 
 Layout:
-    NBQC v1 <class> <m> <c> <n> <t|-> <gamma> <rho> <primitive_poly_hex>
-    <row>: (<col>,<gf_power>) ...
+    NBQC v2 <class> <m> <c> <n> <t|-> <gamma> <rho> <primitive_poly_hex>
+    <rho decimal field elements of base-matrix row 0>
     ...
-    #rows <count> #nnz <count>
+    <rho decimal field elements of base-matrix row gamma-1>
 
-Values are stored as powers of alpha; zero entries are simply omitted, so
-a power never needs a zero marker.  H is written from and read into its
-edge arrays (see ParityCheck); re-parsing a written file reproduces equal
-arrays, and writing them again is byte-identical.
+The body is the top-left gamma x rho region of the base matrix W, one
+line per block row, with 0 for a zero block.  H is its CPM expansion
+(construct.expand_base): the writer reads the region back from H with
+recover_base_region, which refuses an H that is not such an expansion,
+and the reader expands it again.  Re-parsing a written file reproduces
+equal edge arrays, and writing them again is byte-identical.
 """
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
-from .construct import CLASS_I, CLASS_II, CodeSpec, ParityCheck
+from .construct import CLASS_I, CLASS_II, CodeSpec, ParityCheck, expand_base, recover_base_region
 from .gf import GF2m
 
 MAGIC = "NBQC"
-VERSION = "v1"
-
-_ENTRIES_RE = re.compile(r"(?: |(?: \(\d+,\d+\))+)?")  # what follows "<row>:"
-_SEPARATORS = str.maketrans("(),", "   ")
+VERSION = "v2"
 
 
 class CodeFileError(ValueError):
@@ -41,15 +38,12 @@ def _header(spec: CodeSpec, fld: GF2m) -> str:
 
 
 def format_code(spec: CodeSpec, h: ParityCheck, fld: GF2m) -> str:
-    """The code file of H, written from its edge arrays with one %-format
-    over all rows."""
-    powers = np.array(fld.log_table)[h.edge_labels]
-    slots = np.arange(h.edge_cols.shape[1]) < h.degree[:, None]
-    values = np.stack((h.edge_cols[slots], powers[slots]), axis=-1).ravel().tolist()
-    degree = h.degree.tolist()
-    edges = {d: " ".join(["(%d,%d)"] * d) for d in set(degree)}
-    body = "\n".join(f"{r}: {edges[d]}" for r, d in enumerate(degree)) % tuple(values)
-    return f"{_header(spec, fld)}\n{body}\n#rows {h.rows} #nnz {h.nnz()}\n"
+    """The code file of H: its header and its base-matrix region."""
+    region = recover_base_region(h, fld)
+    if region.shape != (spec.gamma, spec.rho):
+        raise ValueError(f"H has a {region.shape} block region, spec says {(spec.gamma, spec.rho)}")
+    body = "\n".join(" ".join(map(str, row)) for row in region.tolist())
+    return f"{_header(spec, fld)}\n{body}\n"
 
 
 def write_code(path: str, spec: CodeSpec, h: ParityCheck, fld: GF2m) -> None:
@@ -58,11 +52,11 @@ def write_code(path: str, spec: CodeSpec, h: ParityCheck, fld: GF2m) -> None:
 
 
 def parse_code(text: str) -> tuple[CodeSpec, ParityCheck, GF2m]:
-    """Read a code file into (spec, H, field), H as its edge arrays.
+    """Read a code file into (spec, H, field), H expanded from the region.
 
-    The header must be the one format_code writes for the spec it names;
-    each row line must read `<row>: (<col>,<power>) ...` with strictly
-    increasing columns.  Every violation raises CodeFileError.
+    The header must be the one format_code writes for the spec it names,
+    followed by gamma lines of rho single-space-separated decimal elements
+    below q.  Every violation raises CodeFileError naming its line.
     """
     lines = text.splitlines()
     if not lines:
@@ -83,48 +77,23 @@ def parse_code(text: str) -> tuple[CodeSpec, ParityCheck, GF2m]:
         raise CodeFileError(f"bad header {lines[0]!r}: {exc}") from None
     if _header(spec, fld) != lines[0]:
         raise CodeFileError(f"bad header {lines[0]!r}: expected {_header(spec, fld)!r}")
-    qm1 = fld.q - 1
-    rows, cols = gamma * qm1, rho * qm1
 
-    if not lines[-1].startswith("#rows"):
-        raise CodeFileError("missing checksum line")
-    chk = lines[-1].split()
-    if (
-        len(chk) != 4 or chk[0] != "#rows" or chk[2] != "#nnz"
-        or not (chk[1] + chk[3]).isdecimal()
-    ):
-        raise CodeFileError(f"bad checksum line: {lines[-1]!r}")
-    want_rows, want_nnz = int(chk[1]), int(chk[3])
-
-    body = lines[1:-1]
-    if len(body) != rows or want_rows != rows:
-        raise CodeFileError(f"expected {rows} rows, file has {len(body)} (checksum {want_rows})")
-    rests = []
+    body = lines[1:]
+    if len(body) != gamma:
+        where = len(lines) + 1 if len(body) < gamma else gamma + 2
+        raise CodeFileError(f"line {where}: expected {gamma} region lines, file has {len(body)}")
+    region = np.zeros((gamma, rho), dtype=np.int64)
+    digits = len(str(fld.q))  # compared first: int() refuses strings of over 4300 digits
     for r, line in enumerate(body):
-        prefix, _, rest = line.partition(":")
-        if prefix != str(r):
-            raise CodeFileError(f"row index mismatch on line {r + 2}: {line!r}")
-        if not _ENTRIES_RE.fullmatch(rest):
-            raise CodeFileError(f"row {r}: malformed entries {rest!r}")
-        rests.append(rest)
-    degree = np.array([rest.count("(") for rest in rests], dtype=np.intp)
-    if degree.sum() != want_nnz:
-        raise CodeFileError(f"checksum nnz {want_nnz} != actual {degree.sum()}")
-    slots = np.arange(degree.max(initial=0)) < degree[:, None]
-    fields = np.zeros(slots.shape + (2,), dtype=np.intp)  # (column, power) per slot
-    if slots.any():  # np.fromstring would read no numbers as [0]
-        numbers = np.fromstring(" ".join(rests).translate(_SEPARATORS), dtype=np.intp, sep=" ")
-        fields[slots] = numbers.reshape(-1, 2)
-    for k, (what, limit) in enumerate((("column", cols), ("power", qm1))):
-        bad = np.argwhere(fields[..., k] >= limit)
-        if len(bad):
-            r, s = bad[0]
-            raise CodeFileError(f"row {r}: {what} {fields[r, s, k]} out of range")
-    unsorted = np.argwhere((np.diff(fields[..., 0], axis=1) <= 0) & slots[:, 1:])
-    if len(unsorted):
-        raise CodeFileError(f"row {unsorted[0, 0]}: columns not sorted strictly increasing")
-    labels = np.where(slots, np.array(fld.antilog_table)[fields[..., 1]], 0)
-    return spec, ParityCheck(rows, cols, fld.q, fields[..., 0].copy(), labels), fld
+        tokens = line.split(" ")
+        if len(tokens) != rho:
+            raise CodeFileError(f"line {r + 2}: expected {rho} entries, got {len(tokens)}")
+        bad = next((t for t in tokens if not (t.isascii() and t.isdecimal())
+                    or len(t.lstrip("0")) > digits or int(t) >= fld.q), None)
+        if bad is not None:
+            raise CodeFileError(f"line {r + 2}: {bad!r} is not a decimal element below q = {fld.q}")
+        region[r] = [int(t) for t in tokens]
+    return spec, expand_base(fld, region, gamma, rho), fld
 
 
 def read_code(path: str) -> tuple[CodeSpec, ParityCheck, GF2m]:

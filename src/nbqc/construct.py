@@ -286,7 +286,8 @@ def recover_base_region(h: ParityCheck, fld: GF2m) -> np.ndarray:
 
     CPM row 0 of a block holds the block's element.  H must equal the
     expansion of those rows 0 (as in expand_base), which one comparison
-    over (block row, CPM row, slot) checks.
+    over (block row, CPM row, slot) checks, and their edges must come
+    first, in strictly increasing block columns, so that W keeps each one.
     """
     qm1 = fld.q - 1
     bj, d = h.edge_cols[::qm1] // qm1, h.edge_labels[::qm1]  # (block row, slot)
@@ -298,6 +299,10 @@ def recover_base_region(h: ParityCheck, fld: GF2m) -> np.ndarray:
         raise ValueError(
             f"block ({row // qm1},{col // qm1}) is not a CPM: its row {row % qm1} is not row 0 shifted"
         )
+    live = d != 0
+    unordered = np.argwhere(live[:, 1:] & ~(live[:, :-1] & (np.diff(bj, axis=1) > 0)))
+    if len(unordered):
+        raise ValueError(f"block row {unordered[0, 0]}: edges not in increasing block columns")
     w = np.zeros((h.num_block_rows, h.num_block_cols), dtype=np.int64)
     bi, s = np.nonzero(d)
     w[bi, bj[bi, s]] = d[bi, s]

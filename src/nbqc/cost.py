@@ -160,54 +160,29 @@ def savings(a: CostBreakdown, b: CostBreakdown, weights: dict[str, float] | None
     return 1.0 - num / den
 
 
+# the P* formula of each category, the last column of render_report
 _FORMULAS = {
-    "gsn_wires": {
-        "P*": "b_q*n_m*(q-1)*d_c",
-        "Ref4": "3*b_q*n_m*(q-1)*d_c",
-        "Ref5": "3*b_q*n_m*(q-1)*d_c",
-    },
-    "gsn_demux": {"P1": "0", "P*": "(q-1)*rho", "Ref4": "3*(q-1)*rho", "Ref5": "3*(q-1)*rho"},
-    "gsn_lut_bits": {
-        "P1": "0",
-        "P*": "p*(q-1)*rho",
-        "Ref4": "p*(q-1)*(rho+gamma*(gamma-1)/2)",
-        "Ref5": "p*(q-1)*(3*rho+gamma-2)",
-    },
-    "lsn_wires": {"P*": "b_q*(q-1)*gamma", "P4": "2*b_q*(q-1)*gamma", "Ref4": "-", "Ref5": "-"},
-    "lsn_demux": {"P*": "0", "P4": "b_q*(q-1)*gamma", "Ref4": "-", "Ref5": "-"},
-    "lsn_crossbars": {
-        "P1": "0",
-        "P2": "0",
-        "P*": "rho*(log2(rho)-1/2)",
-        "Ref4": "-",
-        "Ref5": "-",
-    },
-    "lsn_lut_bits": {
-        "P1": "0",
-        "P2": "0",
-        "P*": "gamma*rho*log2(rho)/2",
-        "Ref4": "-",
-        "Ref5": "-",
-    },
+    "gsn_wires": "b_q*n_m*(q-1)*d_c",
+    "gsn_demux": "(q-1)*rho",
+    "gsn_lut_bits": "p*(q-1)*rho",
+    "lsn_wires": "b_q*(q-1)*gamma",
+    "lsn_demux": "0",
+    "lsn_crossbars": "rho*(log2(rho)-1/2)",
+    "lsn_lut_bits": "gamma*rho*log2(rho)/2",
 }
 
 
-def _formula(cat: str, variant: str) -> str:
-    table = _FORMULAS[cat]
-    return table.get(variant, table["P*"])
-
-
-def render_report(params: CostParams, variants=VARIANTS, as_csv: bool = False) -> str:
+def render_report(params: CostParams, as_csv: bool = False) -> str:
     """Table-shaped comparison grid with evaluated numbers and formulas."""
-    breakdowns = [cost(v, params) for v in variants]
+    breakdowns = [cost(v, params) for v in VARIANTS]
 
     def cell(bd: CostBreakdown, cat: str) -> str:
         val = bd.category(cat)
         return "-" if val is None else str(val)
 
-    rows: list[list[str]] = [["category"] + list(variants) + ["formula(P*)"]]
+    rows: list[list[str]] = [["category"] + list(VARIANTS) + ["formula(P*)"]]
     for cat in CATEGORIES:
-        rows.append([cat] + [cell(bd, cat) for bd in breakdowns] + [_formula(cat, "P*")])
+        rows.append([cat] + [cell(bd, cat) for bd in breakdowns] + [_FORMULAS[cat]])
     flag_rows = (
         ("class1_support", lambda bd: "Yes" if bd.supports_class1 else "No"),
         ("class2_support", lambda bd: "Yes" if bd.supports_class2 else "No"),

@@ -228,21 +228,18 @@ def check_node_min_max(inputs, ws=None):
     if ws is None:
         ws = np.empty(2 * rows * q * q, x.dtype)
     out = np.empty_like(x)
-    if d == 2:
-        out[:, 0], out[:, 1] = x[:, 1], x[:, 0]
-    else:
-        # chain[:, 0, k] combines inputs 0..k, chain[:, 1, k] inputs d-1-k..d-1
-        ends = np.stack([x, x[:, ::-1]], axis=1)
-        chain = np.empty((rows, 2, d - 1, q), x.dtype)
-        chain[:, :, 0] = ends[:, :, 0]
-        for k in range(1, d - 1):
-            _minmax_kernel(chain[:, :, k - 1], ends[:, :, k], ws, chain[:, :, k])
-        fwd, bwd = chain[:, 0], chain[:, 1, ::-1]  # bwd[:, i] combines inputs i+1..d-1
-        out[:, 0], out[:, d - 1] = bwd[:, 0], fwd[:, d - 2]
-        width = max(1, ws.nbytes // (rows * q * q * x.itemsize))
-        for i in range(1, d - 1, width):
-            j = min(i + width, d - 1)
-            _minmax_kernel(fwd[:, i - 1 : j - 1], bwd[:, i:j], ws, out[:, i:j])
+    # chain[:, 0, k] combines inputs 0..k, chain[:, 1, k] inputs d-1-k..d-1
+    ends = np.stack([x, x[:, ::-1]], axis=1)
+    chain = np.empty((rows, 2, d - 1, q), x.dtype)
+    chain[:, :, 0] = ends[:, :, 0]
+    for k in range(1, d - 1):
+        _minmax_kernel(chain[:, :, k - 1], ends[:, :, k], ws, chain[:, :, k])
+    fwd, bwd = chain[:, 0], chain[:, 1, ::-1]  # bwd[:, i] combines inputs i+1..d-1
+    out[:, 0], out[:, d - 1] = bwd[:, 0], fwd[:, d - 2]
+    width = max(1, ws.nbytes // (rows * q * q * x.itemsize))
+    for i in range(1, d - 1, width):
+        j = min(i + width, d - 1)
+        _minmax_kernel(fwd[:, i - 1 : j - 1], bwd[:, i:j], ws, out[:, i:j])
     out = normalize(out)
     return out if stacked else list(out[0])
 

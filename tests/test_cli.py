@@ -70,6 +70,18 @@ def test_construct_rejects_class1_random_ordering(capsys, tmp_path):
     assert code == 1
     assert "Class-II only" in err
     assert not path.exists()
+    # flags of the other class are refused, not ignored
+    for flags, message in (
+        (["--class", "2", "--m", "2", "--t", "1", "--c", "7", "--n", "9"], "--c is Class-I only"),
+        (["--class", "2", "--m", "2", "--t", "1", "--n", "9"], "--n is Class-I only"),
+        (["--class", "1", "--m", "3", "--c", "1", "--n", "7", "--t", "1"], "--t is Class-II only"),
+    ):
+        code, out, err = run(
+            capsys, "construct", *flags, "--gamma", "2", "--rho", "2", "-o", str(path)
+        )
+        assert code == 1
+        assert message in err
+        assert not path.exists()
 
 
 def test_verify_fails_on_randomized_ordering(capsys, tmp_path):
@@ -98,15 +110,24 @@ def test_verify_exit_codes_on_bad_files(capsys, tmp_path):
     path = construct_class2(capsys, tmp_path)
     with open(path) as f:
         lines = f.read().splitlines()
+    assert lines[1:] == ["0 1 2 3", "1 0 3 2"]
     head = lines[0].split()
     head[4] = "x"  # the c field
-    # row 0 lists column 3 twice
-    twice = ["0: (3,0) (3,0) (7,1) (11,2)"] + lines[2:-1] + ["#rows 6 #nnz 19"]
-    for edited, why in (([" ".join(head)] + lines[1:], "header"), (lines[:1] + twice, "sorted")):
+    v1 = [lines[0].replace(" v2 ", " v1 "), "0: (3,0) (7,1) (11,2)"]  # the edge-list layout
+    for edited, why in (
+        ([" ".join(head)] + lines[1:], "header"),
+        (v1, "header"),
+        (lines[:2], "line 3"),
+        (lines + ["0 0 0 0"], "line 4"),
+        (lines[:1] + ["0 1 2"] + lines[2:], "line 2"),
+        (lines[:2] + ["1 0 3 two"], "line 3"),
+        (lines[:1] + ["0 1 2 4"] + lines[2:], "line 2: '4' is not a decimal element below q = 4"),
+    ):
         with open(path, "w") as f:
             f.write("\n".join(edited) + "\n")
         simulate = ["simulate", "--code", path, "--snr-list", "1", "--trials", "1"]
-        for argv in (["verify", path], ["route", "--code", path], simulate):
+        for argv in (["verify", path], ["route", "--code", path], ["schedule", "--code", path],
+                     simulate):
             code, out, err = run(capsys, *argv)
             assert code == 2
             assert "parse error" in err and why in err
@@ -129,17 +150,14 @@ def test_verify_detects_tampering(capsys, tmp_path):
     path = construct_class2(capsys, tmp_path)
     with open(path) as f:
         lines = f.read().splitlines()
-    # bump one stored power: breaks CPM consistency inside a block
-    prefix, _, rest = lines[1].partition(": ")
-    parts = rest.split()
-    col, power = parts[0][1:-1].split(",")
-    parts[0] = f"({col},{(int(power) + 1) % 3})"
-    lines[1] = prefix + ": " + " ".join(parts)
+    # W entry (0, 1) and its diagonal partner (1, 0) both lie in the 2x4 region
+    assert lines[1].split()[1] == lines[2].split()[0] == "1"
+    lines[1] = "0 2 2 3"
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
     code, out, err = run(capsys, "verify", path)
     assert code == 1
-    assert "CPM" in err
+    assert "entry_sym_diag" in out and "FAIL" in out
 
 
 def test_simulate_deterministic(capsys, tmp_path):

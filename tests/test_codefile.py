@@ -1,12 +1,19 @@
 """Code file serialization: round trips and parse validation."""
 
 import hashlib
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nbqc.cli import main
 from nbqc.codefile import CodeFileError, format_code, parse_code, read_code, write_code
 from nbqc.construct import CodeSpec, build_code
+
+# `nbqc construct` flags of the benchmark's codes, read from its workload table
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+CLI_CODES = runpy.run_path(str(WORKLOADS))["CODES"]
 
 
 @pytest.fixture(params=["class1", "class2"])
@@ -45,7 +52,7 @@ def test_file_round_trip(built, tmp_path):
     assert_same_arrays(h2, h)
 
 
-# sha256 of `format_code` output, recorded from the per-entry writer, so
+# sha256 of `format_code` output, recorded from the region writer, so
 # that a new in-memory form of H cannot change a code file unnoticed
 FILE_SPECS = {
     # the acceptance suite's SANITY_SPECS
@@ -59,13 +66,13 @@ FILE_SPECS = {
     "q32": CodeSpec.class2(5, 4, gamma=16, rho=32),
 }
 FILE_GOLDEN = {
-    "c1-m2": "67ec1b2a28bf6799aa9147801b63583ad55c2fddc08211839ab44e541a1f61b0",
-    "c1-m4": "761756ca0f4ee2dea6c82c4cd8eba3e8178cb974fc642168f63bb2f5ae565228",
-    "c2-m2": "da53ced2a15eeadc44bcee79ac869927e346770c666358ea2a7cc7851288165a",
-    "c2-m3": "823afb118ae861b5a405e0db19aa98fcb22b27af9d9a2f072e9d8013a728c822",
-    "c1-m3": "c75d38a73acf213e1f48941c950f26728e000551e9bfd38f1f773e942eeb85cb",
-    "q64": "bbb81c03251c2a8ed38d54bce11870300cde0a71a8c8baa9355e028e17c190d2",
-    "q32": "c3ce49c42e0d5bbaa436291b48655f3e2c4d34391c023314a24b36ddfba41836",
+    "c1-m2": "61683b7cf40836c3aefeec8f06f20093ff6d8f340cc30621af51f9b25c9fb3f5",
+    "c1-m4": "9b7973e70814e9ef3a5cea8378e1b80797705fb1d729f9dc0a30274a41a8009f",
+    "c2-m2": "529a48a3d8cfb5233c62533acd03a08fb3d887380198ce90aa20600bd86805aa",
+    "c2-m3": "c3c35fecb7657c37118732467b33195151582c82f1b091deabfb0c7d722cef68",
+    "c1-m3": "c4589f112a70480ee09de17ab707acdb01117c183469f6be241c31b5184308ab",
+    "q64": "3556cc79c087925114ec3b8017f04b6357842c54be6b7b68586206bfe58294ae",
+    "q32": "a75d4ae5d8ef1cf8a7599eb6ff9c24c522fecdf39662e38df5d5d2b07d4e3b3d",
 }
 
 
@@ -77,10 +84,32 @@ def test_format_code_golden(name):
     assert hashlib.sha256(text.encode()).hexdigest() == FILE_GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(CLI_CODES))
+def test_cli_codes_round_trip(name, tmp_path, capsys):
+    flags = CLI_CODES[name]
+    path = tmp_path / f"{name}.nbqc"
+    assert main(["construct", *flags, "-o", str(path)]) == 0, capsys.readouterr().err
+    spec, h, fld = read_code(str(path))
+    given = dict(zip(flags[::2], flags[1::2]))
+    assert (spec.code_class, spec.m, spec.gamma, spec.rho) == tuple(
+        int(given[f]) for f in ("--class", "--m", "--gamma", "--rho")
+    )
+    # one header line and one line per block row, a few bytes per block
+    assert len(path.read_text().splitlines()) == spec.gamma + 1
+    assert path.stat().st_size < 100 + 4 * spec.gamma * spec.rho
+    want, _, _, _ = build_code(spec)
+    assert_same_arrays(h, want)
+
+
 def good_text():
     spec = CodeSpec.class1(2, 1, 3, gamma=2, rho=3)
     h, _, _, fld = build_code(spec)
     return format_code(spec, h, fld)
+
+
+def test_good_text_layout():
+    # the 2x3 region of the 3x3 Class-I base matrix over GF(4), two zero blocks
+    assert good_text() == "NBQC v2 1 2 1 3 - 2 3 7\n0 3 2\n3 0 1\n"
 
 
 def test_parse_rejects_empty():
@@ -89,7 +118,7 @@ def test_parse_rejects_empty():
 
 
 def test_parse_rejects_bad_header():
-    text = good_text().replace("NBQC v1", "NBQC v2")
+    text = good_text().replace("NBQC v2", "NBQC v3")
     with pytest.raises(CodeFileError, match="header"):
         parse_code(text)
     with pytest.raises(CodeFileError, match="header"):
@@ -103,81 +132,80 @@ def test_parse_rejects_bad_header():
             parse_code(text.replace(first, " ".join(head)))
     # fields CodeSpec or GF2m refuse, and headers format_code would not write
     for header in (
-        "NBQC v1 2 3 4 2 - 3 8 b",  # Class-II with no t
-        "NBQC v1 2 3 2 4 1 3 8 b",  # Class-II c and n that t does not give
-        "NBQC v1 1 2 1 3 1 2 3 7",  # Class-I with a numeric t
-        "NBQC v1 1 2 1 2 - 2 3 7",  # c*n != q-1
-        "NBQC v1 1 2 1 3 - 2 3 5",  # polynomial not primitive
-        "NBQC v1 1 3 1 7 - 2 3 -b",  # negative polynomial of bit length 4
-        "NBQC v1 1 9 1 511 - 2 3 201",  # m out of range
-        "NBQC v1 1 2 1 3 - 2 3 07",  # not the hex format_code writes
-        "NBQC v1 1 2 1 3 -  2 3 7",  # nor its spacing
+        "NBQC v2 2 3 4 2 - 3 8 b",  # Class-II with no t
+        "NBQC v2 2 3 2 4 1 3 8 b",  # Class-II c and n that t does not give
+        "NBQC v2 1 2 1 3 1 2 3 7",  # Class-I with a numeric t
+        "NBQC v2 1 2 1 2 - 2 3 7",  # c*n != q-1
+        "NBQC v2 1 2 1 3 - 2 3 5",  # polynomial not primitive
+        "NBQC v2 1 3 1 7 - 2 3 -b",  # negative polynomial of bit length 4
+        "NBQC v2 1 9 1 511 - 2 3 201",  # m out of range
+        "NBQC v2 1 2 1 3 - 2 3 07",  # not the hex format_code writes
+        "NBQC v2 1 2 1 3 -  2 3 7",  # nor its spacing
     ):
         with pytest.raises(CodeFileError, match="header"):
             parse_code(text.replace(first, header))
 
 
-def test_parse_rejects_bad_checksum():
+def test_parse_rejects_v1_edge_list():
+    # the same code in the edge-list layout, which listed every edge of H
+    v1 = (
+        "NBQC v1 1 2 1 3 - 2 3 7\n"
+        "0: (5,2) (7,1)\n1: (3,0) (8,2)\n2: (4,1) (6,0)\n"
+        "3: (2,2) (6,0)\n4: (0,0) (7,1)\n5: (1,1) (8,2)\n"
+        "#rows 6 #nnz 12\n"
+    )
+    with pytest.raises(CodeFileError, match="bad header: 'NBQC v1"):
+        parse_code(v1)
+
+
+def edited(line: int, new: str | None) -> str:
+    """good_text() with its line `line` (1-based) replaced, or deleted if
+    new is None."""
     lines = good_text().splitlines()
-    lines[-1] = "#rows 6 #nnz 999"
-    with pytest.raises(CodeFileError, match="nnz"):
-        parse_code("\n".join(lines) + "\n")
-    with pytest.raises(CodeFileError, match="checksum"):
-        parse_code("\n".join(lines[:-1]) + "\n")
-    lines[-1] = "#rows six #nnz 18"
-    with pytest.raises(CodeFileError, match="checksum"):
-        parse_code("\n".join(lines) + "\n")
+    lines[line - 1 : line] = [] if new is None else [new]
+    return "\n".join(lines) + "\n"
 
 
-def test_parse_rejects_row_index_mismatch():
-    lines = good_text().splitlines()
-    lines[1] = "5" + lines[1][1:]
-    with pytest.raises(CodeFileError, match="row index"):
-        parse_code("\n".join(lines) + "\n")
-
-
-def test_parse_rejects_unsorted_columns():
-    lines = good_text().splitlines()
-    prefix, _, rest = lines[1].partition(": ")
-    entries = rest.split()
-    assert len(entries) >= 2
-    lines[1] = prefix + ": " + " ".join(reversed(entries))
-    with pytest.raises(CodeFileError, match="sorted"):
-        parse_code("\n".join(lines) + "\n")
-    # a column listed twice is not strictly increasing either
-    spec = CodeSpec.class2(2, 1, gamma=2, rho=4)
-    h, _, _, fld = build_code(spec)
-    lines = format_code(spec, h, fld).splitlines()
-    assert lines[1] == "0: (3,0) (7,1) (11,2)"
-    lines[1], lines[-1] = "0: (3,0) (3,0) (7,1) (11,2)", "#rows 6 #nnz 19"
-    with pytest.raises(CodeFileError, match="sorted"):
-        parse_code("\n".join(lines) + "\n")
-
-
-def test_parse_rejects_malformed_entries():
-    lines = good_text().splitlines()
-    lines[1] = lines[1] + " junk"
-    with pytest.raises(CodeFileError, match="malformed"):
-        parse_code("\n".join(lines) + "\n")
-
-
-def test_parse_rejects_out_of_range_values():
-    lines = good_text().splitlines()
-    prefix, _, _ = lines[1].partition(": ")
-    lines[1] = prefix + ": (99,0) " + lines[1].partition(": ")[2].split(" ", 1)[1]
-    with pytest.raises(CodeFileError, match="out of range"):
-        parse_code("\n".join(lines) + "\n")
-    lines = good_text().splitlines()
-    prefix, _, rest = lines[1].partition(": ")
-    first = rest.split()[0]
-    col = first[1:-1].split(",")[0]
-    lines[1] = prefix + ": " + f"({col},9) " + " ".join(rest.split()[1:])
-    with pytest.raises(CodeFileError, match="out of range"):
-        parse_code("\n".join(lines) + "\n")
+def assert_refused(cases):
+    for text, message in cases:
+        with pytest.raises(CodeFileError, match=message):
+            parse_code(text)
 
 
 def test_parse_rejects_wrong_row_count():
-    lines = good_text().splitlines()
-    del lines[1]
-    with pytest.raises(CodeFileError):
-        parse_code("\n".join(lines) + "\n")
+    head = good_text().splitlines()[0]
+    assert_refused([
+        (edited(3, None), "line 3: expected 2 region lines, file has 1"),
+        (head + "\n", "line 2: expected 2 region lines, file has 0"),
+        (good_text() + "1 2 3\n", "line 4: expected 2 region lines, file has 3"),
+        (good_text() + "\n", "line 4: expected 2 region lines, file has 3"),
+    ])
+
+
+def test_parse_rejects_malformed_entries():
+    assert_refused([
+        (edited(2, "0 3"), "line 2: expected 3 entries, got 2"),
+        (edited(3, "3 0 1 2"), "line 3: expected 3 entries, got 4"),
+        (edited(3, ""), "line 3: expected 3 entries, got 1"),
+        (edited(2, "0 3 2 "), "line 2: expected 3 entries, got 4"),
+        (edited(3, "3 0  1"), "line 3: expected 3 entries, got 4"),
+        (edited(2, "0 x 2"), "line 2: 'x' is not a decimal element below q = 4"),
+        (edited(3, "3 -1 1"), "line 3: '-1' is not a decimal element"),
+        (edited(2, "0 3 (2,0)"), r"line 2: '\(2,0\)' is not a decimal element"),
+        (edited(2, "0 3 \u0662"), "line 2: '\u0662' is not a decimal element"),
+    ])
+
+
+def test_parse_rejects_out_of_range_values():
+    assert_refused([
+        (edited(3, "3 4 1"), "line 3: '4' is not a decimal element below q = 4"),
+        (edited(2, "0 3 99999999999999999999999"), "line 2: '99999999999999999999999' is not"),
+        (edited(2, "0 3 " + "9" * 5000), "line 2: '9999"),  # past int()'s digit limit
+    ])
+
+
+def test_format_code_refuses_what_it_cannot_write():
+    spec = CodeSpec.class1(2, 1, 3, gamma=2, rho=3)
+    h, _, _, fld = build_code(spec)
+    with pytest.raises(ValueError, match="block region"):
+        format_code(CodeSpec.class1(2, 1, 3, gamma=2, rho=2), h, fld)

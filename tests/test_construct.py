@@ -245,6 +245,13 @@ def test_recover_base_region_detects_corruption():
     cols[1, 0] = cols[1, 0] // qm1 * qm1 + (cols[1, 0] + 1) % qm1
     with pytest.raises(ValueError, match="CPM"):
         recover_base_region(dataclasses.replace(h, edge_cols=cols), fld)
+    # consistent CPMs whose edges W cannot hold: reversed, or one edge listed twice
+    for cols, labels in (
+        (h.edge_cols[:, ::-1], h.edge_labels[:, ::-1]),
+        (h.edge_cols[:, [0, 0, 1]], h.edge_labels[:, [0, 0, 1]]),
+    ):
+        with pytest.raises(ValueError, match="block row 0: edges not in increasing block columns"):
+            recover_base_region(dataclasses.replace(h, edge_cols=cols, edge_labels=labels), fld)
 
 
 def test_spec_validation_errors():
