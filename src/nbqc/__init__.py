@@ -23,7 +23,6 @@ from .decode import (
     build_layer_schedule,
     channel_reliability,
     check_node_min_max,
-    permute_message,
     run_monte_carlo,
 )
 from .shuffle import (

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import codefile
 from .cost import CATEGORIES, VARIANTS, CostParams, cost as cost_breakdown, render_report, savings
-from .construct import CLASS_I, CLASS_II, CodeSpec, SubgroupIndexing, build_code, recover_base_region
+from .construct import CLASS_I, CLASS_II, CodeSpec, SubgroupIndexing, build_code
 from .decode import DecoderConfig, SimResultRow, build_layer_schedule, run_monte_carlo
 from .shuffle import iteration_moves, route_schedule
 from .verify import PropertyReport, verify_class1, verify_class2
@@ -73,7 +73,7 @@ def _read_code(path: str):
 
 def cmd_verify(args) -> int:
     spec, h, fld = _read_code(args.code)
-    region = recover_base_region(h, fld)
+    region = h.region
     if spec.code_class == CLASS_I:
         report = verify_class1(
             fld, region, spec.c, spec.n, region_rows=spec.gamma, region_cols=spec.rho
@@ -144,7 +144,10 @@ def _parse_weights(text: str):
         out = {}
         for part in text.split(","):
             cat, _, w = part.partition("=")
-            out[cat.strip()] = float(w)
+            cat = cat.strip()
+            if cat in out:
+                raise CliError(f"bad --weights value {text!r}: {cat} is given twice", 1)
+            out[cat] = float(w)
         return out
     except ValueError:
         raise CliError(f"bad --weights value {text!r}", 1)
@@ -157,12 +160,14 @@ def cmd_cost(args) -> int:
             gamma=args.gamma, rho=args.rho, p=args.p,
         )
         weights = _parse_weights(args.weights)
-        print(render_report(params, as_csv=args.format == "csv"))
         breakdowns = {v: cost_breakdown(v, params) for v in VARIANTS}
-        for prop in ("P1", "P2", "P3", "P4"):
-            for ref in ("Ref4", "Ref5"):
-                s = savings(breakdowns[prop], breakdowns[ref], weights)
-                print(f"savings[{prop} vs {ref}, weights={args.weights}] = {s:.4f}")
+        lines = [
+            f"savings[{prop} vs {ref}, weights={args.weights}] = "
+            f"{savings(breakdowns[prop], breakdowns[ref], weights):.4f}"
+            for prop in ("P1", "P2", "P3", "P4") for ref in ("Ref4", "Ref5")
+        ]
+        print(render_report(params, as_csv=args.format == "csv"))
+        print("\n".join(lines))
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(str(exc), 1)
     return 0

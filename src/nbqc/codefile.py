@@ -7,18 +7,17 @@ Layout:
     <rho decimal field elements of base-matrix row gamma-1>
 
 The body is the top-left gamma x rho region of the base matrix W, one
-line per block row, with 0 for a zero block.  H is its CPM expansion
-(construct.expand_base): the writer reads the region back from H with
-recover_base_region, which refuses an H that is not such an expansion,
-and the reader expands it again.  Re-parsing a written file reproduces
-equal edge arrays, and writing them again is byte-identical.
+line per block row, with 0 for a zero block.  It is the region that
+ParityCheck stores: the writer prints h.region and the reader builds H
+from the region it reads.  Re-parsing a written file reproduces equal
+edge arrays, and writing them again is byte-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .construct import CLASS_I, CLASS_II, CodeSpec, ParityCheck, expand_base, recover_base_region
+from .construct import CLASS_I, CLASS_II, CodeSpec, ParityCheck
 from .gf import GF2m
 
 MAGIC = "NBQC"
@@ -39,10 +38,9 @@ def _header(spec: CodeSpec, fld: GF2m) -> str:
 
 def format_code(spec: CodeSpec, h: ParityCheck, fld: GF2m) -> str:
     """The code file of H: its header and its base-matrix region."""
-    region = recover_base_region(h, fld)
-    if region.shape != (spec.gamma, spec.rho):
-        raise ValueError(f"H has a {region.shape} block region, spec says {(spec.gamma, spec.rho)}")
-    body = "\n".join(" ".join(map(str, row)) for row in region.tolist())
+    if h.region.shape != (spec.gamma, spec.rho):
+        raise ValueError(f"H has a {h.region.shape} block region, spec says {(spec.gamma, spec.rho)}")
+    body = "\n".join(" ".join(map(str, row)) for row in h.region.tolist())
     return f"{_header(spec, fld)}\n{body}\n"
 
 
@@ -93,7 +91,7 @@ def parse_code(text: str) -> tuple[CodeSpec, ParityCheck, GF2m]:
         if bad is not None:
             raise CodeFileError(f"line {r + 2}: {bad!r} is not a decimal element below q = {fld.q}")
         region[r] = [int(t) for t in tokens]
-    return spec, expand_base(fld, region, gamma, rho), fld
+    return spec, ParityCheck(fld, region), fld
 
 
 def read_code(path: str) -> tuple[CodeSpec, ParityCheck, GF2m]:

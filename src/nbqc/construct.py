@@ -6,7 +6,8 @@ complementary additive subgroups spanned by {alpha^0..alpha^(t-1)} and
 {alpha^t..alpha^(m-1)}.  Both yield a dense (c*n) x (c*n) base matrix W of
 field elements; each entry is expanded into a (q-1) x (q-1) circulant
 permutation matrix (CPM) and the top-left gamma x rho block sub-array is
-the sparse parity-check matrix H.
+the sparse parity-check matrix H.  ParityCheck keeps that gamma x rho
+region of W and derives H's edge arrays from it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -98,34 +99,44 @@ class SubgroupIndexing:
 
 @dataclass(frozen=True, eq=False)
 class ParityCheck:
-    """CPM-expanded parity-check matrix, stored only as padded edge arrays.
+    """CPM expansion H of a gamma x rho base-matrix region over GF(q).
 
-    Row r's edges fill the first degree[r] slots of the read-only
+    The region is H's stored form; everything else is derived from it
+    once, read-only.  Row r's edges fill the first degree[r] slots of the
     (rows, max degree) arrays edge_cols (strictly increasing columns) and
     edge_labels (nonzero field elements); the other slots hold column 0
-    with label 0, which adds nothing to a syndrome.  degree is derived
-    from the labels.
+    with label 0, which adds nothing to a syndrome.
     """
 
-    rows: int
-    cols: int
-    q: int
-    edge_cols: np.ndarray
-    edge_labels: np.ndarray
+    fld: InitVar[GF2m]
+    region: np.ndarray = field(repr=False)
+    rows: int = field(init=False)
+    cols: int = field(init=False)
+    q: int = field(init=False)
+    edge_cols: np.ndarray = field(init=False, repr=False)
+    edge_labels: np.ndarray = field(init=False, repr=False)
     degree: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "degree", np.count_nonzero(self.edge_labels, axis=1))
-        for a in (self.edge_cols, self.edge_labels, self.degree):
+    def __post_init__(self, fld: GF2m) -> None:
+        region = np.array(self.region, dtype=np.int64)
+        if region.ndim != 2:
+            raise ValueError(f"a base-matrix region is 2-D, got shape {region.shape}")
+        edge_cols, edge_labels = expand_base(fld, region)
+        degree = np.count_nonzero(edge_labels, axis=1)
+        for a in (region, edge_cols, edge_labels, degree):
             a.flags.writeable = False
+        vars(self).update(  # frozen: the derived fields are set here only
+            region=region, rows=len(edge_cols), cols=region.shape[1] * (fld.q - 1), q=fld.q,
+            edge_cols=edge_cols, edge_labels=edge_labels, degree=degree,
+        )
 
     @property
     def num_block_rows(self) -> int:
-        return self.rows // (self.q - 1)
+        return self.region.shape[0]
 
     @property
     def num_block_cols(self) -> int:
-        return self.cols // (self.q - 1)
+        return self.region.shape[1]
 
     def nnz(self) -> int:
         return int(self.degree.sum())
@@ -248,62 +259,27 @@ def build_base(spec: CodeSpec, fld: GF2m | None = None) -> tuple[np.ndarray, Sub
     return w, indexing, fld
 
 
-def _expand_slots(fld: GF2m, bj: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edge arrays of the block rows whose slot s holds the CPM of d[:, s]
-    in block column bj[:, s]; CPM row r of block row i is H row i*(q-1) + r."""
-    qm1 = fld.q - 1
-    cols, labels = cpm(fld, d)  # (block row, slot, CPM row)
-    cols = np.where(labels != 0, cols + bj[..., None] * qm1, 0)
-    shape = (d.shape[0] * qm1, d.shape[1])
-    return cols.transpose(0, 2, 1).reshape(shape), labels.transpose(0, 2, 1).reshape(shape)
-
-
-def expand_base(fld: GF2m, w: np.ndarray, gamma: int, rho: int) -> ParityCheck:
-    """CPM-expand the top-left gamma x rho block region of W into H's edge
-    arrays, with one broadcast over the region.
+def expand_base(fld: GF2m, region: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H's edge arrays (edge_cols, edge_labels): the CPM expansion of a
+    base-matrix region, with one broadcast over the region.
 
     A row's edges are the nonzero blocks of its block row in block-column
-    order; block (bi, bj) puts row r's edge at column bj*(q-1) +
-    log(alpha^r w) with label alpha^r w (see cpm).
+    order; block (bi, bj) puts CPM row r's edge in H row bi*(q-1) + r, at
+    column bj*(q-1) + log(alpha^r w) with label alpha^r w (see cpm).
     """
-    region = w[:gamma, :rho]
+    qm1 = fld.q - 1
     width = int(np.count_nonzero(region, axis=1).max(initial=0))
     # per block row, the block columns of its nonzero blocks first, in order
     bj = np.argsort(region == 0, axis=1, kind="stable")[:, :width]
-    edges = _expand_slots(fld, bj, np.take_along_axis(region, bj, axis=1))
-    return ParityCheck(gamma * (fld.q - 1), rho * (fld.q - 1), fld.q, *edges)
+    cols, labels = cpm(fld, np.take_along_axis(region, bj, axis=1))  # (block row, slot, CPM row)
+    cols = np.where(labels != 0, cols + bj[..., None] * qm1, 0)
+    shape = (len(region) * qm1, width)
+    return cols.transpose(0, 2, 1).reshape(shape), labels.transpose(0, 2, 1).reshape(shape)
 
 
 def build_code(spec: CodeSpec) -> tuple[ParityCheck, np.ndarray, SubgroupIndexing, GF2m]:
     """Full construction: base matrix, truncation and CPM expansion."""
     w, indexing, fld = build_base(spec)
-    h = expand_base(fld, w, spec.gamma, spec.rho)
+    h = ParityCheck(fld, w[: spec.gamma, : spec.rho])
     return h, w, indexing, fld
 
-
-def recover_base_region(h: ParityCheck, fld: GF2m) -> np.ndarray:
-    """Read the truncated base-matrix region back from H's edge arrays.
-
-    CPM row 0 of a block holds the block's element.  H must equal the
-    expansion of those rows 0 (as in expand_base), which one comparison
-    over (block row, CPM row, slot) checks, and their edges must come
-    first, in strictly increasing block columns, so that W keeps each one.
-    """
-    qm1 = fld.q - 1
-    bj, d = h.edge_cols[::qm1] // qm1, h.edge_labels[::qm1]  # (block row, slot)
-    want_cols, want_labels = _expand_slots(fld, bj, d)
-    bad = np.argwhere((h.edge_cols != want_cols) | (h.edge_labels != want_labels))
-    if len(bad):
-        row, s = bad[0]
-        col = h.edge_cols[row, s] if h.edge_labels[row, s] else want_cols[row, s]
-        raise ValueError(
-            f"block ({row // qm1},{col // qm1}) is not a CPM: its row {row % qm1} is not row 0 shifted"
-        )
-    live = d != 0
-    unordered = np.argwhere(live[:, 1:] & ~(live[:, :-1] & (np.diff(bj, axis=1) > 0)))
-    if len(unordered):
-        raise ValueError(f"block row {unordered[0, 0]}: edges not in increasing block columns")
-    w = np.zeros((h.num_block_rows, h.num_block_cols), dtype=np.int64)
-    bi, s = np.nonzero(d)
-    w[bi, bj[bi, s]] = d[bi, s]
-    return w

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .shuffle import BenesNetwork
+
 VARIANTS = ("P1", "P2", "P3", "P4", "Ref4", "Ref5")
 
 CATEGORIES = (
@@ -76,16 +78,6 @@ class CostBreakdown:
         return getattr(self, name)
 
 
-def _crossbar_counts(rho: int) -> tuple[int, int, bool]:
-    """(crossbars, lut_bits, padded): rho(log2 rho - 1/2) switches and
-    (gamma-independent part) gamma*rho*log2(rho)/2 LUT bits use the width
-    padded to the next power of two when rho is not one."""
-    padded = bool(rho & (rho - 1))
-    width = 1 << math.ceil(math.log2(rho)) if padded else rho
-    log2w = width.bit_length() - 1
-    return width * log2w - width // 2, width * log2w, padded
-
-
 def cost(variant: str, params: CostParams) -> CostBreakdown:
     """Exact integer component counts for one design variant."""
     if variant not in VARIANTS:
@@ -94,7 +86,8 @@ def cost(variant: str, params: CostParams) -> CostBreakdown:
     p = params.lut_word
     qm1 = q - 1
     base_wires = params.b_q * params.n_m * qm1 * params.d_c
-    switches, xbar_lut_base, padded = _crossbar_counts(rho)
+    width = 1 << (rho - 1).bit_length()  # rho padded to the next power of two
+    switches = BenesNetwork(width).num_switches if width > 1 else 0  # one column needs no network
 
     if variant in ("Ref4", "Ref5"):
         lut = p * qm1 * (rho + gamma * (gamma - 1) // 2) if variant == "Ref4" else p * qm1 * (
@@ -120,7 +113,7 @@ def cost(variant: str, params: CostParams) -> CostBreakdown:
     lsn_demux = params.b_q * qm1 * gamma if variant == "P4" else 0
     has_xbar = variant in ("P3", "P4")
     # gamma * width * log2(width) is even for power-of-two widths >= 2
-    xbar_lut = gamma * xbar_lut_base // 2 if has_xbar else 0
+    xbar_lut = gamma * width * (width.bit_length() - 1) // 2 if has_xbar else 0
     return CostBreakdown(
         variant,
         gsn_wires=base_wires,
@@ -133,7 +126,7 @@ def cost(variant: str, params: CostParams) -> CostBreakdown:
         supports_class1=variant != "P3",
         supports_class2=has_xbar,
         flexible=variant != "P1",
-        rho_padded=padded and has_xbar,
+        rho_padded=width != rho and has_xbar,
     )
 
 
@@ -149,6 +142,8 @@ def savings(a: CostBreakdown, b: CostBreakdown, weights: dict[str, float] | None
     for cat, wgt in weights.items():
         if cat not in CATEGORIES:
             raise ValueError(f"unknown category {cat!r}")
+        if not (math.isfinite(wgt) and wgt >= 0):
+            raise ValueError(f"weight of {cat} must be finite and non-negative, got {wgt}")
         va, vb = a.category(cat), b.category(cat)
         if va is None or vb is None:
             continue

@@ -34,9 +34,6 @@ from .gf import GF2m
 
 LAYER_I = "layer1"
 
-FORWARD = "forward"
-BACKWARD = "backward"
-
 #: reliability assigned to non-transmitted symbols by the noiseless channel
 HARD_PENALTY = 1e6
 
@@ -98,26 +95,19 @@ def build_layer_schedule(h: ParityCheck, partition: str = LAYER_I) -> LayerSched
     """Cut H's dense edge form into layers, one per CPM block row (q-1
     rows each); LAYER_I is the only partition.
 
-    Validates that the rows of a layer have equal degree, at least 2 (a
-    check node needs two edges), and that no column appears twice within
-    a layer.
+    A CPM block row's rows share one degree and touch each column at most
+    once; that degree must be at least 2 (a check node needs two edges).
     """
     if partition != LAYER_I:
         raise ValueError(f"unknown partition {partition!r}")
     qm1 = h.q - 1
     layer_cols, layer_labels = [], []
-    for lo in range(0, h.num_block_rows * qm1, qm1):
-        rows, span = slice(lo, lo + qm1), f"rows {lo}..{lo + qm1 - 1}"
+    for lo in range(0, h.rows, qm1):
         d = h.degree[lo]
-        if (h.degree[rows] != d).any():
-            raise ValueError(f"{span} of one layer differ in degree")
         if d < 2:
-            raise ValueError(f"{span} have check degree {d}; need >= 2")
-        used, count = np.unique(h.edge_cols[rows, :d], return_counts=True)
-        if (count > 1).any():
-            raise ValueError(f"column {used[count > 1][0]} appears twice in one layer")
-        layer_cols.append(h.edge_cols[rows, :d])
-        layer_labels.append(h.edge_labels[rows, :d])
+            raise ValueError(f"rows {lo}..{lo + qm1 - 1} have check degree {d}; need >= 2")
+        layer_cols.append(h.edge_cols[lo : lo + qm1, :d])
+        layer_labels.append(h.edge_labels[lo : lo + qm1, :d])
     return LayerSchedule(tuple(layer_cols), tuple(layer_labels))
 
 
@@ -150,23 +140,6 @@ def hard_channel(tx_symbols, fld: GF2m, penalty: float = HARD_PENALTY) -> np.nda
     out = np.full((len(tx), fld.q), penalty)
     out[np.arange(len(tx)), tx] = 0.0
     return out
-
-
-def permute_message(msg: np.ndarray, h, direction: str, fld: GF2m) -> np.ndarray:
-    """Edge-label action on messages: `msg` is (..., q) and `h` one label
-    or an array of labels that broadcasts to msg.shape[:-1].
-
-    Forward maps out[a] = msg[h^-1 * a] so the check constraint becomes an
-    unweighted sum; backward is the inverse.  Composing both is identity.
-    """
-    h = np.asarray(h)
-    if not h.all():
-        raise ValueError("edge label must be nonzero")
-    if direction == FORWARD:
-        h = fld.inv_table[h]
-    elif direction != BACKWARD:
-        raise ValueError(f"unknown direction {direction!r}")
-    return np.take_along_axis(msg, np.broadcast_to(fld.mul_table[h], msg.shape), axis=-1)
 
 
 @functools.cache

@@ -114,11 +114,6 @@ class BenesSettings:
     upper: "BenesSettings | None" = None
     lower: "BenesSettings | None" = None
 
-    def num_switches(self) -> int:
-        if self.width == 2:
-            return 1
-        return self.width + self.upper.num_switches() + self.lower.num_switches()
-
 
 class BenesNetwork:
     """Rearrangeable switching fabric of 2*log2(w) - 1 stages of 2x2

@@ -3,7 +3,7 @@
 Every check returns a CheckResult with the first counterexample found (if
 any).  Checks are formulated on the untruncated base matrix W; truncation
 destroys the wrap-around that the block-level shift identities rely on, so
-when only a gamma x rho region of W is available (e.g. reconstructed from
+when only a gamma x rho region of W is available (e.g. read from
 a code file) the wrapped comparisons are skipped and the recorded scope
 says so.
 """

@@ -6,6 +6,27 @@ import numpy as np
 from nbqc.cost import CATEGORIES
 from nbqc.decode import normalize
 
+FORWARD = "forward"
+BACKWARD = "backward"
+
+
+def permute_message(msg: np.ndarray, h, direction: str, fld) -> np.ndarray:
+    """Edge-label action on messages, the reference for the decoder's
+    folded gather and scatter: `msg` is (..., q) and `h` one label or an
+    array of labels that broadcasts to msg.shape[:-1].
+
+    Forward maps out[a] = msg[h^-1 * a] so the check constraint becomes an
+    unweighted sum; backward is the inverse.  Composing both is identity.
+    """
+    h = np.asarray(h)
+    if not h.all():
+        raise ValueError("edge label must be nonzero")
+    if direction == FORWARD:
+        h = fld.inv_table[h]
+    elif direction != BACKWARD:
+        raise ValueError(f"unknown direction {direction!r}")
+    return np.take_along_axis(msg, np.broadcast_to(fld.mul_table[h], msg.shape), axis=-1)
+
 
 def check_node_brute_force(inputs: list[np.ndarray]) -> list[np.ndarray]:
     """Direct enumeration of all satisfying configurations (oracle)."""
@@ -39,3 +60,10 @@ def per_category_ratios(a, b) -> dict[str, float | None]:
         va, vb = a.category(cat), b.category(cat)
         out[cat] = None if va is None or vb is None or vb == 0 else va / vb
     return out
+
+
+def benes_switches(settings) -> int:
+    """2x2 crossbars in a routed Benes settings tree, counted node by node."""
+    if settings.width == 2:
+        return 1
+    return settings.width + benes_switches(settings.upper) + benes_switches(settings.lower)

@@ -276,6 +276,20 @@ def test_cost_weights_all(capsys):
         "--q", "32", "--gamma", "16", "--rho", "32", "--weights", "gsn_wires=1",
     )
     assert code == 0
+    for weights, message in (
+        ("gsn_wires=-1,lsn_wires=1", "weight of gsn_wires must be finite and non-negative"),
+        ("gsn_wires=nan", "weight of gsn_wires must be finite and non-negative"),
+        ("lsn_wires=1,gsn_wires=inf", "weight of gsn_wires must be finite and non-negative"),
+        ("gsn_wires=1,lsn_wires=1,gsn_wires=2", "gsn_wires is given twice"),
+        ("bogus=1", "unknown category 'bogus'"),
+    ):
+        code, out, err = run(
+            capsys,
+            "cost", "--bq", "6", "--nm", "16", "--dc", "4",
+            "--q", "32", "--gamma", "16", "--rho", "32", "--weights", weights,
+        )
+        assert (code, out) == (1, "")
+        assert message in err
 
 
 def test_config_file_expansion(capsys, tmp_path):

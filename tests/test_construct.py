@@ -12,15 +12,14 @@ from nbqc.construct import (
     CLASS_I,
     CLASS_II,
     CodeSpec,
+    ParityCheck,
     build_base,
     build_base_class1,
     build_base_class2,
     build_code,
     cpm,
-    expand_base,
     index_subgroup,
     random_index_subgroup,
-    recover_base_region,
 )
 from nbqc.gf import GF2m
 
@@ -213,45 +212,49 @@ def constructible_specs(draw):
     ],
 )
 def test_recover_base_region_roundtrip(spec):
+    # H keeps the truncated base-matrix region it was expanded from
     h, w, _, fld = build_code(spec)
-    region = recover_base_region(h, fld)
-    assert np.array_equal(region, w[: spec.gamma, : spec.rho])
+    assert np.array_equal(h.region, w[: spec.gamma, : spec.rho])
+    assert (h.num_block_rows, h.num_block_cols) == (spec.gamma, spec.rho)
+    with pytest.raises(ValueError):
+        h.region[0, 0] = 0
 
 
 @given(spec=constructible_specs())
 @settings(max_examples=60, deadline=None)
 def test_recover_base_region_and_code_file_roundtrip(spec):
     h, w, _, fld = build_code(spec)
-    region = recover_base_region(h, fld)
-    assert np.array_equal(region, w[: spec.gamma, : spec.rho])
+    assert np.array_equal(h.region, w[: spec.gamma, : spec.rho])
+    assert not h.region.flags.writeable
     text = format_code(spec, h, fld)
     spec2, h2, fld2 = parse_code(text)
     assert spec2 == spec
-    for name in ("edge_cols", "edge_labels", "degree"):
+    for name in ("region", "edge_cols", "edge_labels", "degree"):
         assert np.array_equal(getattr(h2, name), getattr(h, name))
+    assert not h2.region.flags.writeable
     assert format_code(spec2, h2, fld2) == text
 
 
-def test_recover_base_region_detects_corruption():
-    spec = CodeSpec.class1(2, 1, 3, gamma=2, rho=3)
-    h, _, _, fld = build_code(spec)
-    labels = h.edge_labels.copy()
-    labels[0, 0] = fld.mul(int(labels[0, 0]), 2)
-    with pytest.raises(ValueError, match="CPM"):
-        recover_base_region(dataclasses.replace(h, edge_labels=labels), fld)
-    # the same label one column further along its CPM row
-    cols = h.edge_cols.copy()
-    qm1 = fld.q - 1
-    cols[1, 0] = cols[1, 0] // qm1 * qm1 + (cols[1, 0] + 1) % qm1
-    with pytest.raises(ValueError, match="CPM"):
-        recover_base_region(dataclasses.replace(h, edge_cols=cols), fld)
-    # consistent CPMs whose edges W cannot hold: reversed, or one edge listed twice
-    for cols, labels in (
-        (h.edge_cols[:, ::-1], h.edge_labels[:, ::-1]),
-        (h.edge_cols[:, [0, 0, 1]], h.edge_labels[:, [0, 0, 1]]),
-    ):
-        with pytest.raises(ValueError, match="block row 0: edges not in increasing block columns"):
-            recover_base_region(dataclasses.replace(h, edge_cols=cols, edge_labels=labels), fld)
+def test_parity_check_is_built_only_from_a_region():
+    fld = GF2m(2)
+    h = ParityCheck(fld, np.array([[1, 2, 0]]))
+    assert (h.rows, h.cols, h.q) == (3, 9, 4)
+    for name in ("rows", "cols", "q", "edge_cols", "edge_labels", "degree"):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(h, fld=fld, **{name: getattr(h, name)})
+    # a new region is a new H, expanded again
+    assert dataclasses.replace(h, fld=fld, region=np.array([[0, 2, 0]])).nnz() == 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.edge_labels = h.edge_labels.copy()
+    # the region is copied: changing the caller's array leaves H as it was
+    region = np.array([[1, 2, 0]])
+    h = ParityCheck(fld, region)
+    region[0, 2] = 3
+    assert h.region.tolist() == [[1, 2, 0]] and h.nnz() == 6
+    with pytest.raises(ValueError, match="2-D"):
+        ParityCheck(fld, np.array([1, 2]))
+    with pytest.raises(ValueError, match="not an element"):
+        ParityCheck(fld, np.array([[1, 4]]))
 
 
 def test_spec_validation_errors():

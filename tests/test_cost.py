@@ -7,7 +7,6 @@ from nbqc.cost import (
     CATEGORIES,
     VARIANTS,
     CostParams,
-    _crossbar_counts,
     cost,
     render_report,
     savings,
@@ -55,9 +54,18 @@ def test_lsn_counts_64ary():
 
 
 def test_crossbar_counts_power_of_two():
-    assert _crossbar_counts(32) == (144, 160, False)
-    assert _crossbar_counts(20) == (144, 160, True)
-    assert _crossbar_counts(4) == (6, 8, False)
+    # (crossbars, LSN LUT bits, padded) of P3 at gamma = 2: the LUT bits
+    # are gamma * width * log2(width) / 2 for rho padded to the width
+    def counts(rho):
+        bd = cost("P3", CostParams(b_q=6, n_m=16, d_c=4, q=64, gamma=2, rho=rho))
+        return bd.lsn_crossbars, bd.lsn_lut_bits, bd.rho_padded
+
+    assert counts(32) == (144, 160, False)
+    assert counts(20) == (144, 160, True)
+    assert counts(4) == (6, 8, False)
+    assert counts(3) == (6, 8, True)
+    assert counts(2) == (1, 2, False)
+    assert counts(1) == (0, 0, False)  # one column: no network
 
 
 def test_p3_crossbars_match_network_model():
@@ -90,6 +98,10 @@ def test_weighted_savings():
     assert s == pytest.approx(1 - (6 * 63 * 20) / (6 * 63 * 65))
     with pytest.raises(ValueError):
         savings(a, b, {"bogus": 1.0})
+    for bad in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="weight of gsn_wires must be finite and non-negative"):
+            savings(a, b, {"lsn_wires": 1.0, "gsn_wires": bad})
+    assert savings(a, b, {"gsn_wires": 0.0, "gsn_lut_bits": 1.0}) == s
     with pytest.raises(ZeroDivisionError):
         savings(a, b, {"lsn_wires": 1.0})  # not applicable to Ref designs
 

@@ -12,7 +12,6 @@ from nbqc.construct import (
     build_base_class2,
     build_code,
     cpm,
-    recover_base_region,
 )
 from nbqc.gf import GF2m
 from nbqc.verify import (
@@ -69,8 +68,7 @@ def test_cpm_shift_all_elements(m):
 def test_truncated_region_checks_skip_wrap():
     spec = CodeSpec.class1(4, 3, 5, gamma=4, rho=7)
     h, w, _, fld = build_code(spec)
-    region = recover_base_region(h, fld)
-    report = verify_class1(fld, region, 3, 5, region_rows=4, region_cols=7)
+    report = verify_class1(fld, h.region, 3, 5, region_rows=4, region_cols=7)
     assert report.all_passed, report.render()
     assert "region" in report.checks[0].scope
 
@@ -78,8 +76,7 @@ def test_truncated_region_checks_skip_wrap():
 def test_truncated_class2_region_passes():
     spec = CodeSpec.class2(3, 1, gamma=3, rho=5)
     h, w, _, fld = build_code(spec)
-    region = recover_base_region(h, fld)
-    report = verify_class2(fld, region, 4, 2, region_rows=3, region_cols=5)
+    report = verify_class2(fld, h.region, 4, 2, region_rows=3, region_cols=5)
     assert report.all_passed, report.render()
 
 
