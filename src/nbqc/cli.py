@@ -123,9 +123,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_schedule(args) -> int:
     spec, h, fld = _read_code(args.code)
+    moved: dict[bytes, str] = {}  # map text of each distinct move
     for s, d, perm in iteration_moves(spec):
-        moved = ", ".join(f"{src} -> {dst}" for src, dst in enumerate(perm.tolist()))
-        print(f"transition layer {s} to layer {d}: {moved}")
+        if (key := perm.tobytes()) not in moved:
+            moved[key] = ", ".join(f"{src} -> {dst}" for src, dst in enumerate(perm.tolist()))
+        print(f"transition layer {s} to layer {d}: ", moved[key], sep="")
     return 0
 
 

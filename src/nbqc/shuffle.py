@@ -15,6 +15,9 @@ Class-II move routed (`route_schedule` raises otherwise), which is why
 every line of it reads realized=yes.  The schedule-driven decoder walks
 one iteration of these moves before decoding and refuses a schedule
 unless every layer finds its columns at layer 0's fixed wiring.
+Moves repeat (a Class-II move takes one of log2(n) XOR offsets), so a
+report routes each distinct group map and renders each distinct move,
+keyed by its contents, once.
 """
 
 from __future__ import annotations
@@ -133,10 +136,6 @@ class BenesNetwork:
         log2w = self.width.bit_length() - 1
         return self.width * log2w - self.width // 2  # w*(log2(w) - 1/2)
 
-    @property
-    def control_bits(self) -> int:
-        return self.num_switches
-
     def route(self, perm) -> BenesSettings:
         """Switch settings realizing output[perm[a]] = input[a].
 
@@ -232,37 +231,38 @@ class RoutingReport:
 
     @property
     def total_control_bits(self) -> int:
-        return len(self.moves) * self.network.control_bits if self.network else 0
+        return len(self.moves) * self.network.num_switches if self.network else 0
 
     def render(self) -> str:
         net = self.network
         counts = (
-            f"stages={net.num_stages} switches={net.num_switches} control_bits={net.control_bits}"
+            f"stages={net.num_stages} switches={net.num_switches} control_bits={net.num_switches}"
             if net else "stages=0 switches=0 control_bits=0"
         )
-        lines = []
         if self.moves:  # every move permutes the same positions
             names = np.array([str(i) for i in range(self.moves[0][2].size)], dtype=object)
+        cycles: dict[bytes, str] = {}  # cycle text of each distinct move
+        pieces = []
         for src, dst, perm in self.moves:
-            order, first = _cycle_order(perm)
-            toks, last = names[order], np.append(first[1:], True)
-            toks[first], toks[last] = "(" + toks[first], toks[last] + ")"
-            cyc = " ".join(toks[perm[order] != order].tolist())  # fixed points left out
-            lines.append(
-                f"layer {src}->{dst}: {counts} realized=yes cycles={cyc or '(identity)'}"
-            )
-        lines.append(f"total control bits: {self.total_control_bits}")
-        lines.extend(f"note: {n}" for n in self.notes)
-        return "\n".join(lines)
+            if (key := perm.tobytes()) not in cycles:
+                order, first = _cycle_order(perm)
+                toks, last = names[order], np.append(first[1:], True)
+                toks[first], toks[last] = "(" + toks[first], toks[last] + ")"
+                cyc = " ".join(toks[perm[order] != order].tolist())  # fixed points left out
+                cycles[key] = cyc or "(identity)"
+            pieces += (f"layer {src}->{dst}: {counts} realized=yes cycles=", cycles[key], "\n")
+        pieces.append(f"total control bits: {self.total_control_bits}")
+        pieces.extend(f"\nnote: {n}" for n in self.notes)
+        return "".join(pieces)
 
 
 def route_schedule(spec: CodeSpec) -> RoutingReport:
     """Route every inter-layer move of one iteration through the
     class-appropriate network model.
 
-    Class-I moves ride on fixed wires (zero control bits); each Class-II
-    group map is routed through one Benes network, whose `route` raises
-    unless the switch settings realize it.
+    Class-I moves ride on fixed wires (zero control bits); each distinct
+    Class-II group map is routed once through one Benes network, whose
+    `route` raises unless the switch settings realize it.
     """
     moves = iteration_moves(spec)
     if spec.code_class == CLASS_I:
@@ -270,8 +270,8 @@ def route_schedule(spec: CodeSpec) -> RoutingReport:
         return RoutingReport(moves, None, [note])
     qm1 = spec.q - 1
     net = BenesNetwork(spec.rho)
-    for _, _, perm in moves:
-        net.route((perm[::qm1] // qm1).tolist())
+    for group_map in dict.fromkeys(tuple((perm[::qm1] // qm1).tolist()) for _, _, perm in moves):
+        net.route(group_map)
     return RoutingReport(moves, net)
 
 

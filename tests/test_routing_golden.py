@@ -3,7 +3,8 @@ sha256 digests of their stdout, with their exit codes, so that a rewrite
 of the transition code cannot change a printed map or report unnoticed.
 
 Covers the acceptance suite's SANITY_SPECS, a few more small codes, the
-two headline codes, and the refusals: a Class-II code whose group moves
+two headline codes, two 256-ary codes whose moves repeat across many
+layers, and the refusals: a Class-II code whose group moves
 do not fit rho, and `route` on a Class-II rho that is not a power of two
 (both exit 1 with no output).
 """
@@ -30,6 +31,9 @@ SPECS = {
     # the headline codes: 64-ary (1260, 630) and 32-ary (992, 496)
     "q64": CodeSpec.class1(6, 7, 9, gamma=10, rho=20),
     "q32": CodeSpec.class2(5, 4, gamma=16, rho=32),
+    # 256-ary: 4 of 16 Class-II moves and 2 of 8 Class-I moves are distinct
+    "m8-c2": CodeSpec.class2(8, 4, gamma=16, rho=256),
+    "m8-c1": CodeSpec.class1(8, 15, 17, gamma=8, rho=255),
 }
 
 SMALL = ("c1-m2", "c1-m4", "c2-m2", "c2-m3", "c1-m3", "c2-m4", "c2-m2-rho3")
@@ -37,7 +41,7 @@ SMALL = ("c1-m2", "c1-m4", "c2-m2", "c2-m3", "c1-m3", "c2-m4", "c2-m2-rho3")
 # case -> (code, command); every layer is a CPM block row (LAYER_I, "layer1")
 CASES = {
     f"{name}-{cmd}-layer1": (name, cmd)
-    for name in SMALL + ("q64", "q32")
+    for name in SMALL + ("q64", "q32", "m8-c2", "m8-c1")
     for cmd in ("schedule", "route")
 }
 
@@ -57,6 +61,10 @@ GOLDEN = {
     "c2-m3-schedule-layer1": (0, "4f26e670963b22259dd99f593402f8237f9412dfac2cdedfe1ea9a42b1515e3e"),
     "c2-m4-route-layer1": (0, "3f3880d76beb8881501223554a723b7c34597dc5c63e351059592691f882b23a"),
     "c2-m4-schedule-layer1": (0, "fca5fe11ca7587af0019be1c0f13b095b6c9653fd33503597ef23330ef3445ea"),
+    "m8-c1-route-layer1": (0, "5b74683d0c0eb395a9cf919ed17315d010d8c3f5d77351999e21a56eebd91ea7"),
+    "m8-c1-schedule-layer1": (0, "b4015d6020ab4625610bc81784a9ce5e9b3e7c82474c9b12def679c1f0e79049"),
+    "m8-c2-route-layer1": (0, "a432f5020909ea6830a179d98e71fda8f0ee2db6c247c3842563de74ea5c31a6"),
+    "m8-c2-schedule-layer1": (0, "322feb2ae86315ab6d31055f36c37820c1b7542227bcbb9b25fcaf1723c8eac9"),
     "q32-route-layer1": (0, "f6399d101cc080c5fbeb7caafc65923f52cd11eda7a2c6ee27e6fda5e7dde717"),
     "q32-schedule-layer1": (0, "a4138423ec2ed9f3dd7eb5eff7dd1f60ffdcee0a4667de2e321c0b352d1b3069"),
     "q64-route-layer1": (0, "3ba42a256110ede7c2c6ae1114092820828322c1c460e9cd5f29588a3877c7cb"),

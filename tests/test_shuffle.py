@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+from nbqc import shuffle
 from nbqc.construct import CodeSpec, build_code
 from nbqc.decode import DecoderConfig, LAYER_I, build_layer_schedule, channel_reliability, decode, snr_to_sigma
 from nbqc.gf import GF2m
@@ -42,12 +43,29 @@ def cycle_walk(perm):
     return out
 
 
-@given(st.integers(min_value=1, max_value=40).flatmap(lambda n: st.permutations(range(n))))
+@st.composite
+def repeated_moves(draw):
+    """Moves drawn from a permutation and copies of it with two entries
+    swapped: a report repeats moves, and its distinct moves nearly agree."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    base = draw(st.permutations(range(n)))
+    pool = [base]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2)):
+        pool.append(list(base))
+        pool[-1][i], pool[-1][j] = base[j], base[i]
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+
+
+@given(repeated_moves())
 @settings(max_examples=80, deadline=None)
-def test_cycles_and_render_match_cycle_walk(perm):
-    want = " ".join("(" + " ".join(map(str, c)) + ")" for c in cycle_walk(perm) if len(c) > 1)
-    report = RoutingReport([(0, 1, np.array(perm))], None)
-    assert report.render().splitlines()[0].endswith(" cycles=" + (want or "(identity)"))
+def test_cycles_and_render_match_cycle_walk(perms):
+    moves = [(t, t + 1, np.array(perm)) for t, perm in enumerate(perms)]
+    lines = RoutingReport(moves, None).render().splitlines()
+    assert len(lines) == len(moves) + 1  # one per move, then the total
+    for move, perm, line in zip(moves, perms, lines):
+        want = " ".join("(" + " ".join(map(str, c)) + ")" for c in cycle_walk(perm) if len(c) > 1)
+        assert line.endswith(" cycles=" + (want or "(identity)"))
+        assert line == RoutingReport([move], None).render().splitlines()[0]
 
 
 def test_class1_schedule_frozen_map():
@@ -157,7 +175,6 @@ def test_benes_counts():
     net = BenesNetwork(32)
     assert net.num_stages == 9
     assert net.num_switches == 144
-    assert net.control_bits == 144
     assert BenesNetwork(2).num_stages == 1
     assert BenesNetwork(2).num_switches == 1
     assert BenesNetwork(8).num_switches == 20
@@ -207,6 +224,28 @@ def test_route_schedule_class2_benes():
     assert report.network.num_switches == 6
     assert report.total_control_bits == SPEC_CLASS2.gamma * 6
     assert "realized=yes" in report.render()
+
+
+def test_route_and_render_each_distinct_move_once(monkeypatch):
+    # the 32-ary (992, 496) headline code: 16 moves, 4 distinct XOR offsets
+    calls = {"route": 0, "cycles": 0}
+    route, cycle_order = BenesNetwork.route, shuffle._cycle_order
+
+    def counted_route(self, perm):
+        calls["route"] += 1
+        return route(self, perm)
+
+    def counted_cycle_order(perm):
+        calls["cycles"] += 1
+        return cycle_order(perm)
+
+    monkeypatch.setattr(BenesNetwork, "route", counted_route)
+    monkeypatch.setattr(shuffle, "_cycle_order", counted_cycle_order)
+    report = route_schedule(CodeSpec.class2(5, 4, gamma=16, rho=32))
+    report.render()
+    assert len(report.moves) == 16
+    assert report.total_control_bits == 16 * 144
+    assert calls == {"route": 4, "cycles": 4}
 
 
 # ---------------------------------------------------------------------------
