@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Render the shuffle-network complexity comparison for the two headline
-example codes and cross-check the crossbar counts against a constructed
-Benes network.
+example codes and cross-check the crossbar counts against the switch bits
+of a routed Benes network.
 """
 
 from nbqc import BenesNetwork, CostParams, render_report, savings
@@ -22,9 +22,10 @@ def main() -> None:
     print()
 
     net = BenesNetwork(32)
+    bits = net.route(range(32))  # one control bit per routed switch
     p3 = cost("P3", params2)
     print(f"Benes model: stages={net.num_stages} switches={net.num_switches}")
-    print(f"P3 crossbar row matches network model: {p3.lsn_crossbars == net.num_switches}")
+    print(f"P3 crossbar row matches routed network: {p3.lsn_crossbars == net.num_switches == bits.size}")
     w = savings(cost("P1", params1), cost("Ref5", params1))
     print(f"wires-only savings, P1 vs Ref5: {w:.4f}")
     print(f"configurable Class-II network reduction: 15/16 = {15 / 16:.4f}")

@@ -31,7 +31,6 @@ from .shuffle import (
     iteration_moves,
     route_schedule,
     schedule_driven_decode,
-    simulate,
 )
 from .verify import PropertyReport, verify_class1, verify_class2
 from .cost import CostBreakdown, CostParams, render_report, savings

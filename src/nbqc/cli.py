@@ -75,19 +75,14 @@ def cmd_verify(args) -> int:
     spec, h, fld = _read_code(args.code)
     region = h.region
     if spec.code_class == CLASS_I:
-        report = verify_class1(
-            fld, region, spec.c, spec.n, region_rows=spec.gamma, region_cols=spec.rho
-        )
+        report = verify_class1(fld, region, spec.c, spec.n)
     else:
         indexing = None
         if spec.rho == spec.dim:  # row 0 holds the beta ordering, every n-th entry delta's
             indexing = SubgroupIndexing(
                 tuple(region[0, : spec.n].tolist()), tuple(region[0, :: spec.n].tolist())
             )
-        report = verify_class2(
-            fld, region, spec.c, spec.n, indexing,
-            region_rows=spec.gamma, region_cols=spec.rho,
-        )
+        report = verify_class2(fld, region, spec.c, spec.n, indexing)
     print(report.render())
     return 0 if report.all_passed else 1
 

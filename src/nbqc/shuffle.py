@@ -7,17 +7,19 @@ perm[g*(q-1) + j] = G[g]*(q-1) + (j - s) mod (q-1).  A Class-I move that
 advances `steps` block rows is a fixed wiring with G[g] = (g - steps) mod
 rho and s = steps*c; a Class-II move permutes whole CPM column groups by
 the XOR translation read off an n x n index table (s = 0), realizable on a
-Benes network of 2*log2(rho) - 1 crossbar stages.  A layer is a CPM block
-row: row r+1 of a CPM is row r shifted once, so moves within a block row
-carry no routing information.  Each move is one read-only intp array, a
-bijection by construction.  A routing report exists only when every
-Class-II move routed (`route_schedule` raises otherwise), which is why
-every line of it reads realized=yes.  The schedule-driven decoder walks
-one iteration of these moves before decoding and refuses a schedule
-unless every layer finds its columns at layer 0's fixed wiring.
-Moves repeat (a Class-II move takes one of log2(n) XOR offsets), so a
-report routes each distinct group map and renders each distinct move,
-keyed by its contents, once.
+Benes network of 2*log2(rho) - 1 crossbar stages.  A network's setting for
+one move is its LUT content: a (stages, rho/2) bool array with one control
+bit per 2x2 switch, checked by driving np.arange(rho) through it.  A layer
+is a CPM block row: row r+1 of a CPM is row r shifted once, so moves
+within a block row carry no routing information.  Each move is one
+read-only intp array, a bijection by construction.  A routing report
+exists only when every Class-II move routed (`route_schedule` raises
+otherwise), which is why every line of it reads realized=yes.  The
+schedule-driven decoder walks one iteration of these moves before decoding
+and refuses a schedule unless every layer finds its columns at layer 0's
+fixed wiring.  Moves repeat (a Class-II move takes one of log2(n) XOR
+offsets), so a report routes each distinct group map and renders each
+distinct move, keyed by its contents, once.
 """
 
 from __future__ import annotations
@@ -49,6 +51,17 @@ def _cycle_order(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rank, back = rank + rank[back], back[back]
     order = np.lexsort((rank, lead))
     return order, rank[order] == 0
+
+
+def _cycle_min(perm: np.ndarray) -> np.ndarray:
+    """Each position's cycle minimum, by the pointer doubling of
+    `_cycle_order`.  That keeps its own copy of the loop: routing it
+    through here raised the toolchain-m8 benchmark's peak RSS in most
+    runs."""
+    lead, jump = np.arange(perm.size), perm
+    while not np.array_equal(lead, nxt := np.minimum(lead, lead[jump])):
+        lead, jump = nxt, jump[jump]
+    return lead
 
 
 def build_index_matrix(n: int) -> np.ndarray:
@@ -106,18 +119,6 @@ def iteration_moves(spec: CodeSpec) -> list[tuple[int, int, np.ndarray]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BenesSettings:
-    """Recursive switch settings: a leaf crossbar or (in, out, upper, lower)."""
-
-    width: int
-    cross: bool | None = None
-    in_bits: tuple[bool, ...] | None = None
-    out_bits: tuple[bool, ...] | None = None
-    upper: "BenesSettings | None" = None
-    lower: "BenesSettings | None" = None
-
-
 class BenesNetwork:
     """Rearrangeable switching fabric of 2*log2(w) - 1 stages of 2x2
     crossbars; one control bit per switch per configured permutation."""
@@ -136,86 +137,58 @@ class BenesNetwork:
         log2w = self.width.bit_length() - 1
         return self.width * log2w - self.width // 2  # w*(log2(w) - 1/2)
 
-    def route(self, perm) -> BenesSettings:
-        """Switch settings realizing output[perm[a]] = input[a].
+    def route(self, perm) -> np.ndarray:
+        """Switch settings realizing output[perm[a]] = input[a], as a
+        read-only (num_stages, width/2) bool array, True where crossed.
 
-        Deterministic looping decomposition: each loop starts at the
-        lowest unassigned terminal and takes the upper subnetwork first.
+        Deterministic looping decomposition, one depth at a time: each
+        loop starts at the lowest unassigned terminal and takes the upper
+        sub-network first.  Row s is the input stage at depth s, row -1-s
+        its output stage and the middle row the 2x2 leaves; within a row,
+        switches go sub-network by sub-network, upper first.
         """
-        perm = list(perm)
-        if len(perm) != self.width or set(perm) != set(range(self.width)):
+        w, idx = self.width, np.arange(self.width)
+        perm = np.asarray(perm)
+        p = perm.astype(np.intp)
+        if p.shape != (w,) or not np.array_equal(np.sort(p), idx):
             raise ValueError("permutation is not a bijection of the network width")
-        settings = _route(perm)
-        if simulate(settings, list(range(self.width))) != _dest_order(perm):
+        bits = np.empty((self.num_stages, w // 2), dtype=bool)
+        for s in range(self.num_stages // 2):
+            size = w >> s  # of each sub-network at depth s
+            inv = np.empty_like(p)
+            inv[p] = idx
+            # a loop's upper terminals are the cycle of its lowest one under
+            # a -> partner of the source feeding a's partnered output; its
+            # lower ones, their partners, form a cycle with a higher minimum
+            lead = _cycle_min(inv[p ^ 1] ^ 1)
+            lower = lead > lead[idx ^ 1]
+            bits[s], bits[-1 - s] = lower[0::2], lower[inv[0::2]]
+            base = idx - idx % size + lower * (size // 2)
+            p[base + idx % size // 2] = base + p % size // 2
+        bits[self.num_stages // 2] = p[0::2] & 1
+        if not np.array_equal(apply(bits, idx)[perm], idx):
             raise AssertionError("routed settings do not realize the permutation")
-        return settings
+        bits.flags.writeable = False
+        return bits
 
 
-def _dest_order(perm: list[int]) -> list[int]:
-    out = [0] * len(perm)
-    for src, dst in enumerate(perm):
-        out[dst] = src
-    return out
-
-
-def _route(perm: list[int]) -> BenesSettings:
-    w = len(perm)
-    if w == 2:
-        return BenesSettings(width=2, cross=perm[0] == 1)
-    inv = _dest_order(perm)
-    subnet = [-1] * w  # input-terminal subnetwork choice (0 = upper)
-    out_subnet = [-1] * w
-    for start in range(w):
-        if subnet[start] != -1:
-            continue
-        a, s = start, 0  # upper preference for the loop seed
-        while subnet[a] == -1:
-            subnet[a] = s
-            b = perm[a]
-            out_subnet[b] = s
-            out_subnet[b ^ 1] = 1 - s
-            aa = inv[b ^ 1]  # source feeding the partnered output
-            subnet[aa] = 1 - s
-            a = aa ^ 1
-    in_bits = tuple(subnet[2 * k] == 1 for k in range(w // 2))
-    out_bits = tuple(out_subnet[2 * k] == 1 for k in range(w // 2))
-    perm_u = [0] * (w // 2)
-    perm_l = [0] * (w // 2)
-    for a in range(w):
-        sub = perm_u if subnet[a] == 0 else perm_l
-        sub[a >> 1] = perm[a] >> 1
-    return BenesSettings(
-        width=w,
-        in_bits=in_bits,
-        out_bits=out_bits,
-        upper=_route(perm_u),
-        lower=_route(perm_l),
-    )
-
-
-def simulate(settings: BenesSettings, inputs: list) -> list:
-    """Drive tokens through the configured switches."""
-    w = settings.width
-    if len(inputs) != w:
-        raise ValueError("input width mismatch")
-    if w == 2:
-        return [inputs[1], inputs[0]] if settings.cross else list(inputs)
-    upper_in, lower_in = [], []
-    for k in range(w // 2):
-        a, b = inputs[2 * k], inputs[2 * k + 1]
-        if settings.in_bits[k]:
-            a, b = b, a
-        upper_in.append(a)
-        lower_in.append(b)
-    upper_out = simulate(settings.upper, upper_in)
-    lower_out = simulate(settings.lower, lower_in)
-    out = []
-    for k in range(w // 2):
-        a, b = upper_out[k], lower_out[k]
-        if settings.out_bits[k]:
-            a, b = b, a
-        out.extend((a, b))
-    return out
+def apply(bits: np.ndarray, x) -> np.ndarray:
+    """Drive x through the switches set by `bits` (as from
+    `BenesNetwork.route`): an input stage swaps its crossed pairs, then
+    sends each sub-network's even terminals to its upper half and odd ones
+    to its lower half; an output stage interleaves the halves back, then
+    swaps its crossed pairs."""
+    stages, w = bits.shape[0], 2 * bits.shape[1]
+    x = np.array(x)
+    for s, row in enumerate(bits):
+        half = w >> min(s, stages - 1 - s) + 1
+        if s > stages // 2:
+            x = x.reshape(-1, 2, half).transpose(0, 2, 1).ravel()
+        pairs = x.reshape(-1, 2)
+        pairs[row] = pairs[row, ::-1]
+        if s < stages // 2:
+            x = x.reshape(-1, half, 2).transpose(0, 2, 1).ravel()
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +265,13 @@ def schedule_driven_decode(
     (F, columns, q) stack, as in `decode`.
 
     Before any layer is decoded, one walk over `route_schedule`'s moves
-    (Class-II moves routed on the Benes network, which checks its token
-    flow) tracks the physical position of every column.  Each layer must
-    find its columns at the wiring fixed from layer 0's nonzero pattern,
-    or the schedule is refused.  Positions depend only on the schedule and
-    one iteration's moves compose to the identity, so the posteriors are
-    then those of the direct decoder, bit for bit.
+    (Class-II moves routed on the Benes network, whose switch bits are
+    checked against each group map) tracks the physical position of every
+    column.  Each layer must find its columns at the wiring fixed from
+    layer 0's nonzero pattern, or the schedule is refused.  Positions
+    depend only on the schedule and one iteration's moves compose to the
+    identity, so the posteriors are then those of the direct decoder, bit
+    for bit.
     """
     schedule = build_layer_schedule(h)
     wired = np.sort(schedule.cols[0], axis=1)

@@ -3,9 +3,9 @@
 Every check returns a CheckResult with the first counterexample found (if
 any).  Checks are formulated on the untruncated base matrix W; truncation
 destroys the wrap-around that the block-level shift identities rely on, so
-when only a gamma x rho region of W is available (e.g. read from
-a code file) the wrapped comparisons are skipped and the recorded scope
-says so.
+a matrix smaller than W is read as its top-left region (e.g. the gamma x
+rho region of a code file): the wrapped comparisons are skipped and the
+recorded scope says so.
 """
 
 from __future__ import annotations
@@ -55,18 +55,16 @@ def _scope(region_rows: int, region_cols: int, dim: int) -> str:
     return f"top-left {region_rows}x{region_cols} region of {dim}x{dim} base matrix"
 
 
-def _compare(
-    check_id, w, c, n, region_rows, region_cols, partner, act=None, wrapped=None, values=True
-) -> CheckResult:
+def _compare(check_id, w, c, n, partner, act=None, wrapped=None, values=True) -> CheckResult:
     """Compare entry (i*n + k, j*n + l) of every block (i, j) and offset
     (k, l) with the entry at partner(i, j, k, l), mapped by `act` if
-    given, all at once.  Pairs that leave the region are skipped, and so
-    are pairs marked by wrapped(i, j) unless the full matrix is given.  The
-    counterexample is the first mismatch in (i, j, k, l) order:
-    ((i, j), (k, l)), then both entries if `values`."""
+    given, all at once.  w is the top-left region of the c*n x c*n base
+    matrix: pairs that leave it are skipped, and so are pairs marked by
+    wrapped(i, j) unless w is the full matrix.  The counterexample is the
+    first mismatch in (i, j, k, l) order: ((i, j), (k, l)), then both
+    entries if `values`."""
     ent, dim = np.asarray(w), c * n
-    rr = dim if region_rows is None else region_rows
-    rc = dim if region_cols is None else region_cols
+    rr, rc = ent.shape
     i, j, k, l = np.indices((c, c, n, n))
     (r1, c1), (r2, c2) = (i * n + k, j * n + l), partner(i, j, k, l)
     keep = (np.maximum(r1, r2) < rr) & (np.maximum(c1, c2) < rc)
@@ -83,37 +81,25 @@ def _compare(
     return CheckResult(check_id, _scope(rr, rc, dim), False, cex)
 
 
-def check_class1_block_shift(
-    w, c: int, n: int, region_rows: int | None = None, region_cols: int | None = None
-) -> CheckResult:
+def check_class1_block_shift(w, c: int, n: int) -> CheckResult:
     """Each n x n block equals its upper-left cyclic neighbor."""
     return _compare(
-        "block_shift", w, c, n, region_rows, region_cols,
+        "block_shift", w, c, n,
         lambda i, j, k, l: ((i - 1) % c * n + k, (j - 1) % c * n + l),
         wrapped=lambda i, j: ((i - 1) % c > i) | ((j - 1) % c > j),
     )
 
 
-def check_class1_inner_shift(
-    w,
-    c: int,
-    n: int,
-    fld: GF2m,
-    beta_elt: int,
-    region_rows: int | None = None,
-    region_cols: int | None = None,
-) -> CheckResult:
+def check_class1_inner_shift(w, c: int, n: int, fld: GF2m, beta_elt: int) -> CheckResult:
     """Within each block, entry (k,l) = beta * entry((k-1) mod n, (l-1) mod n)."""
     return _compare(
-        "inner_shift", w, c, n, region_rows, region_cols,
+        "inner_shift", w, c, n,
         lambda i, j, k, l: (i * n + (k - 1) % n, j * n + (l - 1) % n),
         act=lambda b: fld.mul_table[beta_elt, b],
     )
 
 
-def check_class2_symmetries(
-    w, c: int, n: int, region_rows: int | None = None, region_cols: int | None = None
-) -> list[CheckResult]:
+def check_class2_symmetries(w, c: int, n: int) -> list[CheckResult]:
     """Diagonal and anti-diagonal symmetry at block and within-block level."""
     partners = {
         "block_sym_diag": lambda i, j, k, l: (j * n + k, i * n + l),
@@ -122,7 +108,7 @@ def check_class2_symmetries(
         "entry_sym_antidiag": lambda i, j, k, l: (i * n + (n - l - 1), j * n + (n - k - 1)),
     }
     return [
-        _compare(check_id, w, c, n, region_rows, region_cols, partner, values=False)
+        _compare(check_id, w, c, n, partner, values=False)
         for check_id, partner in partners.items()
     ]
 
@@ -138,20 +124,10 @@ def check_subgroup_symmetry(indexing: SubgroupIndexing) -> list[CheckResult]:
     return results
 
 
-def verify_class1(
-    fld: GF2m,
-    w,
-    c: int,
-    n: int,
-    region_rows: int | None = None,
-    region_cols: int | None = None,
-) -> PropertyReport:
-    beta_elt = fld.pow_alpha(c)
+def verify_class1(fld: GF2m, w, c: int, n: int) -> PropertyReport:
     report = PropertyReport()
-    report.checks.append(check_class1_block_shift(w, c, n, region_rows, region_cols))
-    report.checks.append(
-        check_class1_inner_shift(w, c, n, fld, beta_elt, region_rows, region_cols)
-    )
+    report.checks.append(check_class1_block_shift(w, c, n))
+    report.checks.append(check_class1_inner_shift(w, c, n, fld, fld.pow_alpha(c)))
     return report
 
 
@@ -161,11 +137,9 @@ def verify_class2(
     c: int,
     n: int,
     indexing: SubgroupIndexing | None = None,
-    region_rows: int | None = None,
-    region_cols: int | None = None,
 ) -> PropertyReport:
     report = PropertyReport()
-    report.checks.extend(check_class2_symmetries(w, c, n, region_rows, region_cols))
+    report.checks.extend(check_class2_symmetries(w, c, n))
     if indexing is not None:
         report.checks.extend(check_subgroup_symmetry(indexing))
     report.notes.append(

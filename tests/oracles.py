@@ -61,9 +61,3 @@ def per_category_ratios(a, b) -> dict[str, float | None]:
         out[cat] = None if va is None or vb is None or vb == 0 else va / vb
     return out
 
-
-def benes_switches(settings) -> int:
-    """2x2 crossbars in a routed Benes settings tree, counted node by node."""
-    if settings.width == 2:
-        return 1
-    return settings.width + benes_switches(settings.upper) + benes_switches(settings.lower)

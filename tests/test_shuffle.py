@@ -15,15 +15,13 @@ from nbqc.gf import GF2m
 from nbqc.shuffle import (
     BenesNetwork,
     RoutingReport,
-    _dest_order,
+    apply,
     build_index_matrix,
     iteration_moves,
     route_schedule,
     schedule_driven_decode,
-    simulate,
     transition_permutation,
 )
-from oracles import benes_switches
 
 SPEC_CLASS1 = CodeSpec.class1(2, 1, 3, gamma=2, rho=3)  # 4-ary (9, 3)
 SPEC_CLASS2 = CodeSpec.class2(2, 1, gamma=2, rho=4)  # 4-ary (12, 6)
@@ -159,16 +157,58 @@ def test_iteration_moves_compose_to_identity(spec):
 # ---------------------------------------------------------------------------
 
 
+def assert_realizes(net, perm, bits):
+    assert bits.dtype == np.bool_ and not bits.flags.writeable
+    assert bits.shape == (net.num_stages, net.width // 2) and bits.size == net.num_switches
+    assert np.array_equal(apply(bits, np.arange(net.width))[list(perm)], np.arange(net.width))
+
+
 @pytest.mark.parametrize("width", [2, 4, 8, 16, 32, 64])
 def test_benes_routes_random_permutations(width):
     net = BenesNetwork(width)
     rng = np.random.default_rng(width)
     for _ in range(100):
         perm = list(rng.permutation(width))
-        settings_tree = net.route(perm)
-        out = simulate(settings_tree, list(range(width)))
-        assert out == _dest_order(perm)
-        assert benes_switches(settings_tree) == net.num_switches
+        assert_realizes(net, perm, net.route(perm))
+
+
+# sha256 of the switch bits of 100 permutations from default_rng(width),
+# recorded from the recursive settings tree the array replaced, flattened
+# into the same (stages, width/2) layout
+BENES_BITS_SHA256 = {
+    2: "f8984910a774c852260f883439eec5e3782eaefafa9e73139d76f27488382e6f",
+    4: "b078137772fa8a9ec371c569af40058715c957da9a45bd770e63253bdc9d02ec",
+    8: "1cb6d9146dce8944605dde8617ecceda1719c39138d2ea33409bf18125078006",
+    16: "b47f8ac11e1d092275f1a67aa42eb6b1b049f21d09674143e70833d06bad4483",
+    32: "6e6841315209610e27758cd0cddae4fdc5ec4aea4cef42aa44dcb18901e533f7",
+    64: "2a240d6bd0c07bd7d153ab007fff61c84cfb37872a0d8d9bfde2a09b52d7c361",
+    256: "8d0a519f11bf15bbffb7246ca6e9e1de500f296747677d1396a281a2da4f9483",
+}
+
+
+@pytest.mark.parametrize("width", sorted(BENES_BITS_SHA256))
+def test_benes_bits_pinned(width):
+    net = BenesNetwork(width)
+    rng = np.random.default_rng(width)
+    digest = hashlib.sha256()
+    for _ in range(100):
+        digest.update(net.route(list(rng.permutation(width))).tobytes())
+    assert digest.hexdigest() == BENES_BITS_SHA256[width]
+
+
+def test_benes_bits_pinned_q32_group_maps():
+    # the distinct group maps of the 32-ary (992, 496) Class-II code, pinned
+    # as above
+    spec = CodeSpec.class2(5, 4, gamma=16, rho=32)
+    qm1 = spec.q - 1
+    maps = dict.fromkeys(tuple((perm[::qm1] // qm1).tolist()) for _, _, perm in iteration_moves(spec))
+    assert len(maps) == 4
+    net, digest = BenesNetwork(32), hashlib.sha256()
+    for group_map in maps:
+        bits = net.route(group_map)
+        assert_realizes(net, group_map, bits)
+        digest.update(bits.tobytes())
+    assert digest.hexdigest() == "d757cba2fe090f8e639c3cc4aca575e4a889fab59ad417848afd1fd6c8b89ee9"
 
 
 def test_benes_counts():
@@ -192,8 +232,8 @@ def test_benes_rejects_bad_permutation():
 @given(st.permutations(list(range(16))))
 @settings(max_examples=60, deadline=None)
 def test_benes_property(perm):
-    out = simulate(BenesNetwork(16).route(list(perm)), list(range(16)))
-    assert out == _dest_order(list(perm))
+    net = BenesNetwork(16)
+    assert_realizes(net, perm, net.route(list(perm)))
 
 
 def test_unified_class1_pads_to_power_of_two():
@@ -201,8 +241,7 @@ def test_unified_class1_pads_to_power_of_two():
     group_map = [(i - 1) % 20 for i in range(20)] + list(range(20, 32))
     net = BenesNetwork(32)
     assert (net.width, net.num_stages, net.num_switches) == (32, 9, 144)
-    out = simulate(net.route(group_map), list(range(32)))
-    assert out == _dest_order(group_map)
+    assert_realizes(net, group_map, net.route(group_map))
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def test_cpm_shift_all_elements(m):
 def test_truncated_region_checks_skip_wrap():
     spec = CodeSpec.class1(4, 3, 5, gamma=4, rho=7)
     h, w, _, fld = build_code(spec)
-    report = verify_class1(fld, h.region, 3, 5, region_rows=4, region_cols=7)
+    report = verify_class1(fld, h.region, 3, 5)
     assert report.all_passed, report.render()
     assert "region" in report.checks[0].scope
 
@@ -76,7 +76,7 @@ def test_truncated_region_checks_skip_wrap():
 def test_truncated_class2_region_passes():
     spec = CodeSpec.class2(3, 1, gamma=3, rho=5)
     h, w, _, fld = build_code(spec)
-    report = verify_class2(fld, h.region, 4, 2, region_rows=3, region_cols=5)
+    report = verify_class2(fld, h.region, 4, 2)
     assert report.all_passed, report.render()
 
 
@@ -145,7 +145,7 @@ def test_randomized_ordering_breaks_entry_symmetry():
 def test_block_shift_region_arguments():
     fld = GF2m(4)
     w, _ = build_base_class1(fld, 3, 5)
-    res = check_class1_block_shift(w, 3, 5, region_rows=6, region_cols=10)
+    res = check_class1_block_shift(w[:6, :10], 3, 5)
     assert res.passed
     assert "6x10" in res.scope
 
@@ -197,7 +197,8 @@ def test_counterexamples_pinned(case):
         (w, _), c, n, verify = build_base_class2(fld, 2), 4, 4, verify_class2
     ent = w.copy()
     ent[pos] ^= 3
-    rows, cols = region or (None, None)
-    report = verify(fld, ent, c, n, region_rows=rows, region_cols=cols)
+    if region:
+        ent = ent[: region[0], : region[1]]
+    report = verify(fld, ent, c, n)
     got = [(r.check_id, r.counterexample) for r in report.checks]
     assert repr(got) == repr(COUNTEREXAMPLES[case])  # plain ints, as FAIL lines print them
