@@ -255,6 +255,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config(argv)
+        for i in range(len(argv) - 1, 0, -1):  # argparse takes "-1,0" for a flag unless joined
+            if argv[i - 1] == "--snr-list" and argv[i][:1] == "-":
+                argv[i - 1 : i + 1] = [f"--snr-list={argv[i]}"]
         args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:

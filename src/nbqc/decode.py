@@ -15,9 +15,10 @@ through the field's multiply table; a layer update applies them inside
 its gather of the posteriors and its scatter of the new ones, and keeps
 its check messages in the permuted, zero-sum domain.  The check node
 combines the min-max kernel C(a) = min over b+c=a of max(A(b), B(c))
-forward and backward for every row of a chunk at once.  Min and max select
-values without rounding, so each frame gets the same floats as when
-decoded alone, one row at a time.  With a (b_q, b_f) quantizer every
+forward and backward for every row of a chunk at once, with the chunk
+transposed so that the q entries lead and the rows run innermost.  Min and
+max select values without rounding, so each frame gets the same floats as
+when decoded alone, one row at a time.  With a (b_q, b_f) quantizer every
 check-node input is k * 2^-b_f for an integer 0 <= k < 2^b_q, so the check
 node runs exactly on the codes k as uint8 (b_q <= 8) or uint16 values.
 """
@@ -111,27 +112,33 @@ def build_layer_schedule(h: ParityCheck, partition: str = LAYER_I) -> LayerSched
     return LayerSchedule(tuple(layer_cols), tuple(layer_labels))
 
 
-def channel_reliability(
-    tx_symbols, sigma: float, fld: GF2m, rng: np.random.Generator
-) -> np.ndarray:
+def channel_reliability(tx_symbols, sigma, fld: GF2m, rng) -> np.ndarray:
     """BPSK-modulate each symbol's m bits, add AWGN, build reliabilities.
 
     L_v(a) = sum over bits of |LLR_i| where bit i of a disagrees with the
     hard decision; normalized so the hard-decision symbol scores 0.
     Returns one row per symbol; the noise is drawn symbol by symbol, bit 0
-    first.
+    first.  Given a sequence of F noise stds and one generator for each,
+    returns the (F, symbols, q) stack of F frames of the same symbols,
+    frame f drawing its noise from rng[f].
     """
-    if not (np.isfinite(sigma) and sigma > 0):
+    sigma = np.asarray(sigma, dtype=float)
+    if not (np.isfinite(sigma).all() and (sigma > 0).all()):
         raise ValueError(f"noise std must be positive and finite, got {sigma}")
+    stacked = sigma.ndim == 1
     shifts = np.arange(fld.m)
     tx = np.asarray(tx_symbols, dtype=int)
     # bit_table[a, i] = bit i of symbol a
     bit_table = (np.arange(fld.q)[:, None] >> shifts) & 1
     bits = (tx[:, None] >> shifts) & 1
-    y = (1.0 - 2.0 * bits) + sigma * rng.standard_normal(bits.shape)
-    mag = np.abs(2.0 * y / sigma**2)
-    vec = ((bit_table != (y < 0)[:, None, :]) * mag[:, None, :]).sum(axis=2)
-    return normalize(vec)
+    noise = np.stack([r.standard_normal(bits.shape) for r in (rng if stacked else [rng])])
+    sigma = sigma.reshape(-1, 1, 1)
+    # each float squared on its own: np.square rounds some last bits differently
+    var = np.reshape([s**2 for s in sigma.ravel().tolist()], sigma.shape)
+    y = (1.0 - 2.0 * bits) + sigma * noise
+    mag = np.abs(2.0 * y / var)
+    vec = normalize(((bit_table != (y < 0)[..., None, :]) * mag[..., None, :]).sum(axis=-1))
+    return vec if stacked else vec[0]
 
 
 def hard_channel(tx_symbols, fld: GF2m, penalty: float = HARD_PENALTY) -> np.ndarray:
@@ -150,34 +157,23 @@ def _xor_table(q: int) -> np.ndarray:
 
 
 def _minmax_kernel(a: np.ndarray, b: np.ndarray, ws=None, out=None) -> np.ndarray:
-    """C[..., x] = min over y of max(a[..., y], b[..., x XOR y]) for stacked
-    messages of any dtype; XOR is GF(2^m) addition.  `ws` is scratch space
-    of at least a.nbytes * q bytes; the result goes to `out` if given.
+    """C[x, ...] = min over y of max(a[y, ...], b[x XOR y, ...]) for messages
+    of any dtype with their q entries on axis 0 and any stack of them on the
+    trailing axes; XOR is GF(2^m) addition.  `ws` is scratch space of at
+    least a.nbytes * q bytes; the result goes to `out` if given.
 
-    ws[..., y, x] = b[..., x ^ y] takes two gathers where a lane of entries
-    fills an 8-byte word (8 uint8 codes, one float64): with y = yh * lane +
-    yl, a (lane, q) gather over yl permutes within words and a gather of
-    whole words moves them by yh, in (yl, yh) order, as `a` is read.  The
-    min over y halves the candidates log2(q) times, which selects the same
-    value as one reduction, in any order."""
-    lead, q = a.shape[:-1], a.shape[-1]
-    lane, n = min(q, 8 // a.itemsize), a.size * q
+    One gather of whole runs of trailing entries builds ws[y, x, ...] =
+    b[x ^ y, ...]; `a` broadcasts over its x axis.  The min over y halves
+    the candidates log2(q) times, each over two contiguous halves, which
+    selects the same value as one reduction, in any order."""
+    q, n = len(a), a.size * len(a)
     ws = np.empty(n, a.dtype) if ws is None else ws.view(a.dtype)[:n]
-    ws = ws.reshape(lead + (lane, q // lane, q))
-    if lane > 1:
-        words = np.dtype(f"u{lane * a.itemsize}")
-        b = b.take(_xor_table(q)[:lane], axis=-1).view(words)  # b[..., yl, x] = b[..., x ^ yl]
-        b.take(_xor_table(q // lane), axis=-1, out=ws.view(words), mode="clip")
-        a = a.reshape(lead + (q // lane, lane)).swapaxes(-1, -2)  # a[..., yl, yh]
-    else:
-        b.take(_xor_table(q), axis=-1, out=ws[..., 0, :, :], mode="clip")
-        a = a[..., None, :]
-    np.maximum(ws, a[..., None], out=ws)
-    ws = ws.reshape(lead + (q, q))
+    ws = b.take(_xor_table(q), axis=0, out=ws.reshape((q,) + a.shape), mode="clip")
+    np.maximum(ws, a[:, None], out=ws)
     while q > 2:
         q //= 2
-        np.minimum(ws[..., :q, :], ws[..., q : 2 * q, :], out=ws[..., :q, :])
-    return np.minimum(ws[..., 0, :], ws[..., 1, :], out=out)
+        np.minimum(ws[:q], ws[q : 2 * q], out=ws[:q])
+    return np.minimum(ws[0], ws[1], out=out)
 
 
 def check_node_min_max(inputs, ws=None):
@@ -189,31 +185,34 @@ def check_node_min_max(inputs, ws=None):
     min-max combination of all inputs except i, re-normalized to min 0.
     Unsigned integer inputs (quantizer codes) stay in their dtype, any
     other input runs as float64.  `ws` is scratch space of any dtype, of
-    at least 2 * B * q^2 entries of the inputs' dtype.
+    at least 2 * B * q^2 entries of the inputs' dtype.  The rows run
+    transposed to (q, d, B), so each kernel step works on whole runs of
+    rows; the outputs are a (B, d, q) view of that layout.
     """
     x = np.asarray(inputs)
     x = x if x.dtype.kind == "u" else np.asarray(x, dtype=float)
     stacked = x.ndim == 3
-    x = x if stacked else x[None]
-    rows, d, q = x.shape
+    x = (x if stacked else x[None]).T  # (q, d, B)
+    q, d, rows = x.shape
     if d < 2:
         raise ValueError(f"check degree must be >= 2, got {d}")
     if ws is None:
         ws = np.empty(2 * rows * q * q, x.dtype)
-    out = np.empty_like(x)
-    # chain[:, 0, k] combines inputs 0..k, chain[:, 1, k] inputs d-1-k..d-1
-    ends = np.stack([x, x[:, ::-1]], axis=1)
-    chain = np.empty((rows, 2, d - 1, q), x.dtype)
-    chain[:, :, 0] = ends[:, :, 0]
+    out = np.empty_like(x, order="C")
+    # chain[:, k, 0] combines inputs 0..k, chain[:, k, 1] inputs d-1-k..d-1
+    ends = np.stack([x, x[:, ::-1]], axis=2)
+    chain = np.empty((q, d - 1, 2, rows), x.dtype)
+    chain[:, 0] = ends[:, 0]
     for k in range(1, d - 1):
-        _minmax_kernel(chain[:, :, k - 1], ends[:, :, k], ws, chain[:, :, k])
-    fwd, bwd = chain[:, 0], chain[:, 1, ::-1]  # bwd[:, i] combines inputs i+1..d-1
+        _minmax_kernel(chain[:, k - 1], ends[:, k], ws, chain[:, k])
+    fwd, bwd = chain[:, :, 0], chain[:, ::-1, 1]  # bwd[:, i] combines inputs i+1..d-1
     out[:, 0], out[:, d - 1] = bwd[:, 0], fwd[:, d - 2]
     width = max(1, ws.nbytes // (rows * q * q * x.itemsize))
     for i in range(1, d - 1, width):
         j = min(i + width, d - 1)
         _minmax_kernel(fwd[:, i - 1 : j - 1], bwd[:, i:j], ws, out[:, i:j])
-    out = normalize(out)
+    # a new array: in place left perfbench's m8 CLI calls a slower heap (CHANGES.md)
+    out = np.subtract(out, out.min(axis=0)).T
     return out if stacked else list(out[0])
 
 
@@ -360,12 +359,9 @@ def _decode_frames(frames, code=None) -> np.ndarray:
     pool worker the code and config come from `_init_worker`."""
     h, schedule, fld, config = code or _worker_code
     tx = np.zeros(h.cols, dtype=int)  # all-zero codeword
-    channels = [
-        channel_reliability(tx, sigma, fld, np.random.default_rng(
-            np.random.SeedSequence(config.rng_seed, spawn_key=key)))
-        for sigma, key in frames
-    ]
-    results = decode(h, schedule, np.stack(channels), fld, config)
+    sigmas, keys = zip(*frames)
+    rngs = [np.random.default_rng(np.random.SeedSequence(config.rng_seed, spawn_key=k)) for k in keys]
+    results = decode(h, schedule, channel_reliability(tx, sigmas, fld, rngs), fld, config)
     symbols = np.stack([r.symbols for r in results])
     sym_err = np.count_nonzero(symbols, axis=1)
     bit_err = ((symbols[..., None] >> np.arange(fld.m)) & 1).sum(axis=(1, 2))

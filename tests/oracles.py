@@ -28,6 +28,15 @@ def permute_message(msg: np.ndarray, h, direction: str, fld) -> np.ndarray:
     return np.take_along_axis(msg, np.broadcast_to(fld.mul_table[h], msg.shape), axis=-1)
 
 
+def minmax_kernel_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Min-max kernel from its full table, the reference for the decoder's
+    halving kernel: C[x, ...] = min over y of max(a[y, ...], b[x ^ y, ...])
+    for messages with their q entries on axis 0."""
+    q = len(a)
+    xor = np.bitwise_xor.outer(np.arange(q), np.arange(q))
+    return np.maximum(a[:, None], b[xor]).min(axis=0)
+
+
 def check_node_brute_force(inputs: list[np.ndarray]) -> list[np.ndarray]:
     """Direct enumeration of all satisfying configurations (oracle)."""
     d = len(inputs)

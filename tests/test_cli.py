@@ -180,6 +180,17 @@ def test_simulate_rejects_bad_snr_list(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("snrs", ["-1,0", "-0.5"])
+def test_simulate_takes_negative_snr_list(capsys, tmp_path, snrs):
+    # a value that starts with '-' reads the same as when joined with '='
+    path = construct_class2(capsys, tmp_path)
+    flags = ["simulate", "--code", path, "--trials", "3", "--max-iter", "2"]
+    code, out, err = run(capsys, *flags, "--snr-list", snrs)
+    assert code == 0, err
+    assert out == run(capsys, *flags, f"--snr-list={snrs}")[1]
+    assert len(out.splitlines()) == 1 + len(snrs.split(","))
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

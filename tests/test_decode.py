@@ -26,7 +26,7 @@ from nbqc.decode import (
     update_layer,
 )
 from nbqc.gf import GF2m
-from oracles import BACKWARD, FORWARD, check_node_brute_force, permute_message
+from oracles import BACKWARD, FORWARD, check_node_brute_force, minmax_kernel_table, permute_message
 
 
 def check_node_brute_force_loop(inputs):
@@ -152,9 +152,41 @@ def test_minmax_kernel_frozen_example():
     a = np.array([0.0, 1.0, 2.0, 3.0])
     b = np.array([0.0, 3.0, 1.0, 2.0])
     assert list(_minmax_kernel(a, b)) == [0.0, 1.0, 1.0, 1.0]
-    # the same messages as uint8 codes: all of a row is one 4-byte word
+    # the same messages as uint8 codes run the same gather, in their dtype
     codes = _minmax_kernel(a.astype(np.uint8), b.astype(np.uint8))
     assert codes.dtype == np.uint8 and list(codes) == [0, 1, 1, 1]
+
+
+@given(
+    st.sampled_from([2, 4, 8, 16, 32, 64, 128, 256]),
+    st.sampled_from([np.float64, np.uint8, np.uint16]),
+    st.sampled_from([(), (3,), (2, 3)]),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_minmax_kernel_matches_table(q, dtype, trail, strided, out_view, use_ws, seed):
+    rng = np.random.default_rng(seed)
+    top = 2 ** (8 * np.dtype(dtype).itemsize) - 1 if np.dtype(dtype).kind == "u" else 40
+    # few distinct values, so that ties are common
+    pool = rng.integers(0, top, 5, endpoint=True)
+    ab = rng.choice(pool, (q, 2) + trail).astype(dtype)
+    if dtype == np.float64:
+        ab *= rng.random()
+    # a and b are every other entry of the stack, like the check node's chain[:, k]
+    a, b = (ab[:, 0], ab[:, 1]) if strided else (ab[:, 0].copy(), ab[:, 1].copy())
+    before = ab.copy()
+    want = minmax_kernel_table(a, b)
+    ws = np.empty(a.nbytes * q // 8 + 1) if use_ws else None  # float64, whatever the dtype
+    out = np.empty((q, 2) + trail, dtype)[:, 1] if out_view else None
+    got = _minmax_kernel(a, b, ws, out)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(ab, before)
+    if out_view:
+        assert np.shares_memory(got, out)
 
 
 def test_check_node_degree2_passthrough():
@@ -257,6 +289,26 @@ def test_check_node_on_codes_matches_float(q, d, b_q, b_f, rows, seed):
     out = check_node_min_max(codes)
     assert out.dtype == codes.dtype
     assert np.array_equal(out * step, check_node_min_max(codes * step))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+def test_check_node_leaves_inputs_and_ignores_layout(dtype):
+    rng = np.random.default_rng(12)
+    stack = rng.integers(0, 20, (5, 4, 16)).astype(dtype)
+    kept = stack.copy()
+    want = check_node_min_max(stack)
+    assert np.array_equal(stack, kept)
+    spread = np.zeros((5, 8, 32), dtype)
+    spread[:, ::2, ::2] = stack
+    views = [spread[:, ::2, ::2], np.asfortranarray(stack), stack[::-1].copy()[::-1]]
+    for view in views:
+        assert not view.flags.c_contiguous
+        assert np.array_equal(check_node_min_max(view), want)
+        assert np.array_equal(view, kept)
+    msgs = [m.copy() for m in stack[0]]
+    for got, w in zip(check_node_min_max(msgs), want[0]):
+        assert np.array_equal(got, w)
+    assert all(np.array_equal(m, s) for m, s in zip(msgs, stack[0]))
 
 
 def test_check_node_workspace_size_does_not_change_result():
