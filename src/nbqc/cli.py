@@ -11,14 +11,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import codefile
 from .cost import CATEGORIES, VARIANTS, CostParams, cost as cost_breakdown, render_report, savings
-from .construct import CLASS_I, CLASS_II, CodeSpec, SubgroupIndexing, build_code
+from .construct import CLASS_I, CodeSpec, build_code
 from .decode import DecoderConfig, SimResultRow, build_layer_schedule, run_monte_carlo
 from .shuffle import iteration_moves, route_schedule
-from .verify import PropertyReport, verify_class1, verify_class2
+from .verify import verify_class1, verify_class2
 
 
 class CliError(Exception):
@@ -73,16 +71,8 @@ def _read_code(path: str):
 
 def cmd_verify(args) -> int:
     spec, h, fld = _read_code(args.code)
-    region = h.region
-    if spec.code_class == CLASS_I:
-        report = verify_class1(fld, region, spec.c, spec.n)
-    else:
-        indexing = None
-        if spec.rho == spec.dim:  # row 0 holds the beta ordering, every n-th entry delta's
-            indexing = SubgroupIndexing(
-                tuple(region[0, : spec.n].tolist()), tuple(region[0, :: spec.n].tolist())
-            )
-        report = verify_class2(fld, region, spec.c, spec.n, indexing)
+    verify = verify_class1 if spec.code_class == CLASS_I else verify_class2
+    report = verify(fld, h.region, spec.c, spec.n)
     print(report.render())
     return 0 if report.all_passed else 1
 
@@ -101,11 +91,9 @@ def cmd_simulate(args) -> int:
     spec, h, fld = _read_code(args.code)
     schedule = build_layer_schedule(h)
     try:
-        snrs = [float(s) for s in args.snr_list.split(",") if s.strip()]
+        snrs = [float(s) for s in args.snr_list.split(",")]  # an empty entry raises too
     except ValueError:
         raise CliError(f"bad --snr-list value {args.snr_list!r}", 1)
-    if not snrs:
-        raise CliError("empty SNR list", 1)
     config = DecoderConfig(
         max_iter=args.max_iter, quant=_parse_quant(args.quant), rng_seed=args.seed
     )
@@ -256,7 +244,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config(argv)
         for i in range(len(argv) - 1, 0, -1):  # argparse takes "-1,0" for a flag unless joined
-            if argv[i - 1] == "--snr-list" and argv[i][:1] == "-":
+            flag = argv[i - 1]  # --snr-list or its unique prefixes, down to --sn
+            if len(flag) > 3 and "--snr-list".startswith(flag) and argv[i][:1] == "-":
                 argv[i - 1 : i + 1] = [f"--snr-list={argv[i]}"]
         args = build_parser().parse_args(argv)
         return args.func(args)

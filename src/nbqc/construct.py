@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .gf import GF2m, DEFAULT_PRIMITIVE_POLY
+from .gf import GF2m
 
 CLASS_I = 1
 CLASS_II = 2
@@ -134,10 +134,6 @@ class ParityCheck:
     def num_block_rows(self) -> int:
         return self.region.shape[0]
 
-    @property
-    def num_block_cols(self) -> int:
-        return self.region.shape[1]
-
     def nnz(self) -> int:
         return int(self.degree.sum())
 
@@ -163,8 +159,8 @@ def cpm(fld: GF2m, d) -> tuple[np.ndarray, np.ndarray]:
     bad = (d < 0) | (d >= fld.q)
     if bad.any():
         raise ValueError(f"{d[bad][0]} is not an element of GF({fld.q})")
-    values = fld.mul_table[d[..., None], np.array(fld.antilog_table)]
-    return np.array(fld.log_table)[values], values
+    values = fld.mul_table[d[..., None], fld.antilog_table]
+    return fld.log_table[values], values
 
 
 def index_subgroup(fld: GF2m, basis_powers: list[int]) -> tuple[int, ...]:
@@ -180,16 +176,10 @@ def index_subgroup(fld: GF2m, basis_powers: list[int]) -> tuple[int, ...]:
     for p in basis_powers:
         if not 0 <= p < fld.m:
             raise ValueError(f"basis power {p} out of range [0, {fld.m})")
-    subsets = []
-    for r in range(1, len(basis_powers) + 1):
-        subsets.extend(itertools.combinations(sorted(basis_powers), r))
-    subsets.sort(key=lambda s: (len(s), s))
     out = [0]
-    for s in subsets:
-        elt = 0
-        for p in s:
-            elt ^= fld.pow_alpha(p)
-        out.append(elt)
+    for r in range(1, len(basis_powers) + 1):  # each size in lexicographic order
+        for s in itertools.combinations(sorted(basis_powers), r):
+            out.append(int(np.bitwise_xor.reduce(fld.antilog_table[list(s)])))
     return tuple(out)
 
 

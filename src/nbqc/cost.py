@@ -51,6 +51,8 @@ class CostParams:
         for name in ("b_q", "n_m", "d_c", "q", "gamma", "rho"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if self.q not in (4, 8, 16, 32, 64, 128, 256):  # the fields GF2m builds
+            raise ValueError(f"q={self.q} is not 2^m with 2 <= m <= 8")
         if self.p is not None and self.p < 1:
             raise ValueError(f"LUT word size p must be a positive integer, got {self.p}")
 

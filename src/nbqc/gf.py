@@ -1,8 +1,11 @@
-"""GF(2^m) arithmetic backed by log/antilog tables, 2 <= m <= 8.
+"""GF(2^m), 2 <= m <= 8, held as read-only numpy tables.
 
-Field elements are plain ints whose binary digits are the coefficients of
-the polynomial representation.  The zero element is 0 and is distinct from
-alpha^0 = 1; only nonzero elements have a power-of-alpha form.
+Field elements are ints in [0, q) whose binary digits are the coefficients
+of the polynomial representation; addition is XOR.  The zero element is 0
+and is distinct from alpha^0 = 1; only nonzero elements have a
+power-of-alpha form.  The field is its tables: antilog_table[k] = alpha^k,
+log_table[a] = log_alpha(a) (-1 for zero), mul_table[a, b] = a*b and
+inv_table[a] = a^-1 (0 for zero), indexed directly by element arrays.
 
 Default primitive polynomials (one per extension degree):
     m=2 : x^2 + x + 1             -> 0b111
@@ -33,10 +36,9 @@ DEFAULT_PRIMITIVE_POLY: dict[int, int] = {
 
 
 class GF2m:
-    """Galois field GF(2^m) with precomputed log/antilog tables.
+    """Galois field GF(2^m) as its log/antilog, product and inverse tables.
 
-    Immutable after construction; all operations are pure and safe for
-    concurrent use.
+    Immutable after construction; the tables are read-only.
     """
 
     def __init__(self, m: int, primitive_poly: int | None = None) -> None:
@@ -51,62 +53,32 @@ class GF2m:
 
         # Walk powers of alpha (= x); the walk must visit every nonzero
         # element exactly once, otherwise the polynomial is not primitive.
-        antilog = [0] * (self.q - 1)
-        log = [-1] * self.q
+        alog = np.zeros(self.q - 1, dtype=np.intp)
+        log = np.full(self.q, -1, dtype=np.intp)
         val = 1
         for k in range(self.q - 1):
             if log[val] != -1:
                 raise ValueError(f"polynomial {poly:#x} is not primitive over GF(2^{m})")
-            antilog[k] = val
+            alog[k] = val
             log[val] = k
             val <<= 1
             if val & self.q:
                 val ^= poly
         if val != 1:
             raise ValueError(f"polynomial {poly:#x} is not primitive over GF(2^{m})")
-        self.antilog_table = tuple(antilog)
-        self.log_table = tuple(log)
 
-        # numpy q x q product table and inverse table (inv_table[0] = 0)
-        alog, lg = np.array(antilog), np.array(log[1:])
-        self.mul_table = np.zeros((self.q, self.q), dtype=np.intp)
-        self.mul_table[1:, 1:] = alog[(lg[:, None] + lg[None, :]) % (self.q - 1)]
-        self.inv_table = np.zeros(self.q, dtype=np.intp)
-        self.inv_table[1:] = alog[-lg % (self.q - 1)]
-        self.mul_table.flags.writeable = self.inv_table.flags.writeable = False
+        lg = log[1:]
+        mul = np.zeros((self.q, self.q), dtype=np.intp)
+        mul[1:, 1:] = alog[(lg[:, None] + lg[None, :]) % (self.q - 1)]
+        inv = np.zeros(self.q, dtype=np.intp)
+        inv[1:] = alog[-lg % (self.q - 1)]
+        for table in (alog, log, mul, inv):
+            table.flags.writeable = False
+        self.antilog_table, self.log_table, self.mul_table, self.inv_table = alog, log, mul, inv
 
     def __repr__(self) -> str:
         return f"GF2m(m={self.m}, poly={self.primitive_poly:#x})"
 
-    def check_element(self, a: int) -> None:
-        if not 0 <= a < self.q:
-            raise ValueError(f"{a} is not an element of GF({self.q})")
-
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        """Characteristic-2 addition (== subtraction): bitwise XOR."""
-        return a ^ b
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.antilog_table[(self.log_table[a] + self.log_table[b]) % (self.q - 1)]
-
     def pow_alpha(self, k: int) -> int:
         """alpha^k, exponent reduced mod q-1."""
-        return self.antilog_table[k % (self.q - 1)]
-
-    def log(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("log of the zero element is undefined")
-        self.check_element(a)
-        return self.log_table[a]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("inverse of the zero element is undefined")
-        self.check_element(a)
-        return self.antilog_table[(self.q - 1 - self.log_table[a]) % (self.q - 1)]
-
-    def elements(self) -> range:
-        return range(self.q)
+        return int(self.antilog_table[k % (self.q - 1)])

@@ -33,16 +33,21 @@ from .decode import DecodeResult, DecoderConfig, build_layer_schedule, decode
 from .gf import GF2m
 
 
+def _cycle_min(perm: np.ndarray) -> np.ndarray:
+    """Each position's cycle minimum, by pointer doubling."""
+    lead, jump = np.arange(perm.size), perm
+    # after k passes lead[i] = min of perm^0(i) .. perm^(2^k - 1)(i)
+    while not np.array_equal(lead, nxt := np.minimum(lead, lead[jump])):
+        lead, jump = nxt, jump[jump]
+    return lead
+
+
 def _cycle_order(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every position, cycle by cycle (each from its smallest position,
     following perm, in order of that position), and a mask of each cycle's
     first.  Pointer doubling finds each position's cycle minimum `lead` and
     its number of steps from it `rank` in log2(size) array passes."""
-    idx = np.arange(perm.size)
-    lead, jump = idx, perm
-    # after k passes lead[i] = min of perm^0(i) .. perm^(2^k - 1)(i)
-    while not np.array_equal(lead, nxt := np.minimum(lead, lead[jump])):
-        lead, jump = nxt, jump[jump]
+    idx, lead = np.arange(perm.size), _cycle_min(perm)
     back = np.empty_like(perm)  # one step back, stopping at the cycle minimum
     back[perm] = idx
     back[lead == idx] = idx[lead == idx]
@@ -51,17 +56,6 @@ def _cycle_order(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rank, back = rank + rank[back], back[back]
     order = np.lexsort((rank, lead))
     return order, rank[order] == 0
-
-
-def _cycle_min(perm: np.ndarray) -> np.ndarray:
-    """Each position's cycle minimum, by the pointer doubling of
-    `_cycle_order`.  That keeps its own copy of the loop: routing it
-    through here raised the toolchain-m8 benchmark's peak RSS in most
-    runs."""
-    lead, jump = np.arange(perm.size), perm
-    while not np.array_equal(lead, nxt := np.minimum(lead, lead[jump])):
-        lead, jump = nxt, jump[jump]
-    return lead
 
 
 def build_index_matrix(n: int) -> np.ndarray:

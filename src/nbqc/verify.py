@@ -39,9 +39,6 @@ class PropertyReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failed(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
     def render(self) -> str:
         lines = [str(c) for c in self.checks]
         lines += [f"note: {n}" for n in self.notes]
@@ -131,17 +128,16 @@ def verify_class1(fld: GF2m, w, c: int, n: int) -> PropertyReport:
     return report
 
 
-def verify_class2(
-    fld: GF2m,
-    w,
-    c: int,
-    n: int,
-    indexing: SubgroupIndexing | None = None,
-) -> PropertyReport:
+def verify_class2(fld: GF2m, w, c: int, n: int) -> PropertyReport:
+    """The symmetry checks, and on a W that spans full width the palindrome
+    checks of the subgroup orderings, read from row 0: both orderings start
+    at zero, so w[0, l] = beta_l and w[0, j*n] = delta_j."""
+    w = np.asarray(w)
     report = PropertyReport()
     report.checks.extend(check_class2_symmetries(w, c, n))
-    if indexing is not None:
-        report.checks.extend(check_subgroup_symmetry(indexing))
+    if w.shape[1] == c * n:
+        row = tuple(w[0].tolist())
+        report.checks.extend(check_subgroup_symmetry(SubgroupIndexing(row[:n], row[::n])))
     report.notes.append(
         "within-block diagonal symmetry is implemented as entry (k,l) == entry (l,k)"
     )

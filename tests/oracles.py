@@ -28,6 +28,20 @@ def permute_message(msg: np.ndarray, h, direction: str, fld) -> np.ndarray:
     return np.take_along_axis(msg, np.broadcast_to(fld.mul_table[h], msg.shape), axis=-1)
 
 
+def gf_mul_carryless(a: int, b: int, m: int, poly: int) -> int:
+    """Product in GF(2^m) from first principles, the reference for the
+    field's tables: carry-less (XOR) multiplication of the two bit
+    polynomials, reduced mod the degree-m polynomial `poly`."""
+    prod = 0
+    for i in range(m):
+        if b >> i & 1:
+            prod ^= a << i
+    for i in range(2 * m - 2, m - 1, -1):
+        if prod >> i & 1:
+            prod ^= poly << (i - m)
+    return prod
+
+
 def minmax_kernel_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Min-max kernel from its full table, the reference for the decoder's
     halving kernel: C[x, ...] = min over y of max(a[y, ...], b[x ^ y, ...])

@@ -182,13 +182,15 @@ def test_simulate_rejects_bad_snr_list(capsys, tmp_path):
 
 @pytest.mark.parametrize("snrs", ["-1,0", "-0.5"])
 def test_simulate_takes_negative_snr_list(capsys, tmp_path, snrs):
-    # a value that starts with '-' reads the same as when joined with '='
+    # a value that starts with '-' reads the same as when joined with '=',
+    # after the full flag or a unique prefix of it (--s is also --seed's)
     path = construct_class2(capsys, tmp_path)
     flags = ["simulate", "--code", path, "--trials", "3", "--max-iter", "2"]
-    code, out, err = run(capsys, *flags, "--snr-list", snrs)
-    assert code == 0, err
-    assert out == run(capsys, *flags, f"--snr-list={snrs}")[1]
-    assert len(out.splitlines()) == 1 + len(snrs.split(","))
+    joined = run(capsys, *flags, f"--snr-list={snrs}")[1]
+    assert len(joined.splitlines()) == 1 + len(snrs.split(","))
+    for flag in ("--snr-list", "--snr", "--sn"):
+        code, out, err = run(capsys, *flags, flag, snrs)
+        assert (code, out) == (0, joined), (flag, err)
 
 
 @pytest.mark.parametrize(
@@ -200,6 +202,8 @@ def test_simulate_takes_negative_snr_list(capsys, tmp_path, snrs):
         (["--snr-list", "1", "--workers", "0"], "worker"),
         (["--snr-list", "4000"], "finite"),
         (["--snr-list", "1", "--quant", "17,2"], "1 <= b_q <= 16"),
+        (["--snr-list", "1,,2"], "bad --snr-list value"),
+        (["--snr-list", "1,"], "bad --snr-list value"),
     ],
 )
 def test_simulate_rejects_malformed_input(capsys, tmp_path, flags, message):
@@ -272,6 +276,13 @@ def test_cost_command(capsys):
     assert code == 0
     assert "gsn_wires" in out
     assert "savings[P1 vs Ref5, weights=wires] = 0.6667" in out
+    code, out, err = run(
+        capsys,
+        "cost", "--bq", "6", "--nm", "16", "--dc", "4",
+        "--q", "3", "--gamma", "10", "--rho", "20",
+    )
+    assert (code, out) == (1, "")
+    assert "q=3 is not 2^m" in err
 
 
 def test_cost_weights_all(capsys):

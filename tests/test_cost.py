@@ -117,6 +117,9 @@ def test_params_validation_and_lut_word():
         CostParams(b_q=0, n_m=1, d_c=1, q=4, gamma=1, rho=1)
     assert CostParams(b_q=5, n_m=1, d_c=1, q=32, gamma=1, rho=1).lut_word == 5
     assert CostParams(b_q=5, n_m=1, d_c=1, q=32, gamma=1, rho=1, p=7).lut_word == 7
+    for q in (2, 3, 6, 48, 512):  # no GF(2^m) with 2 <= m <= 8 has that many elements
+        with pytest.raises(ValueError, match=f"q={q} is not 2"):
+            CostParams(b_q=5, n_m=1, d_c=1, q=q, gamma=1, rho=1)
     for p in (0, -3):  # a LUT word size below 1 gave zero or negative LUT bits
         with pytest.raises(ValueError, match="LUT word size p"):
             CostParams(b_q=5, n_m=1, d_c=1, q=32, gamma=1, rho=1, p=p)

@@ -39,8 +39,8 @@ def test_class1_full_base_passes(m, c, n):
 @pytest.mark.parametrize("m,t", CLASS2_SUITE)
 def test_class2_full_base_passes(m, t):
     fld = GF2m(m)
-    w, indexing = build_base_class2(fld, t)
-    report = verify_class2(fld, w, 1 << (m - t), 1 << t, indexing)
+    w, _ = build_base_class2(fld, t)
+    report = verify_class2(fld, w, 1 << (m - t), 1 << t)
     assert report.all_passed, report.render()
     ids = {c.check_id for c in report.checks}
     assert {
@@ -58,9 +58,9 @@ def test_cpm_shift_all_elements(m):
     # row r+1 of every CPM is row r shifted right once, times alpha; the
     # zero element's CPM is all zero
     fld = GF2m(m)
-    cols, values = cpm(fld, np.asarray(fld.elements()))
+    cols, values = cpm(fld, np.arange(fld.q))
     nonzero = values != 0
-    assert (nonzero == (np.asarray(fld.elements()) != 0)[:, None]).all()
+    assert (nonzero == (np.arange(fld.q) != 0)[:, None]).all()
     assert (np.roll(cols, -1, axis=-1) == (cols + 1) % (fld.q - 1))[nonzero].all()
     assert (np.roll(values, -1, axis=-1) == fld.mul_table[fld.pow_alpha(1), values]).all()
 
@@ -78,6 +78,8 @@ def test_truncated_class2_region_passes():
     h, w, _, fld = build_code(spec)
     report = verify_class2(fld, h.region, 4, 2)
     assert report.all_passed, report.render()
+    # row 0 of a region narrower than W holds only part of the orderings
+    assert not any("palindrome" in c.check_id for c in report.checks)
 
 
 @pytest.mark.parametrize("m,c,n", CLASS1_SUITE)
@@ -135,9 +137,9 @@ def test_randomized_ordering_breaks_entry_symmetry():
     # 8-element beta span with a shuffled ordering: the base matrix loses
     # its within-block anti-diagonal symmetry
     spec = CodeSpec.class2(4, 3, gamma=16, rho=16, surjective_seed=0)
-    w, indexing, fld = build_base(spec)
-    report = verify_class2(fld, w, spec.c, spec.n, indexing)
-    failed = {c.check_id for c in report.failed()}
+    w, _, fld = build_base(spec)
+    report = verify_class2(fld, w, spec.c, spec.n)
+    failed = {c.check_id for c in report.checks if not c.passed}
     assert "entry_sym_antidiag" in failed
     assert "beta_palindrome" in failed
 
@@ -166,7 +168,9 @@ def test_class2_symmetry_check_ids():
 # (class, mutated entry, region or None) -> (check_id, counterexample) of
 # each base-matrix check, recorded from the nested-loop checks; XOR 3 is
 # applied at the entry of the m=4 base matrix (Class-I c=3, n=5; Class-II
-# c=n=4).  The region cases skip the wrapped comparisons.
+# c=n=4).  The region cases skip the wrapped comparisons.  The palindrome
+# entries of the full Class-II cases were recorded by check_subgroup_symmetry
+# on the orderings in the mutated W's row 0 (beta = row[:4], delta = row[::4]).
 COUNTEREXAMPLES = {
     (1, (7, 11), None): [("block_shift", ((1, 2), (2, 1), 5, 6)), ("inner_shift", ((1, 2), (2, 1), 5, 4))],
     (1, (7, 11), (10, 13)): [("block_shift", ((1, 2), (2, 1), 5, 6)), ("inner_shift", ((1, 2), (2, 1), 5, 4))],
@@ -176,13 +180,13 @@ COUNTEREXAMPLES = {
     (1, (2, 13), (10, 13)): [("block_shift", None), ("inner_shift", None)],
     (1, (14, 1), None): [("block_shift", ((0, 1), (4, 1), 12, 15)), ("inner_shift", ((2, 0), (0, 2), 10, 15))],
     (1, (14, 1), (10, 13)): [("block_shift", None), ("inner_shift", None)],
-    (2, (7, 11), None): [("block_sym_diag", ((1, 2), (3, 3))), ("block_sym_antidiag", None), ("entry_sym_diag", None), ("entry_sym_antidiag", ((1, 2), (0, 0)))],
+    (2, (7, 11), None): [("block_sym_diag", ((1, 2), (3, 3))), ("block_sym_antidiag", None), ("entry_sym_diag", None), ("entry_sym_antidiag", ((1, 2), (0, 0))), ("beta_palindrome", None), ("delta_palindrome", None)],
     (2, (7, 11), (12, 14)): [("block_sym_diag", ((1, 2), (3, 3))), ("block_sym_antidiag", None), ("entry_sym_diag", None), ("entry_sym_antidiag", ((1, 2), (0, 0)))],
-    (2, (0, 0), None): [("block_sym_diag", None), ("block_sym_antidiag", ((0, 0), (0, 0))), ("entry_sym_diag", None), ("entry_sym_antidiag", ((0, 0), (0, 0)))],
+    (2, (0, 0), None): [("block_sym_diag", None), ("block_sym_antidiag", ((0, 0), (0, 0))), ("entry_sym_diag", None), ("entry_sym_antidiag", ((0, 0), (0, 0))), ("beta_palindrome", (0, 3, 3, 3)), ("delta_palindrome", (0, 3, 12, 12))],
     (2, (0, 0), (12, 14)): [("block_sym_diag", None), ("block_sym_antidiag", None), ("entry_sym_diag", None), ("entry_sym_antidiag", ((0, 0), (0, 0)))],
-    (2, (2, 13), None): [("block_sym_diag", ((0, 3), (2, 1))), ("block_sym_antidiag", None), ("entry_sym_diag", ((0, 3), (1, 2))), ("entry_sym_antidiag", None)],
+    (2, (2, 13), None): [("block_sym_diag", ((0, 3), (2, 1))), ("block_sym_antidiag", None), ("entry_sym_diag", ((0, 3), (1, 2))), ("entry_sym_antidiag", None), ("beta_palindrome", None), ("delta_palindrome", None)],
     (2, (2, 13), (12, 14)): [("block_sym_diag", None), ("block_sym_antidiag", None), ("entry_sym_diag", None), ("entry_sym_antidiag", None)],
-    (2, (14, 1), None): [("block_sym_diag", ((0, 3), (2, 1))), ("block_sym_antidiag", None), ("entry_sym_diag", ((3, 0), (1, 2))), ("entry_sym_antidiag", None)],
+    (2, (14, 1), None): [("block_sym_diag", ((0, 3), (2, 1))), ("block_sym_antidiag", None), ("entry_sym_diag", ((3, 0), (1, 2))), ("entry_sym_antidiag", None), ("beta_palindrome", None), ("delta_palindrome", None)],
     (2, (14, 1), (12, 14)): [("block_sym_diag", None), ("block_sym_antidiag", None), ("entry_sym_diag", None), ("entry_sym_antidiag", None)],
 }
 
