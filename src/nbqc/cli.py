@@ -13,7 +13,7 @@ import sys
 
 from . import codefile
 from .cost import CATEGORIES, VARIANTS, CostParams, cost as cost_breakdown, render_report, savings
-from .construct import CLASS_I, CodeSpec, build_code
+from .construct import CLASS_I, CodeSpec, build_base, build_code
 from .decode import DecoderConfig, SimResultRow, build_layer_schedule, run_monte_carlo
 from .shuffle import iteration_moves, route_schedule
 from .verify import verify_class1, verify_class2
@@ -26,29 +26,26 @@ class CliError(Exception):
 
 
 def _spec_from_args(args) -> CodeSpec:
-    try:
-        if args.code_class == 1:
-            if args.t is not None:
-                raise ValueError("--t is Class-II only")
-            if args.c is None or args.n is None:
-                raise ValueError("Class-I construction requires --c and --n")
-            return CodeSpec.class1(
-                args.m, args.c, args.n, args.gamma, args.rho,
-                primitive_poly=args.poly,
-                surjective_seed=args.random_surjective,
-            )
-        for flag, value in (("--c", args.c), ("--n", args.n)):
-            if value is not None:
-                raise ValueError(f"{flag} is Class-I only")
-        if args.t is None:
-            raise ValueError("Class-II construction requires --t")
-        return CodeSpec.class2(
-            args.m, args.t, args.gamma, args.rho,
+    if args.code_class == 1:
+        if args.t is not None:
+            raise ValueError("--t is Class-II only")
+        if args.c is None or args.n is None:
+            raise ValueError("Class-I construction requires --c and --n")
+        return CodeSpec.class1(
+            args.m, args.c, args.n, args.gamma, args.rho,
             primitive_poly=args.poly,
             surjective_seed=args.random_surjective,
         )
-    except ValueError as exc:
-        raise CliError(str(exc), 1)
+    for flag, value in (("--c", args.c), ("--n", args.n)):
+        if value is not None:
+            raise ValueError(f"{flag} is Class-I only")
+    if args.t is None:
+        raise ValueError("Class-II construction requires --t")
+    return CodeSpec.class2(
+        args.m, args.t, args.gamma, args.rho,
+        primitive_poly=args.poly,
+        surjective_seed=args.random_surjective,
+    )
 
 
 def cmd_construct(args) -> int:
@@ -104,8 +101,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _read_formula_spec(path: str) -> CodeSpec:
+    """The spec of a code file whose H is the spec's truncated W, the matrix
+    that `iteration_moves` derives its moves from; any other H is refused."""
+    spec, h, _ = _read_code(path)
+    w = build_base(spec)[0][: spec.gamma, : spec.rho]
+    if (differs := h.region != w).any():
+        i, j = divmod(int(differs.argmax()), spec.rho)
+        raise CliError(f"{path}: block ({i}, {j}) of H is {h.region[i, j]}, not W's {w[i, j]}; "
+                       "moves are derived from the spec's W, not from the file's H", 1)
+    return spec
+
+
 def cmd_schedule(args) -> int:
-    spec, h, fld = _read_code(args.code)
+    spec = _read_formula_spec(args.code)
     moved: dict[bytes, str] = {}  # map text of each distinct move
     for s, d, perm in iteration_moves(spec):
         if (key := perm.tobytes()) not in moved:
@@ -115,7 +124,7 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_route(args) -> int:
-    spec, h, fld = _read_code(args.code)
+    spec = _read_formula_spec(args.code)
     print(route_schedule(spec).render())
     return 0
 
@@ -153,7 +162,7 @@ def cmd_cost(args) -> int:
         ]
         print(render_report(params, as_csv=args.format == "csv"))
         print("\n".join(lines))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise CliError(str(exc), 1)
     return 0
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .construct import CLASS_I, CLASS_II, CodeSpec, ParityCheck
+from .construct import CLASS_I, CodeSpec, ParityCheck
 from .gf import GF2m
 
 MAGIC = "NBQC"
@@ -65,12 +65,8 @@ def parse_code(text: str) -> tuple[CodeSpec, ParityCheck, GF2m]:
     try:
         code_class, m, c, n, gamma, rho = (int(head[i]) for i in (2, 3, 4, 5, 7, 8))
         fld = GF2m(m, int(head[9], 16))
-        if code_class == CLASS_I:
-            spec = CodeSpec.class1(m, c, n, gamma, rho, primitive_poly=fld.primitive_poly)
-        elif code_class == CLASS_II:
-            spec = CodeSpec.class2(m, int(head[6]), gamma, rho, primitive_poly=fld.primitive_poly)
-        else:
-            raise ValueError(f"unknown code class {code_class}")
+        t = None if head[6] == "-" else int(head[6])
+        spec = CodeSpec(code_class, m, c, n, gamma, rho, t, fld.primitive_poly)
     except ValueError as exc:
         raise CodeFileError(f"bad header {lines[0]!r}: {exc}") from None
     if _header(spec, fld) != lines[0]:

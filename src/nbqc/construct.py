@@ -29,9 +29,11 @@ CLASS_II = 2
 class CodeSpec:
     """Construction parameters for one code.
 
-    For Class-I, q-1 = c*n with gcd(c, n) = 1 and t is unused (None).
+    For Class-I, q-1 = c*n with gcd(c, n) = 1 and t is None.
     For Class-II, c = 2^(m-t) and n = 2^t are derived from (m, t).
     gamma/rho are the truncation block counts, 1 <= gamma, rho <= c*n.
+    A spec is valid once it exists: the constructor raises ValueError
+    naming the first violated condition.
     """
 
     code_class: int
@@ -52,7 +54,7 @@ class CodeSpec:
     def dim(self) -> int:
         return self.c * self.n
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.code_class not in (CLASS_I, CLASS_II):
             raise ValueError(f"unknown code class {self.code_class}")
         if self.code_class == CLASS_I:
@@ -64,6 +66,8 @@ class CodeSpec:
                 raise ValueError(
                     f"Class-I factorization violated: gcd(c, n) must be 1, got gcd({self.c}, {self.n})"
                 )
+            if self.t is not None:
+                raise ValueError(f"the split exponent t={self.t} is Class-II only")
             if self.surjective_seed is not None:
                 raise ValueError("a random subgroup ordering (surjective_seed) is Class-II only")
         else:
@@ -71,22 +75,17 @@ class CodeSpec:
                 raise ValueError(f"Class-II split exponent t={self.t} out of range [1, m)")
             if self.c != 1 << (self.m - self.t) or self.n != 1 << self.t:
                 raise ValueError("Class-II requires c = 2^(m-t) and n = 2^t")
-        if not 1 <= self.gamma <= self.dim:
-            raise ValueError(f"gamma={self.gamma} out of range [1, {self.dim}]")
-        if not 1 <= self.rho <= self.dim:
-            raise ValueError(f"rho={self.rho} out of range [1, {self.dim}]")
+        for name, blocks in (("gamma", self.gamma), ("rho", self.rho)):
+            if not 1 <= blocks <= self.dim:
+                raise ValueError(f"{name}={blocks} out of range [1, {self.dim}]")
 
     @staticmethod
     def class1(m: int, c: int, n: int, gamma: int, rho: int, **kw) -> "CodeSpec":
-        spec = CodeSpec(CLASS_I, m, c, n, gamma, rho, **kw)
-        spec.validate()
-        return spec
+        return CodeSpec(CLASS_I, m, c, n, gamma, rho, **kw)
 
     @staticmethod
     def class2(m: int, t: int, gamma: int, rho: int, **kw) -> "CodeSpec":
-        spec = CodeSpec(CLASS_II, m, 1 << (m - t), 1 << t, gamma, rho, t=t, **kw)
-        spec.validate()
-        return spec
+        return CodeSpec(CLASS_II, m, 1 << (m - t), 1 << t, gamma, rho, t=t, **kw)
 
 
 @dataclass(frozen=True)
@@ -233,20 +232,15 @@ def build_base_class2(
     return w.reshape(c * n, c * n), SubgroupIndexing(tuple(beta), tuple(delta))
 
 
-def build_base(spec: CodeSpec, fld: GF2m | None = None) -> tuple[np.ndarray, SubgroupIndexing, GF2m]:
-    spec.validate()
-    if fld is None:
-        fld = GF2m(spec.m, spec.primitive_poly)
+def build_base(spec: CodeSpec) -> tuple[np.ndarray, SubgroupIndexing, GF2m]:
+    fld = GF2m(spec.m, spec.primitive_poly)
     if spec.code_class == CLASS_I:
-        w, indexing = build_base_class1(fld, spec.c, spec.n)
-    else:
-        if spec.surjective_seed is not None:
-            beta = random_index_subgroup(fld, list(range(spec.t)), spec.surjective_seed)
-            delta = random_index_subgroup(fld, list(range(spec.t, spec.m)), spec.surjective_seed + 1)
-            w, indexing = build_base_class2(fld, spec.t, beta, delta)
-        else:
-            w, indexing = build_base_class2(fld, spec.t)
-    return w, indexing, fld
+        return (*build_base_class1(fld, spec.c, spec.n), fld)
+    beta = delta = None  # the symmetry-inducing orderings
+    if spec.surjective_seed is not None:
+        beta = random_index_subgroup(fld, list(range(spec.t)), spec.surjective_seed)
+        delta = random_index_subgroup(fld, list(range(spec.t, spec.m)), spec.surjective_seed + 1)
+    return (*build_base_class2(fld, spec.t, beta, delta), fld)
 
 
 def expand_base(fld: GF2m, region: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,10 @@ savings ratios between them.  The aggregate headline savings quoted for
 these designs depend on unstated category weights and parameter values,
 so aggregates here are always weight-parameterized and reported next to
 the exact per-category ratios.
+
+P3/P4 `lsn_lut_bits`, gamma*rho*log2(rho)/2, is not the router's count of
+one bit per switch per move, gamma*(rho*log2(rho) - rho/2): 1,280 against
+`nbqc route`'s 2,304 at q=32, gamma=16, rho=32.
 """
 
 from __future__ import annotations
@@ -76,9 +80,6 @@ class CostBreakdown:
     flexible: bool
     rho_padded: bool = False
 
-    def category(self, name: str) -> int | None:
-        return getattr(self, name)
-
 
 def cost(variant: str, params: CostParams) -> CostBreakdown:
     """Exact integer component counts for one design variant."""
@@ -92,9 +93,7 @@ def cost(variant: str, params: CostParams) -> CostBreakdown:
     switches = BenesNetwork(width).num_switches if width > 1 else 0  # one column needs no network
 
     if variant in ("Ref4", "Ref5"):
-        lut = p * qm1 * (rho + gamma * (gamma - 1) // 2) if variant == "Ref4" else p * qm1 * (
-            3 * rho + gamma - 2
-        )
+        lut = p * qm1 * (rho + gamma * (gamma - 1) // 2 if variant == "Ref4" else 3 * rho + gamma - 2)
         return CostBreakdown(
             variant,
             gsn_wires=3 * base_wires,
@@ -146,7 +145,7 @@ def savings(a: CostBreakdown, b: CostBreakdown, weights: dict[str, float] | None
             raise ValueError(f"unknown category {cat!r}")
         if not (math.isfinite(wgt) and wgt >= 0):
             raise ValueError(f"weight of {cat} must be finite and non-negative, got {wgt}")
-        va, vb = a.category(cat), b.category(cat)
+        va, vb = getattr(a, cat), getattr(b, cat)
         if va is None or vb is None:
             continue
         num += wgt * va
@@ -174,7 +173,7 @@ def render_report(params: CostParams, as_csv: bool = False) -> str:
     breakdowns = [cost(v, params) for v in VARIANTS]
 
     def cell(bd: CostBreakdown, cat: str) -> str:
-        val = bd.category(cat)
+        val = getattr(bd, cat)
         return "-" if val is None else str(val)
 
     rows: list[list[str]] = [["category"] + list(VARIANTS) + ["formula(P*)"]]

@@ -116,7 +116,7 @@ def channel_reliability(tx_symbols, sigma, fld: GF2m, rng) -> np.ndarray:
     """BPSK-modulate each symbol's m bits, add AWGN, build reliabilities.
 
     L_v(a) = sum over bits of |LLR_i| where bit i of a disagrees with the
-    hard decision; normalized so the hard-decision symbol scores 0.
+    hard decision, so the hard-decision symbol scores exactly 0.
     Returns one row per symbol; the noise is drawn symbol by symbol, bit 0
     first.  Given a sequence of F noise stds and one generator for each,
     returns the (F, symbols, q) stack of F frames of the same symbols,
@@ -137,7 +137,7 @@ def channel_reliability(tx_symbols, sigma, fld: GF2m, rng) -> np.ndarray:
     var = np.reshape([s**2 for s in sigma.ravel().tolist()], sigma.shape)
     y = (1.0 - 2.0 * bits) + sigma * noise
     mag = np.abs(2.0 * y / var)
-    vec = normalize(((bit_table != (y < 0)[..., None, :]) * mag[..., None, :]).sum(axis=-1))
+    vec = ((bit_table != (y < 0)[..., None, :]) * mag[..., None, :]).sum(axis=-1)
     return vec if stacked else vec[0]
 
 
@@ -176,23 +176,23 @@ def _minmax_kernel(a: np.ndarray, b: np.ndarray, ws=None, out=None) -> np.ndarra
     return np.minimum(ws[0], ws[1], out=out)
 
 
-def check_node_min_max(inputs, ws=None):
+def check_node_min_max(inputs, ws=None) -> np.ndarray:
     """Min-Max check node update by forward-backward kernel combination.
 
-    `inputs` is a list of d messages, or a stacked (B, d, q) array of B
-    independent check rows; the outputs come back in the same form.
-    Operates on the permuted domain (zero-sum constraint); output i is the
-    min-max combination of all inputs except i, re-normalized to min 0.
-    Unsigned integer inputs (quantizer codes) stay in their dtype, any
-    other input runs as float64.  `ws` is scratch space of any dtype, of
-    at least 2 * B * q^2 entries of the inputs' dtype.  The rows run
-    transposed to (q, d, B), so each kernel step works on whole runs of
-    rows; the outputs are a (B, d, q) view of that layout.
+    `inputs` is a (..., d, q) stack of B check rows (a list of d messages
+    is one row); the outputs are an array of the same shape, in the
+    permuted domain (zero-sum constraint): output i is the min-max
+    combination of all inputs except i.  Every input message must have
+    minimum 0, so every output has minimum exactly 0 too.  Unsigned
+    integer inputs (quantizer codes) keep their dtype, others run as
+    float64.  `ws` is scratch space of any dtype, of at least 2 * B * q^2
+    entries of the inputs' dtype.  The rows run transposed to (q, d, B),
+    so each kernel step works on whole runs of rows.
     """
     x = np.asarray(inputs)
     x = x if x.dtype.kind == "u" else np.asarray(x, dtype=float)
-    stacked = x.ndim == 3
-    x = (x if stacked else x[None]).T  # (q, d, B)
+    shape = x.shape
+    x = x.reshape((-1,) + shape[-2:]).T  # (q, d, B)
     q, d, rows = x.shape
     if d < 2:
         raise ValueError(f"check degree must be >= 2, got {d}")
@@ -211,9 +211,7 @@ def check_node_min_max(inputs, ws=None):
     for i in range(1, d - 1, width):
         j = min(i + width, d - 1)
         _minmax_kernel(fwd[:, i - 1 : j - 1], bwd[:, i:j], ws, out[:, i:j])
-    # a new array: in place left perfbench's m8 CLI calls a slower heap (CHANGES.md)
-    out = np.subtract(out, out.min(axis=0)).T
-    return out if stacked else list(out[0])
+    return out.T.reshape(shape)
 
 
 def quantize_vec(
@@ -250,16 +248,17 @@ def update_layer(
     the layer's (F, rows, d, q) stored check messages, kept in the
     check node's zero-sum domain.  Each row gathers its posteriors through
     the forward edge-label permutation, subtracts its stored messages,
-    runs the check node (with `quant` on the integer codes k = message *
-    2^b_f < 2^b_q), adds the new messages and scatters the result back
-    through the same index, which is the backward permutation.  Labels
-    permute the q entries, so this equals permuting around the check node
-    alone.  Rows of a layer touch disjoint columns, so each chunk of
-    (frame, row) pairs that fits `ws` (2 q^2 check-node entries a pair)
-    runs as one (pairs, d, q) check-node stack: some rows of every frame,
-    or one row of some frames.
+    normalizes them (the check node's precondition), runs the check node
+    (with `quant` on the integer codes k = message * 2^b_f < 2^b_q), adds
+    the new messages and scatters the result back through the same
+    index, which is the backward permutation.  Labels permute the q
+    entries, so this equals permuting around the check node alone.  Rows
+    of a layer touch disjoint columns, so each chunk of (frame, row) pairs
+    that fits `ws` (2 q^2 check-node entries a pair) runs as one (frames,
+    rows, d, q) check-node stack: some rows of every frame, or one row of
+    some frames.
     """
-    frames, (rows, d), q = len(post), cols.shape, fld.q
+    frames, rows, q = len(post), len(cols), fld.q
     dtype = np.dtype(float) if quant is None else np.min_scalar_type(2 ** quant[0] - 1)
     scale = 1.0 if quant is None else 2.0 ** quant[1]
     pairs = max(1, ws.nbytes // (2 * q * q * dtype.itemsize))
@@ -273,8 +272,7 @@ def update_layer(
             l_cv -= r
             quantize_vec(normalize(l_cv, out=l_cv), quant, out=l_cv)
             x = l_cv if quant is None else (l_cv * scale).astype(dtype)
-            out = check_node_min_max(x.reshape(-1, d, q), ws).reshape(l_cv.shape)
-            np.divide(out, scale, out=r)
+            np.divide(check_node_min_max(x, ws), scale, out=r)
             l_cv += r
             p[:, c, g] = quantize_vec(normalize(l_cv, out=l_cv), quant, out=l_cv)
 

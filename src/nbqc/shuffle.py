@@ -71,41 +71,32 @@ def build_index_matrix(n: int) -> np.ndarray:
     return idx[:, None] ^ idx[None, :]
 
 
-def transition_permutation(spec: CodeSpec, src: int, dst: int) -> np.ndarray:
-    """The move from block row `src` to block row `dst`, as a read-only
-    intp array: perm[g*(q-1) + j] = G[g]*(q-1) + (j - s) mod (q-1).
-
-    Class-I: G[g] = (g - steps) mod rho, s = steps*c, where `steps` is the
-    change of block row.  Class-II: G takes the index-table row of the
-    source block row (mod n) to that of the destination within each group
-    of n column blocks, s = 0.
-    """
-    qm1 = spec.q - 1
-    g = np.arange(spec.rho)
-    if spec.code_class == CLASS_I:
-        steps = dst - src
-        group, shift = (g - steps) % spec.rho, steps * spec.c
-    else:
-        n = spec.n
-        index = build_index_matrix(n)
-        src_g = index[src % n, g % n] + g // n * n
-        dst_g = index[dst % n, g % n] + g // n * n
-        if max(src_g.max(), dst_g.max()) >= spec.rho:
-            raise ValueError(f"group index out of range for rho={spec.rho} (needs n | rho)")
-        group, shift = np.empty_like(g), 0
-        group[src_g] = dst_g
-    perm = (group[:, None] * qm1 + (np.arange(qm1) - shift) % qm1).ravel()
-    perm.flags.writeable = False
-    return perm
-
-
 def iteration_moves(spec: CodeSpec) -> list[tuple[int, int, np.ndarray]]:
     """(source layer, destination layer, move) for every consecutive pair
-    of block rows of one iteration, including the wrap back to layer 0."""
-    return [
-        (t, (t + 1) % spec.gamma, transition_permutation(spec, t, (t + 1) % spec.gamma))
-        for t in range(spec.gamma)
-    ]
+    of block rows of one iteration, including the wrap back to layer 0.
+
+    Each move is a read-only intp array, perm[g*(q-1) + j] = G[g]*(q-1) +
+    (j - s) mod (q-1).  Class-I: G[g] = (g - steps) mod rho, s = steps*c,
+    where `steps` is the change of block row.  Class-II: G takes the
+    index-table row of the source block row (mod n) to that of the
+    destination within each group of n column blocks, s = 0.
+    """
+    qm1, g, n = spec.q - 1, np.arange(spec.rho), spec.n
+    src = np.arange(spec.gamma)
+    dst = (src + 1) % spec.gamma
+    if spec.code_class == CLASS_I:
+        steps = dst - src
+        groups, shifts = (g - steps[:, None]) % spec.rho, steps[:, None, None] * spec.c
+    else:
+        # at[t, g]: the block column that group g's index-table entry names in block row t
+        at = build_index_matrix(n)[src[:, None] % n, g % n] + g // n * n
+        if at.max() >= spec.rho:
+            raise ValueError(f"group index out of range for rho={spec.rho} (needs n | rho)")
+        groups, shifts = np.empty_like(at), 0
+        groups[src[:, None], at] = at[dst]
+    perms = (groups[..., None] * qm1 + (np.arange(qm1) - shifts) % qm1).reshape(spec.gamma, -1)
+    perms.flags.writeable = False
+    return list(zip(src.tolist(), dst.tolist(), perms))
 
 
 # ---------------------------------------------------------------------------

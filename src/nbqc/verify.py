@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import SubgroupIndexing
 from .gf import GF2m
 
 
@@ -110,10 +109,10 @@ def check_class2_symmetries(w, c: int, n: int) -> list[CheckResult]:
     ]
 
 
-def check_subgroup_symmetry(indexing: SubgroupIndexing) -> list[CheckResult]:
+def check_subgroup_symmetry(beta, delta) -> list[CheckResult]:
     """Palindromic sums: x_i + x_(N-1-i) = x_(N-1) for both subgroup orderings."""
     results = []
-    for name, seq in (("beta_palindrome", indexing.beta), ("delta_palindrome", indexing.delta)):
+    for name, seq in (("beta_palindrome", beta), ("delta_palindrome", delta)):
         seq = np.asarray(seq)
         bad = np.flatnonzero(seq ^ seq[::-1] != seq[-1])[:1]
         cex = tuple(int(v) for i in bad for v in (i, seq[i], seq[-1 - i], seq[-1])) or None
@@ -136,8 +135,7 @@ def verify_class2(fld: GF2m, w, c: int, n: int) -> PropertyReport:
     report = PropertyReport()
     report.checks.extend(check_class2_symmetries(w, c, n))
     if w.shape[1] == c * n:
-        row = tuple(w[0].tolist())
-        report.checks.extend(check_subgroup_symmetry(SubgroupIndexing(row[:n], row[::n])))
+        report.checks.extend(check_subgroup_symmetry(w[0, :n], w[0, ::n]))
     report.notes.append(
         "within-block diagonal symmetry is implemented as entry (k,l) == entry (l,k)"
     )

@@ -80,7 +80,7 @@ def per_category_ratios(a, b) -> dict[str, float | None]:
     lacks the category or b's count is 0."""
     out = {}
     for cat in CATEGORIES:
-        va, vb = a.category(cat), b.category(cat)
+        va, vb = getattr(a, cat), getattr(b, cat)
         out[cat] = None if va is None or vb is None or vb == 0 else va / vb
     return out
 

@@ -267,6 +267,32 @@ def test_route_class1_and_class2(capsys, tmp_path):
     assert "total control bits" in out
 
 
+def test_route_and_schedule_refuse_an_h_the_moves_do_not_describe(capsys, tmp_path):
+    # the moves follow the spec's own W; a file built with a random subgroup
+    # ordering has another H under the same header, so it is refused
+    paths = {}
+    for name, extra in (("plain", ()), ("random", ("--random-surjective", "5"))):
+        paths[name] = str(tmp_path / f"{name}.nbqc")
+        code, out, err = run(
+            capsys,
+            "construct", "--class", "2", "--m", "3", "--t", "1",
+            "--gamma", "3", "--rho", "8", "-o", paths[name], *extra,
+        )
+        assert code == 0, err
+    with open(paths["plain"]) as f, open(paths["random"]) as g:
+        assert f.readline() == g.readline()  # the same header
+        assert f.readline() == "0 1 2 3 4 5 6 7\n" and g.readline() == "0 1 4 5 2 3 6 7\n"
+    for command in ("route", "schedule"):
+        code, out, err = run(capsys, command, "--code", paths["plain"])
+        assert code == 0 and out
+        code, out, err = run(capsys, command, "--code", paths["random"])
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: {paths['random']}: block (0, 2) of H is 4, not W's 2; "
+            "moves are derived from the spec's W, not from the file's H\n"
+        )
+
+
 def test_cost_command(capsys):
     code, out, err = run(
         capsys,

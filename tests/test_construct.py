@@ -152,8 +152,7 @@ def test_class1_base_matches_entry_loop(m, c, n):
 @pytest.mark.parametrize("seed", [None, 3])
 @pytest.mark.parametrize("m,t", CLASS2_SUITE)
 def test_class2_base_matches_entry_loop(m, t, seed):
-    fld = GF2m(m)
-    w, ind, _ = build_base(CodeSpec.class2(m, t, gamma=1, rho=1, surjective_seed=seed), fld)
+    w, ind, _ = build_base(CodeSpec.class2(m, t, gamma=1, rho=1, surjective_seed=seed))
     b, d = ind.beta, ind.delta
     want = entry_loop(1 << (m - t), 1 << t, lambda i, j, k, l: d[i] ^ d[j] ^ b[k] ^ b[l])
     assert w.dtype == np.int64 and np.array_equal(w, want)
@@ -271,7 +270,9 @@ def test_spec_validation_errors():
     with pytest.raises(ValueError, match="rho"):
         CodeSpec.class1(2, 1, 3, gamma=3, rho=0)
     with pytest.raises(ValueError, match="code class"):
-        CodeSpec(3, 2, 1, 3, 1, 1).validate()
+        CodeSpec(3, 2, 1, 3, 1, 1)
+    with pytest.raises(ValueError, match="t=1 is Class-II only"):
+        CodeSpec(1, 2, 1, 3, 1, 1, t=1)
     # build_base orders subgroups at random only for Class-II
     with pytest.raises(ValueError, match="surjective_seed.*Class-II only"):
         CodeSpec.class1(2, 1, 3, gamma=1, rho=1, surjective_seed=4)

@@ -190,11 +190,13 @@ def test_minmax_kernel_matches_table(q, dtype, trail, strided, out_view, use_ws,
 
 
 def test_check_node_degree2_passthrough():
+    # inputs of minimum 0, the check node's precondition
     a = np.array([0.0, 1.0, 2.0, 3.0])
-    b = np.array([1.0, 4.0, 2.0, 3.0])
+    b = np.array([1.0, 4.0, 0.0, 3.0])
     outs = check_node_min_max([a, b])
-    assert np.array_equal(outs[0], normalize(b))
-    assert np.array_equal(outs[1], normalize(a))
+    assert isinstance(outs, np.ndarray) and outs.shape == (2, 4)
+    assert np.array_equal(outs[0], b)
+    assert np.array_equal(outs[1], a)
 
 
 @pytest.mark.parametrize("q", [4, 8])
@@ -220,8 +222,9 @@ def test_brute_force_oracles_agree():
 
 
 def test_check_node_outputs_normalized():
+    # normalized inputs give outputs of minimum exactly 0 without a re-normalization
     rng = np.random.default_rng(0)
-    inputs = [rng.random(8) * 4 for _ in range(4)]
+    inputs = [normalize(rng.random(8) * 4) for _ in range(4)]
     for out in check_node_min_max(inputs):
         assert out.min() == 0.0
 
@@ -574,12 +577,40 @@ def test_update_layer_check_node_calls(monkeypatch, quant, calls):
     rows = []
     check_node = module.check_node_min_max
     monkeypatch.setattr(
-        module, "check_node_min_max", lambda x, ws: rows.append(len(x)) or check_node(x, ws)
+        module, "check_node_min_max", lambda x, ws: rows.append(x[..., 0, 0].size) or check_node(x, ws)
     )
     channel = hard_channel(np.zeros(h.cols, dtype=int), fld)
     decode(h, schedule, channel, fld, DecoderConfig(max_iter=1, quant=quant))
     assert len(rows) == calls
     assert sum(rows) == h.rows
+
+
+@pytest.mark.parametrize("quant", [None, (6, 2)])
+@pytest.mark.parametrize("spec", [SANITY_SPECS[1], SANITY_SPECS[3]], ids=["class1", "class2"])
+def test_check_node_inputs_are_normalized(monkeypatch, spec, quant):
+    # the check node does not re-normalize its outputs; that is exact only
+    # because every input message it is given has minimum 0
+    import nbqc.decode as module
+
+    check_node, calls = module.check_node_min_max, []
+
+    def checked(x, ws):
+        assert (x.min(axis=-1) == 0).all()
+        out = check_node(x, ws)
+        assert (out.min(axis=-1) == 0).all()
+        calls.append(x.shape)
+        return out
+
+    monkeypatch.setattr(module, "check_node_min_max", checked)
+    h, _, _, fld = build_code(spec)
+    schedule = build_layer_schedule(h, LAYER_I)
+    config = DecoderConfig(max_iter=4, quant=quant, rng_seed=3)
+    rng = [np.random.default_rng(s) for s in range(3)]
+    channel = channel_reliability(np.zeros(h.cols, dtype=int), [0.9] * 3, fld, rng)
+    decode(h, schedule, channel, fld, config)
+    decode(h, schedule, channel[0], fld, config)
+    run_monte_carlo(h, schedule, fld, [0.0, 2.0], 6, config)
+    assert calls
 
 
 def test_decode_validates_channel_length():

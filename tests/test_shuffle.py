@@ -20,7 +20,6 @@ from nbqc.shuffle import (
     iteration_moves,
     route_schedule,
     schedule_driven_decode,
-    transition_permutation,
 )
 
 SPEC_CLASS1 = CodeSpec.class1(2, 1, 3, gamma=2, rho=3)  # 4-ary (9, 3)
@@ -78,13 +77,6 @@ def test_class1_schedule_is_layer_invariant():
     assert [(src, dst) for src, dst, _ in moves] == [(0, 1), (1, 2), (2, 3), (3, 0)]
     for _, _, perm in moves[:-1]:
         assert np.array_equal(perm, moves[0][2])
-
-
-def test_class1_transition_composition():
-    spec = CodeSpec.class1(4, 3, 5, gamma=3, rho=5)
-    a = transition_permutation(spec, 0, 1)  # one block row
-    b = transition_permutation(spec, 0, 2)  # two block rows
-    assert np.array_equal(a[a], b)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
@@ -350,15 +342,16 @@ def test_schedule_driven_detects_misalignment(monkeypatch):
     # the package re-exports no function under a submodule's name
     assert isinstance(nbqc.decode, types.ModuleType) and isinstance(nbqc.cost, types.ModuleType)
 
-    orig = shuffle_mod.transition_permutation
+    orig = shuffle_mod.iteration_moves
 
-    def broken(spec_, src, dst):
-        perm = orig(spec_, src, dst).copy()
+    def broken(spec_):
+        (src, dst, perm), *rest = orig(spec_)
+        perm = perm.copy()
         perm[[0, 3]] = perm[[3, 0]]
-        return perm
+        return [(src, dst, perm), *rest]
 
     calls = []
-    monkeypatch.setattr(shuffle_mod, "transition_permutation", broken)
+    monkeypatch.setattr(shuffle_mod, "iteration_moves", broken)
     monkeypatch.setattr(decode_mod, "update_layer", lambda *args: calls.append(args))
     with pytest.raises(AssertionError, match="misalignment"):
         schedule_driven_decode(spec, h, channel, fld, DecoderConfig(max_iter=2))

@@ -125,11 +125,11 @@ def test_subgroup_symmetry_good_and_bad():
     fld = GF2m(4)
     spec = CodeSpec.class2(4, 3, gamma=2, rho=2)
     _, indexing, _ = build_base(spec)
-    assert all(r.passed for r in check_subgroup_symmetry(indexing))
+    assert all(r.passed for r in check_subgroup_symmetry(indexing.beta, indexing.delta))
 
     bad = CodeSpec.class2(4, 3, gamma=2, rho=2, surjective_seed=0)
     _, bad_indexing, _ = build_base(bad)
-    results = {r.check_id: r for r in check_subgroup_symmetry(bad_indexing)}
+    results = {r.check_id: r for r in check_subgroup_symmetry(bad_indexing.beta, bad_indexing.delta)}
     assert not results["beta_palindrome"].passed
 
 
