@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .gf import GF2m
+from .gf import GF2m, check_degree
 
 CLASS_I = 1
 CLASS_II = 2
@@ -57,6 +57,7 @@ class CodeSpec:
     def __post_init__(self) -> None:
         if self.code_class not in (CLASS_I, CLASS_II):
             raise ValueError(f"unknown code class {self.code_class}")
+        check_degree(self.m)
         if self.code_class == CLASS_I:
             if self.c * self.n != self.q - 1:
                 raise ValueError(

@@ -19,8 +19,13 @@ forward and backward for every row of a chunk at once, with the chunk
 transposed so that the q entries lead and the rows run innermost.  Min and
 max select values without rounding, so each frame gets the same floats as
 when decoded alone, one row at a time.  With a (b_q, b_f) quantizer every
-check-node input is k * 2^-b_f for an integer 0 <= k < 2^b_q, so the check
-node runs exactly on the codes k as uint8 (b_q <= 8) or uint16 values.
+check-node input and output is k * 2^-b_f for an integer 0 <= k < 2^b_q,
+and so is every posterior a layer update scatters; the update
+works on the codes k from its stored check messages to its scatter: the
+messages are stored as uint8 (b_q <= 8) or uint16 codes, the check node
+runs exactly on them, and the posterior update adds, normalizes and
+saturates them as integers before it scatters k * 2^-b_f.  The channel's
+reliabilities are built per symbol by doubling a table over its m bits.
 """
 
 from __future__ import annotations
@@ -45,8 +50,11 @@ HARD_PENALTY = 1e6
 #: q=64 (a whole 63-row layer) and 8 at q=256
 WORKSPACE = 1 << 17
 
-#: bytes of float64 decoder state (posteriors, check messages) in one
-#: Monte-Carlo batch: 390 frames of the 8-ary (42, 21) code, one at q=64
+#: bytes of decoder state (posteriors, check messages) in one Monte-Carlo
+#: batch, counted as float64 entries: 390 frames of the 8-ary (42, 21) code,
+#: one at q=64.  Quantized check messages take 1 or 2 bytes an entry, but
+#: they are still counted as 8, so batches, and the frames each holds, stay
+#: those of float64 messages.
 BATCH_BYTES = 1 << 22
 
 
@@ -112,6 +120,28 @@ def build_layer_schedule(h: ParityCheck, partition: str = LAYER_I) -> LayerSched
     return LayerSchedule(tuple(layer_cols), tuple(layer_labels))
 
 
+def _noise_variance(sigma) -> np.ndarray:
+    """sigma^2 of each noise std, each float squared on its own (np.square
+    rounds some last bits differently).  Raises ValueError unless sigma is
+    positive and sigma^2 and 2/sigma^2, the scale of the reliabilities,
+    are finite, so that no bit's |LLR| = |2y / sigma^2| is inf or NaN."""
+    sigma = np.asarray(sigma, dtype=float)
+    try:
+        var = np.reshape([s**2 for s in sigma.ravel().tolist()], sigma.shape)
+    except OverflowError:
+        var = np.full(sigma.shape, np.inf)
+    with np.errstate(divide="ignore", over="ignore"):
+        if not ((sigma > 0) & np.isfinite(var) & np.isfinite(2.0 / var)).all():
+            raise ValueError(f"noise std must be positive with 2/sigma^2 finite, got {sigma}")
+    return var
+
+
+def _join_costs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Cost table of the bits of `lo` below those of `hi`: entry h * len(lo)
+    + l (last axis) is lo[l] + hi[h]."""
+    return (hi[..., :, None] + lo[..., None, :]).reshape(lo.shape[:-1] + (-1,))
+
+
 def channel_reliability(tx_symbols, sigma, fld: GF2m, rng) -> np.ndarray:
     """BPSK-modulate each symbol's m bits, add AWGN, build reliabilities.
 
@@ -120,25 +150,34 @@ def channel_reliability(tx_symbols, sigma, fld: GF2m, rng) -> np.ndarray:
     Returns one row per symbol; the noise is drawn symbol by symbol, bit 0
     first.  Given a sequence of F noise stds and one generator for each,
     returns the (F, symbols, q) stack of F frames of the same symbols,
-    frame f drawing its noise from rng[f].
+    frame f drawing its noise from rng[f].  A std whose 2/sigma^2 is not
+    finite raises ValueError.
+
+    Each bit's two costs (0 where a's bit agrees with the hard decision,
+    |LLR_i| where not) are joined into the q-entry table by doubling, in
+    the order numpy's last-axis sum adds m terms: left to right for m < 8,
+    ((0+1)+(2+3))+((4+5)+(6+7)) for m = 8.  Adding an exact 0 changes no
+    sum, so each entry is the float that summing its m terms gives.
     """
     sigma = np.asarray(sigma, dtype=float)
-    if not (np.isfinite(sigma).all() and (sigma > 0).all()):
-        raise ValueError(f"noise std must be positive and finite, got {sigma}")
+    var = _noise_variance(sigma)
     stacked = sigma.ndim == 1
     shifts = np.arange(fld.m)
     tx = np.asarray(tx_symbols, dtype=int)
-    # bit_table[a, i] = bit i of symbol a
-    bit_table = (np.arange(fld.q)[:, None] >> shifts) & 1
     bits = (tx[:, None] >> shifts) & 1
     noise = np.stack([r.standard_normal(bits.shape) for r in (rng if stacked else [rng])])
-    sigma = sigma.reshape(-1, 1, 1)
-    # each float squared on its own: np.square rounds some last bits differently
-    var = np.reshape([s**2 for s in sigma.ravel().tolist()], sigma.shape)
+    sigma, var = sigma.reshape(-1, 1, 1), var.reshape(-1, 1, 1)
     y = (1.0 - 2.0 * bits) + sigma * noise
     mag = np.abs(2.0 * y / var)
-    vec = ((bit_table != (y < 0)[..., None, :]) * mag[..., None, :]).sum(axis=-1)
-    return vec if stacked else vec[0]
+    # costs[..., i, b]: |LLR_i| if b differs from the hard decision's bit i, else 0
+    costs = mag[..., None] * (np.arange(2) != (y < 0)[..., None])
+    tables = [costs[..., i, :] for i in range(fld.m)]
+    while len(tables) > 1:
+        if fld.m == 8:
+            tables = [_join_costs(lo, hi) for lo, hi in zip(tables[::2], tables[1::2])]
+        else:
+            tables[:2] = [_join_costs(*tables[:2])]
+    return tables[0] if stacked else tables[0][0]
 
 
 def hard_channel(tx_symbols, fld: GF2m, penalty: float = HARD_PENALTY) -> np.ndarray:
@@ -214,22 +253,10 @@ def check_node_min_max(inputs, ws=None) -> np.ndarray:
     return out.T.reshape(shape)
 
 
-def quantize_vec(
-    vec: np.ndarray, quant: tuple[int, int] | None, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Unsigned (b_q, b_f) uniform quantization: round to the nearest
-    multiple of 2^-b_f (ties up), saturating at (2^b_q - 1) * 2^-b_f.
-    The result goes to `out` if given (which may be `vec`); quant=None
-    returns `vec` unchanged."""
-    if quant is None:
-        return vec
-    step = 2.0 ** -quant[1]
-    out = np.divide(vec, step, out=out)
-    out += 0.5
-    np.floor(out, out=out)
-    np.minimum(out, 2 ** quant[0] - 1, out=out)
-    out *= step
-    return out
+def message_dtype(quant: tuple[int, int] | None) -> np.dtype:
+    """dtype of the stored check messages: float64, or with a (b_q, b_f)
+    quantizer the smallest unsigned integer holding the codes k < 2^b_q."""
+    return np.dtype(float) if quant is None else np.min_scalar_type(2 ** quant[0] - 1)
 
 
 def update_layer(
@@ -245,36 +272,55 @@ def update_layer(
 
     `post` holds the (F, columns, q) posteriors, `cols` and `labels` the
     layer's (rows, d) edge form indexing post's column axis, and `r_msg`
-    the layer's (F, rows, d, q) stored check messages, kept in the
-    check node's zero-sum domain.  Each row gathers its posteriors through
-    the forward edge-label permutation, subtracts its stored messages,
-    normalizes them (the check node's precondition), runs the check node
-    (with `quant` on the integer codes k = message * 2^b_f < 2^b_q), adds
-    the new messages and scatters the result back through the same
-    index, which is the backward permutation.  Labels permute the q
-    entries, so this equals permuting around the check node alone.  Rows
-    of a layer touch disjoint columns, so each chunk of (frame, row) pairs
-    that fits `ws` (2 q^2 check-node entries a pair) runs as one (frames,
-    rows, d, q) check-node stack: some rows of every frame, or one row of
-    some frames.
+    the layer's (F, rows, d, q) stored check messages of
+    `message_dtype(quant)`, kept in the check node's zero-sum domain.
+    Each row gathers its posteriors through the forward edge-label
+    permutation, subtracts its stored messages, normalizes them (the check
+    node's precondition), runs the check node, adds the new messages and
+    scatters the result back through the same index, which is the
+    backward permutation.  Labels permute the q entries, so this equals
+    permuting around the check node alone.  Rows of a layer touch disjoint
+    columns, so each chunk of (frame, row) pairs that fits `ws` (2 q^2
+    check-node entries a pair) runs as one (frames, rows, d, q) check-node
+    stack: some rows of every frame, or one row of some frames.
+
+    With a (b_q, b_f) quantizer `r_msg` holds the check node's integer
+    codes k, standing for messages k * 2^-b_f.  A row subtracts r_msg *
+    2^-b_f from its posteriors (as posteriors * 2^b_f - r_msg), normalizes
+    and rounds straight to codes: to the nearest integer, ties up,
+    saturating at 2^b_q - 1.  The check node's output codes go to r_msg.
+    The posterior update s = codes + r_msg runs in a (b_q + 1)-bit integer
+    dtype: it subtracts its minimum, saturates at 2^b_q - 1 and scatters
+    s * 2^-b_f.  Scaling by a power of 2 is exact, so the scattered floats
+    are those of rounding float messages to multiples of 2^-b_f.
     """
     frames, rows, q = len(post), len(cols), fld.q
-    dtype = np.dtype(float) if quant is None else np.min_scalar_type(2 ** quant[0] - 1)
-    scale = 1.0 if quant is None else 2.0 ** quant[1]
-    pairs = max(1, ws.nbytes // (2 * q * q * dtype.itemsize))
+    pairs = max(1, ws.nbytes // (2 * q * q * r_msg.itemsize))
     step = min(rows, max(1, pairs // frames))  # rows per chunk; all frames if step > 1
+    if quant is not None:
+        top, unit = 2 ** quant[0] - 1, 2.0 ** -quant[1]
+        sum_dtype = np.min_scalar_type(2 * top)
     for f in range(0, frames, pairs):
         p, r_f = post[f : f + pairs], r_msg[f : f + pairs]
         for lo in range(0, rows, step):
             c, r = cols[lo : lo + step, :, None], r_f[:, lo : lo + step]
             g = fld.mul_table[fld.inv_table[labels[lo : lo + step]]]  # out[a] = msg[g[a]]
             l_cv = p[:, c, g]  # updated in place to keep the chunk's float temporaries few
-            l_cv -= r
-            quantize_vec(normalize(l_cv, out=l_cv), quant, out=l_cv)
-            x = l_cv if quant is None else (l_cv * scale).astype(dtype)
-            np.divide(check_node_min_max(x, ws), scale, out=r)
-            l_cv += r
-            p[:, c, g] = quantize_vec(normalize(l_cv, out=l_cv), quant, out=l_cv)
+            if quant is None:
+                l_cv -= r
+                r[...] = check_node_min_max(normalize(l_cv, out=l_cv), ws)
+                l_cv += r
+                p[:, c, g] = normalize(l_cv, out=l_cv)
+            else:
+                l_cv /= unit
+                l_cv -= r
+                normalize(l_cv, out=l_cv)
+                l_cv += 0.5
+                # the values are >= 0.5, so the cast's truncation is the rounding's floor
+                codes = np.minimum(l_cv, top, out=l_cv).astype(r.dtype)
+                r[...] = check_node_min_max(codes, ws)
+                s = normalize(np.add(codes, r, dtype=sum_dtype))
+                p[:, c, g] = np.minimum(s, top, out=s) * unit
 
 
 def hard_decision(posteriors) -> np.ndarray:
@@ -311,7 +357,8 @@ def decode(
         raise ValueError(f"expected {h.cols} channel messages of {fld.q} entries, got {post.shape}")
     post = normalize(post)
     frames = np.arange(len(post))  # the input index of each frame still decoding
-    r_msg = [np.zeros((len(post),) + c.shape + (fld.q,)) for c in schedule.cols]
+    dtype = message_dtype(config.quant)
+    r_msg = [np.zeros((len(post),) + c.shape + (fld.q,), dtype) for c in schedule.cols]
     ws = np.empty(WORKSPACE)
     traces: list[list[np.ndarray]] = [[] for _ in frames]
     results: list[DecodeResult] = [None] * len(frames)
@@ -409,10 +456,13 @@ def run_monte_carlo(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sigmas = [snr_to_sigma(snr_db, rate) for snr_db in snr_db_list]
     for snr_db, sigma in zip(snr_db_list, sigmas):
-        if not (np.isfinite(sigma) and sigma > 0):
+        try:
+            _noise_variance(sigma)
+        except ValueError:
             raise ValueError(
-                f"SNR {snr_db} dB at design rate {rate:.4g} gives no positive, finite noise std"
-            )
+                f"SNR {snr_db} dB at design rate {rate:.4g} gives no positive noise std "
+                f"with a finite 2/sigma^2 (sigma = {sigma})"
+            ) from None
     frames = [(sigma, (si, t)) for si, sigma in enumerate(sigmas) for t in range(trials)]
     batch = max(1, BATCH_BYTES // (8 * fld.q * (h.nnz() + h.cols)))
     jobs = min(len(frames), max(workers, -(-len(frames) // batch)))

@@ -35,6 +35,12 @@ DEFAULT_PRIMITIVE_POLY: dict[int, int] = {
 }
 
 
+def check_degree(m: int) -> None:
+    """Raise ValueError unless GF2m builds GF(2^m): 2 <= m <= 8."""
+    if not 2 <= m <= 8:
+        raise ValueError(f"extension degree m={m} out of range [2, 8]")
+
+
 class GF2m:
     """Galois field GF(2^m) as its log/antilog, product and inverse tables.
 
@@ -42,8 +48,7 @@ class GF2m:
     """
 
     def __init__(self, m: int, primitive_poly: int | None = None) -> None:
-        if not 2 <= m <= 8:
-            raise ValueError(f"extension degree m={m} out of range [2, 8]")
+        check_degree(m)
         poly = DEFAULT_PRIMITIVE_POLY[m] if primitive_poly is None else primitive_poly
         if poly < 0 or poly.bit_length() != m + 1:
             raise ValueError(f"polynomial {poly:#x} does not have degree {m}")

@@ -28,6 +28,45 @@ def permute_message(msg: np.ndarray, h, direction: str, fld) -> np.ndarray:
     return np.take_along_axis(msg, np.broadcast_to(fld.mul_table[h], msg.shape), axis=-1)
 
 
+def quantize_vec(
+    vec: np.ndarray, quant: tuple[int, int] | None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Unsigned (b_q, b_f) uniform quantization of float messages, the
+    reference for the decoder's rounding to integer codes: round to the
+    nearest multiple of 2^-b_f (ties up), saturating at (2^b_q - 1) * 2^-b_f.
+    The result goes to `out` if given (which may be `vec`); quant=None
+    returns `vec` unchanged."""
+    if quant is None:
+        return vec
+    step = 2.0 ** -quant[1]
+    out = np.divide(vec, step, out=out)
+    out += 0.5
+    np.floor(out, out=out)
+    np.minimum(out, 2 ** quant[0] - 1, out=out)
+    out *= step
+    return out
+
+
+def channel_reliability_products(tx_symbols, sigma, fld, rng) -> np.ndarray:
+    """The channel's reliabilities as a sum over each symbol's m bits of
+    (bit of a != hard decision) * |LLR|, formed as one (F, symbols, q, m)
+    product: the reference for channel_reliability's doubled cost table.
+    Same arguments, noise stream and result shape."""
+    sigma = np.asarray(sigma, dtype=float)
+    stacked = sigma.ndim == 1
+    shifts = np.arange(fld.m)
+    tx = np.asarray(tx_symbols, dtype=int)
+    bit_table = (np.arange(fld.q)[:, None] >> shifts) & 1  # bit i of symbol a
+    bits = (tx[:, None] >> shifts) & 1
+    noise = np.stack([r.standard_normal(bits.shape) for r in (rng if stacked else [rng])])
+    sigma = sigma.reshape(-1, 1, 1)
+    var = np.reshape([s**2 for s in sigma.ravel().tolist()], sigma.shape)
+    y = (1.0 - 2.0 * bits) + sigma * noise
+    mag = np.abs(2.0 * y / var)
+    vec = ((bit_table != (y < 0)[..., None, :]) * mag[..., None, :]).sum(axis=-1)
+    return vec if stacked else vec[0]
+
+
 def gf_mul_carryless(a: int, b: int, m: int, poly: int) -> int:
     """Product in GF(2^m) from first principles, the reference for the
     field's tables: carry-less (XOR) multiplication of the two bit

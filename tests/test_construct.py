@@ -271,6 +271,11 @@ def test_spec_validation_errors():
         CodeSpec.class1(2, 1, 3, gamma=3, rho=0)
     with pytest.raises(ValueError, match="code class"):
         CodeSpec(3, 2, 1, 3, 1, 1)
+    # c*n = q-1 holds; only GF(2^m) itself is out of reach
+    with pytest.raises(ValueError, match=r"m=9 out of range \[2, 8\]"):
+        CodeSpec.class1(9, 1, 511, 1, 1)
+    with pytest.raises(ValueError, match=r"m=1 out of range \[2, 8\]"):
+        CodeSpec.class1(1, 1, 1, 1, 1)
     with pytest.raises(ValueError, match="t=1 is Class-II only"):
         CodeSpec(1, 2, 1, 3, 1, 1, t=1)
     # build_base orders subgroups at random only for Class-II

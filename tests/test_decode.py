@@ -18,15 +18,23 @@ from nbqc.decode import (
     decode,
     hard_channel,
     hard_decision,
+    message_dtype,
     normalize,
-    quantize_vec,
     run_monte_carlo,
     snr_to_sigma,
     syndrome_zero,
     update_layer,
 )
 from nbqc.gf import GF2m
-from oracles import BACKWARD, FORWARD, check_node_brute_force, minmax_kernel_table, permute_message
+from oracles import (
+    BACKWARD,
+    FORWARD,
+    channel_reliability_products,
+    check_node_brute_force,
+    minmax_kernel_table,
+    permute_message,
+    quantize_vec,
+)
 
 
 def check_node_brute_force_loop(inputs):
@@ -403,9 +411,12 @@ def test_channel_reliability_properties():
     for vec in msgs:
         assert vec.shape == (8,)
         assert vec.min() == 0.0
-    for sigma in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+    # 1e-154 squares to 1e-308, so 2/sigma^2 overflows; 1e160 squares to inf
+    for sigma in (0.0, float("nan"), float("inf"), -1.0, 1e-154, 1e-200, 1e160):
+        with pytest.raises(ValueError, match="finite"):
             channel_reliability([0], sigma, fld, rng)
+        with pytest.raises(ValueError, match="finite"):
+            channel_reliability([0], [0.8, sigma], fld, [rng, rng])
 
 
 def test_channel_reliability_matches_symbol_loop():
@@ -422,6 +433,26 @@ def test_channel_reliability_matches_symbol_loop():
             mag = np.abs(2.0 * y / 0.9**2)
             want = ((bit_table != (y < 0).astype(int)[None, :]) * mag[None, :]).sum(axis=1)
             assert np.array_equal(vec, want - want.min())
+
+
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.lists(st.floats(min_value=0.2, max_value=3.0), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_channel_reliability_matches_products(m, sigmas, symbols, seed):
+    fld = GF2m(m)
+    tx = np.random.default_rng(seed).integers(0, fld.q, symbols)
+    keys = [np.random.SeedSequence(seed, spawn_key=(f,)) for f in range(len(sigmas))]
+    got = channel_reliability(tx, sigmas, fld, [np.random.default_rng(k) for k in keys])
+    want = channel_reliability_products(tx, sigmas, fld, [np.random.default_rng(k) for k in keys])
+    assert np.array_equal(got, want)
+    rng, ref = np.random.default_rng(keys[0]), np.random.default_rng(keys[0])
+    assert np.array_equal(
+        channel_reliability(tx, sigmas[0], fld, rng), channel_reliability_products(tx, sigmas[0], fld, ref)
+    )
 
 
 def test_hard_channel():
@@ -519,7 +550,8 @@ def test_update_layer_chunks_do_not_change_result():
     for quant, dtype in ((None, float), ((5, 1), np.uint8), ((10, 4), np.uint16)):
         rng = np.random.default_rng(6)
         post = normalize(rng.random((5, h.cols, fld.q)) * 8)
-        r_msg = normalize(rng.random((5,) + cols.shape + (fld.q,)))
+        top = 1 if quant is None else 2 ** quant[0] - 1
+        r_msg = normalize(rng.random((5,) + cols.shape + (fld.q,)) * top).astype(dtype)
         small = (post.copy(), r_msg.copy())
         ws = np.empty(3 * 2 * fld.q**2, dtype)
         update_layer(small[0], cols, labels, small[1], fld, quant, ws)
@@ -530,7 +562,8 @@ def test_update_layer_chunks_do_not_change_result():
 
 def reference_update_layer(post, cols, labels, r_msg, fld, quant):
     """update_layer with the edge labels applied by permute_message around
-    the check node and the check messages stored unpermuted."""
+    the check node, float messages rounded by quantize_vec, and the check
+    messages stored unpermuted as floats."""
     codes = None if quant is None else np.min_scalar_type(2 ** quant[0] - 1)
     scale = 1.0 if quant is None else 2.0 ** quant[1]
     l_cv = quantize_vec(normalize(post[:, cols] - r_msg), quant)
@@ -554,15 +587,37 @@ def test_update_layer_matches_reference(spec_index, frames, quant, seed):
     snrs = np.random.default_rng(seed).uniform(0.0, 4.0, frames)
     post = normalize(frame_stack(h, fld, snrs, seed))
     ref = post.copy()
-    r_msg = [np.zeros((frames,) + c.shape + (fld.q,)) for c in schedule.cols]
-    ref_msg = [r.copy() for r in r_msg]
+    r_msg = [np.zeros((frames,) + c.shape + (fld.q,), message_dtype(quant)) for c in schedule.cols]
+    ref_msg = [np.zeros(r.shape) for r in r_msg]
+    unit = 1.0 if quant is None else 2.0 ** -quant[1]  # the float value of one code step
     ws = np.empty(WORKSPACE)
     for _ in range(2):
         for t, (cols, labels) in enumerate(zip(schedule.cols, schedule.labels)):
             update_layer(post, cols, labels, r_msg[t], fld, quant, ws)
             reference_update_layer(ref, cols, labels, ref_msg[t], fld, quant)
             assert np.array_equal(post, ref)
-            assert np.array_equal(r_msg[t], permute_message(ref_msg[t], labels, FORWARD, fld))
+            assert np.array_equal(r_msg[t] * unit, permute_message(ref_msg[t], labels, FORWARD, fld))
+
+
+@pytest.mark.parametrize(
+    "quant, dtype", [(None, np.float64), ((1, 0), np.uint8), ((6, 2), np.uint8), ((10, 4), np.uint16)]
+)
+def test_decode_stores_check_messages_as_codes(monkeypatch, quant, dtype):
+    import nbqc.decode as module
+
+    layer, stored = module.update_layer, set()
+
+    def recorded(post, cols, labels, r_msg, *rest):
+        stored.add(r_msg.dtype)
+        layer(post, cols, labels, r_msg, *rest)
+
+    monkeypatch.setattr(module, "update_layer", recorded)
+    h, fld = fig_code_class2()
+    schedule = build_layer_schedule(h, LAYER_I)
+    channel = frame_stack(h, fld, [0.0, 1.0, 2.0], 4)
+    assert message_dtype(quant) == dtype
+    decode(h, schedule, channel, fld, DecoderConfig(max_iter=3, quant=quant))
+    assert stored == {np.dtype(dtype)}
 
 
 @pytest.mark.parametrize("quant, calls", [((6, 2), 10), (None, 40)])
@@ -673,6 +728,8 @@ def test_run_monte_carlo_deterministic():
         ([-1e4], 1, "finite"),
         ([1.0], 0, "worker"),
         ([4000.0], 1, "finite"),  # 10**400 overflows a float
+        ([2.0, 3080.0], 1, "SNR 3080.0 dB"),  # sigma 1e-154: 2/sigma^2 overflows
+        ([-3200.0], 1, "SNR -3200.0 dB"),  # sigma 1e160: sigma^2 overflows
     ],
 )
 def test_run_monte_carlo_rejects_bad_input(snrs, workers, match):
