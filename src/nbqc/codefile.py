@@ -50,7 +50,7 @@ def write_code(path: str, spec: CodeSpec, h: ParityCheck, fld: GF2m) -> None:
 
 
 def parse_code(text: str) -> tuple[CodeSpec, ParityCheck, GF2m]:
-    """Read a code file into (spec, H, field), H expanded from the region.
+    """Read a code file into (spec, H, field), H built from the region.
 
     The header must be the one format_code writes for the spec it names,
     followed by gamma lines of rho single-space-separated decimal elements

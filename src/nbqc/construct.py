@@ -7,7 +7,7 @@ complementary additive subgroups spanned by {alpha^0..alpha^(t-1)} and
 field elements; each entry is expanded into a (q-1) x (q-1) circulant
 permutation matrix (CPM) and the top-left gamma x rho block sub-array is
 the sparse parity-check matrix H.  ParityCheck keeps that gamma x rho
-region of W and derives H's edge arrays from it.
+region of W and derives H's edge arrays from it on first read.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,14 +101,14 @@ class SubgroupIndexing:
 class ParityCheck:
     """CPM expansion H of a gamma x rho base-matrix region over GF(q).
 
-    The region is H's stored form; everything else is derived from it
-    once, read-only.  Row r's edges fill the first degree[r] slots of the
-    (rows, max degree) arrays edge_cols (strictly increasing columns) and
-    edge_labels (nonzero field elements); the other slots hold column 0
+    The region is H's stored form; the edge form is derived on first read.
+    Row r's edges fill the first degree[r] slots of the (rows, max degree)
+    arrays edge_cols (strictly increasing columns) and edge_labels
+    (nonzero field elements), read-only; the other slots hold column 0
     with label 0, which adds nothing to a syndrome.
     """
 
-    fld: InitVar[GF2m]
+    fld: GF2m = field(repr=False)
     region: np.ndarray = field(repr=False)
     rows: int = field(init=False)
     cols: int = field(init=False)
@@ -117,33 +117,47 @@ class ParityCheck:
     edge_labels: np.ndarray = field(init=False, repr=False)
     degree: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, fld: GF2m) -> None:
+    def __post_init__(self) -> None:
         region = np.array(self.region, dtype=np.int64)
         if region.ndim != 2:
             raise ValueError(f"a base-matrix region is 2-D, got shape {region.shape}")
-        edge_cols, edge_labels = expand_base(fld, region)
+        check_elements(self.fld, region)
+        region.flags.writeable = False
+        q, (gamma, rho) = self.fld.q, region.shape  # frozen: the fields are set here only
+        vars(self).update(region=region, rows=gamma * (q - 1), cols=rho * (q - 1), q=q)
+
+    def __getattr__(self, name: str):
+        # Reached only for names missing from the instance.  Any other name raises
+        # unread: pickle probes __setstate__ before the instance is filled.
+        if name not in ("edge_cols", "edge_labels", "degree"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        edge_cols, edge_labels = expand_base(self.fld, self.region)
         degree = np.count_nonzero(edge_labels, axis=1)
-        for a in (region, edge_cols, edge_labels, degree):
+        for a in (edge_cols, edge_labels, degree):
             a.flags.writeable = False
-        vars(self).update(  # frozen: the derived fields are set here only
-            region=region, rows=len(edge_cols), cols=region.shape[1] * (fld.q - 1), q=fld.q,
-            edge_cols=edge_cols, edge_labels=edge_labels, degree=degree,
-        )
+        vars(self).update(edge_cols=edge_cols, edge_labels=edge_labels, degree=degree)
+        return vars(self)[name]
 
     @property
     def num_block_rows(self) -> int:
         return self.region.shape[0]
 
     def nnz(self) -> int:
-        return int(self.degree.sum())
+        return (self.q - 1) * int(np.count_nonzero(self.region))
 
     @property
     def row_entries(self) -> list[np.ndarray]:
-        """Derived read-only view: per row, a (degree, 2) array of
-        (column, value) pairs."""
+        """Derived read-only view: per row, a (degree, 2) array of (column, value) pairs."""
         pairs = np.stack((self.edge_cols, self.edge_labels), axis=-1)
         pairs.flags.writeable = False
         return [p[:d] for p, d in zip(pairs, self.degree.tolist())]
+
+
+def check_elements(fld: GF2m, d: np.ndarray) -> None:
+    """Raise ValueError unless every entry of d is an element of the field."""
+    bad = (d < 0) | (d >= fld.q)
+    if bad.any():
+        raise ValueError(f"{d[bad][0]} is not an element of GF({fld.q})")
 
 
 def cpm(fld: GF2m, d) -> tuple[np.ndarray, np.ndarray]:
@@ -156,9 +170,7 @@ def cpm(fld: GF2m, d) -> tuple[np.ndarray, np.ndarray]:
     row (column -1).
     """
     d = np.asarray(d)
-    bad = (d < 0) | (d >= fld.q)
-    if bad.any():
-        raise ValueError(f"{d[bad][0]} is not an element of GF({fld.q})")
+    check_elements(fld, d)
     values = fld.mul_table[d[..., None], fld.antilog_table]
     return fld.log_table[values], values
 

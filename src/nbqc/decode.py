@@ -120,19 +120,22 @@ def build_layer_schedule(h: ParityCheck, partition: str = LAYER_I) -> LayerSched
     return LayerSchedule(tuple(layer_cols), tuple(layer_labels))
 
 
-def _noise_variance(sigma) -> np.ndarray:
+def _noise_variance(sigma, m: int, b_f: int = 0) -> np.ndarray:
     """sigma^2 of each noise std, each float squared on its own (np.square
     rounds some last bits differently).  Raises ValueError unless sigma is
-    positive and sigma^2 and 2/sigma^2, the scale of the reliabilities,
-    are finite, so that no bit's |LLR| = |2y / sigma^2| is inf or NaN."""
+    positive, sigma^2 is finite and so is the largest reliability decoding
+    forms: the sum of m |LLR|s, times 2^b_f when quantized.  It overflows
+    only for sigma < 1e-150, where y = +-1 exactly and each |LLR| is
+    2/sigma^2; it is summed in the channel's cost-table order."""
     sigma = np.asarray(sigma, dtype=float)
     try:
         var = np.reshape([s**2 for s in sigma.ravel().tolist()], sigma.shape)
     except OverflowError:
         var = np.full(sigma.shape, np.inf)
     with np.errstate(divide="ignore", over="ignore"):
-        if not ((sigma > 0) & np.isfinite(var) & np.isfinite(2.0 / var)).all():
-            raise ValueError(f"noise std must be positive with 2/sigma^2 finite, got {sigma}")
+        peak = np.repeat((2.0 / var)[..., None], m, axis=-1).sum(axis=-1) * 2.0**b_f
+        if not ((sigma > 0) & np.isfinite(var) & np.isfinite(peak)).all():
+            raise ValueError(f"noise std must be positive with {m}*2/sigma^2 finite, got {sigma}")
     return var
 
 
@@ -150,7 +153,7 @@ def channel_reliability(tx_symbols, sigma, fld: GF2m, rng) -> np.ndarray:
     Returns one row per symbol; the noise is drawn symbol by symbol, bit 0
     first.  Given a sequence of F noise stds and one generator for each,
     returns the (F, symbols, q) stack of F frames of the same symbols,
-    frame f drawing its noise from rng[f].  A std whose 2/sigma^2 is not
+    frame f drawing its noise from rng[f].  A std whose m*2/sigma^2 is not
     finite raises ValueError.
 
     Each bit's two costs (0 where a's bit agrees with the hard decision,
@@ -160,7 +163,7 @@ def channel_reliability(tx_symbols, sigma, fld: GF2m, rng) -> np.ndarray:
     sum, so each entry is the float that summing its m terms gives.
     """
     sigma = np.asarray(sigma, dtype=float)
-    var = _noise_variance(sigma)
+    var = _noise_variance(sigma, fld.m)
     stacked = sigma.ndim == 1
     shifts = np.arange(fld.m)
     tx = np.asarray(tx_symbols, dtype=int)
@@ -455,13 +458,14 @@ def run_monte_carlo(
     rate = (h.cols - h.rows) / h.cols
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sigmas = [snr_to_sigma(snr_db, rate) for snr_db in snr_db_list]
+    b_f = 0 if config.quant is None else config.quant[1]
     for snr_db, sigma in zip(snr_db_list, sigmas):
         try:
-            _noise_variance(sigma)
+            _noise_variance(sigma, fld.m, b_f)
         except ValueError:
             raise ValueError(
                 f"SNR {snr_db} dB at design rate {rate:.4g} gives no positive noise std "
-                f"with a finite 2/sigma^2 (sigma = {sigma})"
+                f"with a finite {fld.m}*2/sigma^2*2^{b_f} (sigma = {sigma})"
             ) from None
     frames = [(sigma, (si, t)) for si, sigma in enumerate(sigmas) for t in range(trials)]
     batch = max(1, BATCH_BYTES // (8 * fld.q * (h.nnz() + h.cols)))

@@ -114,6 +114,29 @@ def check_node_brute_force(inputs: list[np.ndarray]) -> list[np.ndarray]:
     return outs
 
 
+def gf_rank(h, fld) -> int:
+    """Rank of H over GF(q), the reference for a code's true dimension
+    k = cols - rank: Gaussian elimination of the dense matrix through the
+    field's product and inverse tables, one pivot column at a time."""
+    a = np.zeros((h.rows, h.cols), dtype=np.uint8)
+    edge = h.edge_labels != 0
+    a[np.nonzero(edge)[0], h.edge_cols[edge]] = h.edge_labels[edge]
+    rank = 0
+    for col in range(h.cols):
+        nonzero = np.flatnonzero(a[rank:, col])
+        if not len(nonzero):
+            continue
+        p = rank + nonzero[0]
+        a[[rank, p]] = a[[p, rank]]
+        a[rank] = fld.mul_table[fld.inv_table[a[rank, col]], a[rank]]  # pivot 1
+        below = rank + 1 + np.flatnonzero(a[rank + 1 :, col])
+        a[below] ^= fld.mul_table[a[below, col][:, None], a[rank]].astype(np.uint8)
+        rank += 1
+        if rank == h.rows:
+            break
+    return rank
+
+
 def per_category_ratios(a, b) -> dict[str, float | None]:
     """a's count over b's in every cost category; None where either design
     lacks the category or b's count is 0."""

@@ -2,7 +2,9 @@
 
 import pytest
 
+import nbqc.construct
 from nbqc.cli import main
+from nbqc.gf import GF2m
 
 
 def run(capsys, *argv):
@@ -291,6 +293,35 @@ def test_route_and_schedule_refuse_an_h_the_moves_do_not_describe(capsys, tmp_pa
             f"error: {paths['random']}: block (0, 2) of H is 4, not W's 2; "
             "moves are derived from the spec's W, not from the file's H\n"
         )
+
+
+TOOLCHAIN_CODES = {
+    "class1": ("--class", "1", "--m", "3", "--c", "1", "--n", "7", "--gamma", "3", "--rho", "7"),
+    "class2": ("--class", "2", "--m", "3", "--t", "1", "--gamma", "3", "--rho", "8"),
+}
+
+
+@pytest.mark.parametrize("flags", TOOLCHAIN_CODES.values(), ids=TOOLCHAIN_CODES)
+def test_toolchain_commands_never_expand_h(capsys, tmp_path, monkeypatch, flags):
+    path = str(tmp_path / "code.nbqc")
+
+    def outputs():
+        runs = [run(capsys, "construct", *flags, "-o", path)]
+        for argv in (("verify", path), ("route", "--code", path), ("schedule", "--code", path)):
+            runs.append(run(capsys, *argv))
+        with open(path) as f:
+            return runs, f.read()
+
+    plain = outputs()
+    assert [code for code, _, _ in plain[0]] == [0, 0, 0, 0]
+
+    def refuse(*args):
+        raise AssertionError("H was expanded")
+
+    monkeypatch.setattr(nbqc.construct, "expand_base", refuse)
+    with pytest.raises(AssertionError, match="expanded"):
+        nbqc.construct.ParityCheck(GF2m(2), [[1]]).degree
+    assert outputs() == plain
 
 
 def test_cost_command(capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from nbqc.construct import (
     index_subgroup,
     random_index_subgroup,
 )
+from nbqc.decode import syndrome_zero
 from nbqc.gf import GF2m
+from oracles import gf_rank
 
 CLASS1_SUITE = [(2, 1, 3), (3, 7, 1), (4, 3, 5), (6, 7, 9)]
 CLASS2_SUITE = [(2, 1), (3, 1), (4, 2), (5, 2)]
@@ -234,6 +237,29 @@ def test_recover_base_region_and_code_file_roundtrip(spec):
     assert format_code(spec2, h2, fld2) == text
 
 
+@given(spec=constructible_specs())
+@settings(max_examples=60, deadline=None)
+def test_region_derived_sizes_match_the_edge_form(spec):
+    h, _, _, fld = build_code(spec)
+    sizes = (h.rows, h.cols, h.nnz())  # read before H is expanded
+    assert "edge_cols" not in vars(h)
+    assert sizes == (len(h.edge_cols), h.region.shape[1] * (fld.q - 1), h.degree.sum())
+
+
+def test_parity_check_pickles_before_and_after_expansion():
+    h, _, _, _ = build_code(CodeSpec.class2(3, 1, gamma=3, rho=6))
+    lazy = pickle.loads(pickle.dumps(h))
+    assert "edge_cols" not in vars(lazy)
+    h.degree  # the first read expands H
+    expanded = pickle.loads(pickle.dumps(h))
+    assert "edge_cols" in vars(expanded)
+    for name in ("region", "edge_cols", "edge_labels", "degree"):
+        assert np.array_equal(getattr(lazy, name), getattr(h, name))
+        assert np.array_equal(getattr(expanded, name), getattr(h, name))
+    with pytest.raises(AttributeError, match="no attribute 'dense'"):
+        lazy.dense
+
+
 def test_parity_check_is_built_only_from_a_region():
     fld = GF2m(2)
     h = ParityCheck(fld, np.array([[1, 2, 0]]))
@@ -288,3 +314,27 @@ def test_surjective_seed_randomizes_both_orderings():
     _, indexing, fld = build_base(spec)
     assert indexing.beta == random_index_subgroup(fld, [0, 1], 5)
     assert indexing.delta == random_index_subgroup(fld, [2, 3], 6)
+
+
+@pytest.mark.parametrize(
+    "spec, rank",
+    [
+        (CodeSpec.class2(3, 1, gamma=3, rho=6), 18),
+        (CodeSpec.class1(3, 7, 1, gamma=3, rho=5), 18),
+        (CodeSpec.class2(5, 4, gamma=16, rho=32), 226),  # the nominal (992, 496) code
+        (CodeSpec.class1(6, 7, 9, gamma=10, rho=20), 428),  # the nominal (1260, 630) code
+    ],
+)
+def test_gf_rank_of_unmasked_codes(spec, rank):
+    # far from full rank: the true dimensions of the headline codes are
+    # k = 992 - 226 = 766 and 1260 - 428 = 832, not 496 and 630
+    h, _, _, fld = build_code(spec)
+    assert gf_rank(h, fld) == rank < h.rows
+
+
+def test_gf_rank_counts_the_null_space():
+    # q^(cols - rank) of all q^cols words satisfy H
+    h, _, _, fld = build_code(CodeSpec.class1(2, 1, 3, gamma=2, rho=3))
+    words = np.array(list(itertools.product(range(fld.q), repeat=h.cols)))
+    codewords = np.count_nonzero(syndrome_zero(h, fld, words))
+    assert codewords == fld.q ** (h.cols - gf_rank(h, fld))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nbqc.codefile import read_code, write_code
 from nbqc.construct import CodeSpec, ParityCheck, build_code
 from nbqc.decode import (
     LAYER_I,
@@ -739,11 +740,48 @@ def test_run_monte_carlo_rejects_bad_input(snrs, workers, match):
         run_monte_carlo(h, schedule, fld, snrs, 5, DecoderConfig(), workers=workers)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "snr, quant, refused",
+    [
+        (3075.0, None, True),  # the sum of 3 |LLR|s overflows, though 2/sigma^2 does not
+        (3069.0, None, False),
+        (3070.0, (6, 2), True),  # 2^2 times that sum overflows
+        (3068.0, (6, 2), False),
+    ],
+)
+def test_run_monte_carlo_refuses_reliabilities_that_overflow(snr, quant, refused):
+    h, _, _, fld = build_code(CodeSpec.class2(3, 1, gamma=3, rho=6))
+    config = DecoderConfig(max_iter=5, quant=quant)
+    args = (h, build_layer_schedule(h), fld, [2.0, snr], 3, config)
+    if refused:
+        with pytest.raises(ValueError, match=f"SNR {snr} dB .* finite"):
+            run_monte_carlo(*args)
+    else:
+        assert run_monte_carlo(*args)[1].fer == 0.0
+
+
 def test_run_monte_carlo_rejects_nonpositive_rate():
     h, _, _, fld = build_code(CodeSpec.class1(2, 1, 3, gamma=3, rho=3))  # 9 x 9
     schedule = build_layer_schedule(h, LAYER_I)
     with pytest.raises(ValueError, match="rate"):
         run_monte_carlo(h, schedule, fld, [1.0], 5, DecoderConfig())
+
+
+def test_run_monte_carlo_pool_on_a_code_fresh_from_its_file(tmp_path):
+    # the H handed to the pool is not expanded yet; its workers expand it
+    spec = CodeSpec.class2(3, 1, gamma=3, rho=6)
+    h, _, _, fld = build_code(spec)
+    path = tmp_path / "q8.nbqc"
+    write_code(path, spec, h, fld)
+    schedule = build_layer_schedule(h)
+    config = DecoderConfig(max_iter=5, rng_seed=4)
+    rows = []
+    for workers in (1, 2):
+        _, fresh, fld = read_code(path)
+        assert "edge_cols" not in vars(fresh)
+        rows.append(run_monte_carlo(fresh, schedule, fld, [1.0, 3.0], 8, config, workers=workers))
+    assert rows[0] == rows[1]
 
 
 def test_run_monte_carlo_worker_count_reproducible():
