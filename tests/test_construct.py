@@ -1,6 +1,7 @@
 """Base-matrix construction, CPM expansion and subgroup orderings."""
 
 import dataclasses
+import hashlib
 import itertools
 import pickle
 
@@ -188,6 +189,45 @@ def test_expand_base_shapes_and_nnz():
         assert (np.diff(cols[:d]) > 0).all()
     with pytest.raises(ValueError):
         h.edge_labels[0, 0] = 1  # read-only: no second copy of H can drift
+
+
+# sha256 of every row's (column, label) pairs, recorded from the padded
+# edge arrays, so that a new expanded form of H cannot move an edge
+ROW_SPECS = {
+    # the `nbqc construct` codes of perfbench/workloads.py
+    "q8-c2": CodeSpec.class2(3, 1, gamma=3, rho=8),
+    "q8-c1": CodeSpec.class1(3, 1, 7, gamma=3, rho=7),
+    "q64-c1": CodeSpec.class1(6, 7, 9, gamma=10, rho=20),
+    "q32-c2": CodeSpec.class2(5, 4, gamma=16, rho=32),
+    "m8-c2": CodeSpec.class2(8, 4, gamma=16, rho=256),
+    "m8-c1": CodeSpec.class1(8, 15, 17, gamma=8, rho=255),
+    # the acceptance suite's SANITY_SPECS; c2-m3 is also the sim-q8 code
+    "c1-m2": CodeSpec.class1(2, 1, 3, gamma=2, rho=3),
+    "c1-m4": CodeSpec.class1(4, 3, 5, gamma=3, rho=6),
+    "c2-m2": CodeSpec.class2(2, 1, gamma=2, rho=4),
+    "c2-m3": CodeSpec.class2(3, 1, gamma=3, rho=6),
+}
+ROW_GOLDEN = {
+    "q8-c2": "da0d7de0438eac97b68a7d377c39b2ecfbb8b8016aef2f6235799fab3ed0f569",
+    "q8-c1": "34f0f5cfecc8889bab30595f8b86c4c700067f57dd9db0386e41676f6a36573a",
+    "q64-c1": "378a0c985242b3855b77ffe21fcdffbb5f2b9e09faed2851f19caab9160654f4",
+    "q32-c2": "3e990823962e62929a4227f5a78675730fa432fd5711d41c4ca064504e41a674",
+    "m8-c2": "9f3b5694d8a4f61c27d0664d68267d37cd4deaf2fa8d9d19012cd3b8643e4e84",
+    "m8-c1": "47e2a1aad10b0ad98dd3b248167d2558b2f2860c6c551f8629d0fa8abe006206",
+    "c1-m2": "a3d46a3c56ae407d216fa01ba67a2db907d1249b86f986e35faad5544e33329a",
+    "c1-m4": "4a9eb9bb7a3822f5377691732b69120f7f546aa985c94ccc2d25032d183fd317",
+    "c2-m2": "813a2e0cdb1990a7d597cbdb1b6e381f2754f30e670b859472b497fab02d5e74",
+    "c2-m3": "f189590bea9b9f7fde958f0fee83f66e294efdf0d887b2d8ac1451c59f1ea272",
+}
+
+
+@pytest.mark.parametrize("name", ROW_SPECS)
+def test_row_entries_pinned(name):
+    h = build_code(ROW_SPECS[name])[0]
+    digest = hashlib.sha256()
+    for r, entries in enumerate(h.row_entries):
+        digest.update(np.column_stack((np.full(len(entries), r), entries)).astype(np.int64).tobytes())
+    assert digest.hexdigest() == ROW_GOLDEN[name]
 
 
 @st.composite
