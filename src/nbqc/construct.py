@@ -7,11 +7,13 @@ complementary additive subgroups spanned by {alpha^0..alpha^(t-1)} and
 field elements; each entry is expanded into a (q-1) x (q-1) circulant
 permutation matrix (CPM) and the top-left gamma x rho block sub-array is
 the sparse parity-check matrix H.  ParityCheck keeps that gamma x rho
-region of W and derives H's edge arrays from it on first read.
+region of W and derives H's layers, one per CPM block row, from it on
+first read.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -101,11 +103,11 @@ class SubgroupIndexing:
 class ParityCheck:
     """CPM expansion H of a gamma x rho base-matrix region over GF(q).
 
-    The region is H's stored form; the edge form is derived on first read.
-    Row r's edges fill the first degree[r] slots of the (rows, max degree)
-    arrays edge_cols (strictly increasing columns) and edge_labels
-    (nonzero field elements), read-only; the other slots hold column 0
-    with label 0, which adds nothing to a syndrome.
+    The region is H's stored form.  Its expanded form, derived on first
+    read, is `layers`: per CPM block row t, read-only (q-1, d_t) arrays of
+    the columns (increasing along each row) and the nonzero labels of the
+    edges of its rows (see expand_base).  A copy, by pickle too, is rebuilt
+    from the field and the region.
     """
 
     fld: GF2m = field(repr=False)
@@ -113,9 +115,6 @@ class ParityCheck:
     rows: int = field(init=False)
     cols: int = field(init=False)
     q: int = field(init=False)
-    edge_cols: np.ndarray = field(init=False, repr=False)
-    edge_labels: np.ndarray = field(init=False, repr=False)
-    degree: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         region = np.array(self.region, dtype=np.int64)
@@ -126,17 +125,12 @@ class ParityCheck:
         q, (gamma, rho) = self.fld.q, region.shape  # frozen: the fields are set here only
         vars(self).update(region=region, rows=gamma * (q - 1), cols=rho * (q - 1), q=q)
 
-    def __getattr__(self, name: str):
-        # Reached only for names missing from the instance.  Any other name raises
-        # unread: pickle probes __setstate__ before the instance is filled.
-        if name not in ("edge_cols", "edge_labels", "degree"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        edge_cols, edge_labels = expand_base(self.fld, self.region)
-        degree = np.count_nonzero(edge_labels, axis=1)
-        for a in (edge_cols, edge_labels, degree):
-            a.flags.writeable = False
-        vars(self).update(edge_cols=edge_cols, edge_labels=edge_labels, degree=degree)
-        return vars(self)[name]
+    def __reduce__(self):
+        return ParityCheck, (self.fld, self.region)
+
+    @functools.cached_property
+    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return expand_base(self.fld, self.region)
 
     @property
     def num_block_rows(self) -> int:
@@ -147,10 +141,8 @@ class ParityCheck:
 
     @property
     def row_entries(self) -> list[np.ndarray]:
-        """Derived read-only view: per row, a (degree, 2) array of (column, value) pairs."""
-        pairs = np.stack((self.edge_cols, self.edge_labels), axis=-1)
-        pairs.flags.writeable = False
-        return [p[:d] for p, d in zip(pairs, self.degree.tolist())]
+        """Per row, a (degree, 2) array of (column, label) pairs, stacked from the layers."""
+        return [pairs for layer in self.layers for pairs in np.stack(layer, axis=-1)]
 
 
 def check_elements(fld: GF2m, d: np.ndarray) -> None:
@@ -256,22 +248,23 @@ def build_base(spec: CodeSpec) -> tuple[np.ndarray, SubgroupIndexing, GF2m]:
     return (*build_base_class2(fld, spec.t, beta, delta), fld)
 
 
-def expand_base(fld: GF2m, region: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H's edge arrays (edge_cols, edge_labels): the CPM expansion of a
-    base-matrix region, with one broadcast over the region.
+def expand_base(fld: GF2m, region: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """H's layers: per block row of the region, read-only (q-1, d) arrays
+    of the columns and labels of its rows' edges, d being the block row's
+    number of nonzero blocks.
 
     A row's edges are the nonzero blocks of its block row in block-column
-    order; block (bi, bj) puts CPM row r's edge in H row bi*(q-1) + r, at
+    order; block (bi, bj) puts CPM row r's edge in row r of layer bi, at
     column bj*(q-1) + log(alpha^r w) with label alpha^r w (see cpm).
     """
-    qm1 = fld.q - 1
-    width = int(np.count_nonzero(region, axis=1).max(initial=0))
-    # per block row, the block columns of its nonzero blocks first, in order
-    bj = np.argsort(region == 0, axis=1, kind="stable")[:, :width]
-    cols, labels = cpm(fld, np.take_along_axis(region, bj, axis=1))  # (block row, slot, CPM row)
-    cols = np.where(labels != 0, cols + bj[..., None] * qm1, 0)
-    shape = (len(region) * qm1, width)
-    return cols.transpose(0, 2, 1).reshape(shape), labels.transpose(0, 2, 1).reshape(shape)
+    layers = []
+    for row in region:
+        bj = np.flatnonzero(row)
+        cols, labels = cpm(fld, row[bj])  # (block, CPM row) each
+        layer = np.stack((cols + bj[:, None] * (fld.q - 1), labels)).transpose(0, 2, 1).copy()
+        layer.flags.writeable = False  # and so are its views, the (cols, labels) pair
+        layers.append(tuple(layer))
+    return tuple(layers)
 
 
 def build_code(spec: CodeSpec) -> tuple[ParityCheck, np.ndarray, SubgroupIndexing, GF2m]:

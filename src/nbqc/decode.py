@@ -5,8 +5,8 @@ polynomial-bit value of the field element, stacked along the last axis of
 numpy arrays; every message leaving an operation is normalized so its
 minimum entry is exactly 0 (the most likely symbol has reliability 0).
 
-The decoder works on H's edge arrays, cut once per code into one layer per
-CPM block row: layer t holds (q-1, d) arrays of its columns and labels.
+The decoder works on H's layers, one per CPM block row: layer t holds
+(q-1, d) arrays of its rows' columns and labels.
 F frames decode as one stack: (F, columns, q) posteriors and, per layer,
 (F, rows, d, q) check messages; a layer update runs every frame's rows in
 chunks that keep the check-node workspace at 1 MB, and a frame leaves the
@@ -60,9 +60,9 @@ BATCH_BYTES = 1 << 22
 
 @dataclass(frozen=True, eq=False)
 class LayerSchedule:
-    """H's rows in layers, one per CPM block row, with each layer's dense
-    edge form: cols[t] and labels[t] are (q-1, d) arrays of the column
-    indices and edge labels of block row t's rows."""
+    """The layers the decoder runs, top to bottom: cols[t] and labels[t]
+    are the (q-1, d) column and label arrays of H's layer t, the same
+    arrays as h.layers[t]."""
 
     cols: tuple[np.ndarray, ...] = field(repr=False)
     labels: tuple[np.ndarray, ...] = field(repr=False)
@@ -101,8 +101,8 @@ def normalize(vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def build_layer_schedule(h: ParityCheck, partition: str = LAYER_I) -> LayerSchedule:
-    """Cut H's dense edge form into layers, one per CPM block row (q-1
-    rows each); LAYER_I is the only partition.
+    """Run H's layers, one per CPM block row (q-1 rows each), in order;
+    LAYER_I is the only partition.
 
     A CPM block row's rows share one degree and touch each column at most
     once; that degree must be at least 2 (a check node needs two edges).
@@ -110,14 +110,10 @@ def build_layer_schedule(h: ParityCheck, partition: str = LAYER_I) -> LayerSched
     if partition != LAYER_I:
         raise ValueError(f"unknown partition {partition!r}")
     qm1 = h.q - 1
-    layer_cols, layer_labels = [], []
-    for lo in range(0, h.rows, qm1):
-        d = h.degree[lo]
-        if d < 2:
-            raise ValueError(f"rows {lo}..{lo + qm1 - 1} have check degree {d}; need >= 2")
-        layer_cols.append(h.edge_cols[lo : lo + qm1, :d])
-        layer_labels.append(h.edge_labels[lo : lo + qm1, :d])
-    return LayerSchedule(tuple(layer_cols), tuple(layer_labels))
+    for t, (cols, _) in enumerate(h.layers):
+        if (d := cols.shape[1]) < 2:
+            raise ValueError(f"rows {t * qm1}..{t * qm1 + qm1 - 1} have check degree {d}; need >= 2")
+    return LayerSchedule(tuple(c for c, _ in h.layers), tuple(l for _, l in h.layers))
 
 
 def _noise_variance(sigma, m: int, b_f: int = 0) -> np.ndarray:
@@ -183,10 +179,10 @@ def channel_reliability(tx_symbols, sigma, fld: GF2m, rng) -> np.ndarray:
     return tables[0] if stacked else tables[0][0]
 
 
-def hard_channel(tx_symbols, fld: GF2m, penalty: float = HARD_PENALTY) -> np.ndarray:
-    """Noiseless limit: transmitted symbol gets 0, every other symbol `penalty`."""
+def hard_channel(tx_symbols, fld: GF2m) -> np.ndarray:
+    """Noiseless limit: transmitted symbol gets 0, every other symbol HARD_PENALTY."""
     tx = np.asarray(tx_symbols, dtype=int)
-    out = np.full((len(tx), fld.q), penalty)
+    out = np.full((len(tx), fld.q), HARD_PENALTY)
     out[np.arange(len(tx)), tx] = 0.0
     return out
 
@@ -333,9 +329,10 @@ def hard_decision(posteriors) -> np.ndarray:
 
 def syndrome_zero(h: ParityCheck, fld: GF2m, symbols: np.ndarray):
     """Whether H s = 0 for a (columns,) word, or for each word of an
-    (F, columns) stack (a boolean array of F)."""
-    terms = fld.mul_table[h.edge_labels, np.asarray(symbols)[..., h.edge_cols]]
-    return ~np.bitwise_xor.reduce(terms, axis=-1).any(axis=-1)
+    (F, columns) stack (a boolean array of F), one layer at a time."""
+    s = np.asarray(symbols)
+    bad = [np.bitwise_xor.reduce(fld.mul_table[l, s[..., c]], axis=-1).any(axis=-1) for c, l in h.layers]
+    return ~np.any(bad, axis=0)
 
 
 def decode(
@@ -456,6 +453,8 @@ def run_monte_carlo(
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     rate = (h.cols - h.rows) / h.cols
+    if rate <= 0:
+        raise ValueError(f"H is {h.rows}x{h.cols}, so its design rate {rate:.4g} is not positive")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sigmas = [snr_to_sigma(snr_db, rate) for snr_db in snr_db_list]
     b_f = 0 if config.quant is None else config.quant[1]

@@ -44,7 +44,8 @@ def check_degree(m: int) -> None:
 class GF2m:
     """Galois field GF(2^m) as its log/antilog, product and inverse tables.
 
-    Immutable after construction; the tables are read-only.
+    Immutable after construction; the tables are read-only.  A copy, by
+    pickle too, is rebuilt from m and the polynomial.
     """
 
     def __init__(self, m: int, primitive_poly: int | None = None) -> None:
@@ -80,6 +81,9 @@ class GF2m:
         for table in (alog, log, mul, inv):
             table.flags.writeable = False
         self.antilog_table, self.log_table, self.mul_table, self.inv_table = alog, log, mul, inv
+
+    def __reduce__(self):
+        return GF2m, (self.m, self.primitive_poly)
 
     def __repr__(self) -> str:
         return f"GF2m(m={self.m}, poly={self.primitive_poly:#x})"

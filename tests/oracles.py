@@ -119,8 +119,8 @@ def gf_rank(h, fld) -> int:
     k = cols - rank: Gaussian elimination of the dense matrix through the
     field's product and inverse tables, one pivot column at a time."""
     a = np.zeros((h.rows, h.cols), dtype=np.uint8)
-    edge = h.edge_labels != 0
-    a[np.nonzero(edge)[0], h.edge_cols[edge]] = h.edge_labels[edge]
+    for t, (cols, labels) in enumerate(h.layers):
+        a[t * (h.q - 1) + np.arange(h.q - 1)[:, None], cols] = labels
     rank = 0
     for col in range(h.cols):
         nonzero = np.flatnonzero(a[rank:, col])
@@ -135,6 +135,13 @@ def gf_rank(h, fld) -> int:
         if rank == h.rows:
             break
     return rank
+
+
+def same_layers(h, g) -> bool:
+    """Whether two parity checks have equal layers, array for array."""
+    return len(h.layers) == len(g.layers) and all(
+        np.array_equal(a, b) for x, y in zip(h.layers, g.layers) for a, b in zip(x, y)
+    )
 
 
 def per_category_ratios(a, b) -> dict[str, float | None]:

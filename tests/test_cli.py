@@ -227,6 +227,16 @@ def test_simulate_refuses_degree_one_checks(capsys, tmp_path):
     assert "rows 0..6 have check degree 1" in err
 
 
+def test_simulate_refuses_nonpositive_rate(capsys, tmp_path):
+    path = str(tmp_path / "square.nbqc")
+    flags = ["--class", "1", "--m", "2", "--c", "1", "--n", "3", "--gamma", "3", "--rho", "3"]
+    code, out, err = run(capsys, "construct", *flags, "-o", path)
+    assert code == 0 and "H is 9x9" in out
+    code, out, err = run(capsys, "simulate", "--code", path, "--snr-list", "1", "--trials", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: H is 9x9, so its design rate 0 is not positive\n"
+
+
 def test_schedule_output_class1(capsys, tmp_path):
     path = str(tmp_path / "c1.nbqc")
     run(
@@ -320,7 +330,7 @@ def test_toolchain_commands_never_expand_h(capsys, tmp_path, monkeypatch, flags)
 
     monkeypatch.setattr(nbqc.construct, "expand_base", refuse)
     with pytest.raises(AssertionError, match="expanded"):
-        nbqc.construct.ParityCheck(GF2m(2), [[1]]).degree
+        nbqc.construct.ParityCheck(GF2m(2), [[1]]).layers
     assert outputs() == plain
 
 

@@ -23,9 +23,9 @@ from nbqc.construct import (
     index_subgroup,
     random_index_subgroup,
 )
-from nbqc.decode import syndrome_zero
+from nbqc.decode import build_layer_schedule, syndrome_zero
 from nbqc.gf import GF2m
-from oracles import gf_rank
+from oracles import gf_rank, same_layers
 
 CLASS1_SUITE = [(2, 1, 3), (3, 7, 1), (4, 3, 5), (6, 7, 9)]
 CLASS2_SUITE = [(2, 1), (3, 1), (4, 2), (5, 2)]
@@ -185,10 +185,10 @@ def test_expand_base_shapes_and_nnz():
     assert h.num_block_rows == 2 and h.region.shape == (2, 3)
     # two zero blocks in the truncated 2x3 region
     assert h.nnz() == (fld.q - 1) * 4
-    for cols, d in zip(h.edge_cols, h.degree):
-        assert (np.diff(cols[:d]) > 0).all()
+    for cols, _ in h.layers:
+        assert (np.diff(cols, axis=1) > 0).all()
     with pytest.raises(ValueError):
-        h.edge_labels[0, 0] = 1  # read-only: no second copy of H can drift
+        h.layers[0][1][0, 0] = 1  # read-only: no second copy of H can drift
 
 
 # sha256 of every row's (column, label) pairs, recorded from the padded
@@ -271,8 +271,7 @@ def test_recover_base_region_and_code_file_roundtrip(spec):
     text = format_code(spec, h, fld)
     spec2, h2, fld2 = parse_code(text)
     assert spec2 == spec
-    for name in ("region", "edge_cols", "edge_labels", "degree"):
-        assert np.array_equal(getattr(h2, name), getattr(h, name))
+    assert np.array_equal(h2.region, h.region) and same_layers(h2, h)
     assert not h2.region.flags.writeable
     assert format_code(spec2, h2, fld2) == text
 
@@ -282,35 +281,66 @@ def test_recover_base_region_and_code_file_roundtrip(spec):
 def test_region_derived_sizes_match_the_edge_form(spec):
     h, _, _, fld = build_code(spec)
     sizes = (h.rows, h.cols, h.nnz())  # read before H is expanded
-    assert "edge_cols" not in vars(h)
-    assert sizes == (len(h.edge_cols), h.region.shape[1] * (fld.q - 1), h.degree.sum())
+    assert "layers" not in vars(h)
+    rows, nnz = sum(len(c) for c, _ in h.layers), sum(c.size for c, _ in h.layers)
+    assert sizes == (rows, h.region.shape[1] * (fld.q - 1), nnz)
+
+
+@given(spec=constructible_specs())
+@settings(max_examples=60, deadline=None)
+def test_layers_are_the_schedule_and_the_rows(spec):
+    h, _, _, fld = build_code(spec)
+    rows = [np.column_stack(row) for cols, labels in h.layers for row in zip(cols, labels)]
+    assert len(rows) == h.rows
+    assert all(np.array_equal(a, b) for a, b in zip(rows, h.row_entries))
+    if min(cols.shape[1] for cols, _ in h.layers) < 2:
+        with pytest.raises(ValueError, match="check degree"):
+            build_layer_schedule(h)
+        return
+    schedule = build_layer_schedule(h)
+    assert len(schedule.cols) == len(schedule.labels) == len(h.layers)
+    for t, (cols, labels) in enumerate(h.layers):
+        assert schedule.cols[t] is cols and schedule.labels[t] is labels
+
+
+def assert_read_only(h):
+    fld = h.fld
+    tables = (fld.antilog_table, fld.log_table, fld.mul_table, fld.inv_table)
+    for a in (h.region, *tables, *(a for layer in h.layers for a in layer)):
+        assert not a.flags.writeable
 
 
 def test_parity_check_pickles_before_and_after_expansion():
     h, _, _, _ = build_code(CodeSpec.class2(3, 1, gamma=3, rho=6))
     lazy = pickle.loads(pickle.dumps(h))
-    assert "edge_cols" not in vars(lazy)
-    h.degree  # the first read expands H
+    assert "layers" not in vars(lazy)
+    h.layers  # the first read expands H
     expanded = pickle.loads(pickle.dumps(h))
-    assert "edge_cols" in vars(expanded)
-    for name in ("region", "edge_cols", "edge_labels", "degree"):
-        assert np.array_equal(getattr(lazy, name), getattr(h, name))
-        assert np.array_equal(getattr(expanded, name), getattr(h, name))
+    assert "layers" not in vars(expanded)  # a copy is rebuilt from the field and the region
+    for copy in (lazy, expanded):
+        assert np.array_equal(copy.region, h.region) and same_layers(copy, h)
+        assert copy.fld.primitive_poly == h.fld.primitive_poly
+        assert_read_only(copy)
     with pytest.raises(AttributeError, match="no attribute 'dense'"):
         lazy.dense
+    # only the region and the field's m and polynomial are pickled
+    q64, _, _, _ = build_code(CodeSpec.class1(6, 7, 9, gamma=10, rho=20))
+    size = len(pickle.dumps(q64))
+    q64.layers
+    assert len(pickle.dumps(q64)) == size < 4096
 
 
 def test_parity_check_is_built_only_from_a_region():
     fld = GF2m(2)
     h = ParityCheck(fld, np.array([[1, 2, 0]]))
     assert (h.rows, h.cols, h.q) == (3, 9, 4)
-    for name in ("rows", "cols", "q", "edge_cols", "edge_labels", "degree"):
+    for name in ("rows", "cols", "q"):
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(h, fld=fld, **{name: getattr(h, name)})
     # a new region is a new H, expanded again
     assert dataclasses.replace(h, fld=fld, region=np.array([[0, 2, 0]])).nnz() == 3
     with pytest.raises(dataclasses.FrozenInstanceError):
-        h.edge_labels = h.edge_labels.copy()
+        h.layers = h.layers
     # the region is copied: changing the caller's array leaves H as it was
     region = np.array([[1, 2, 0]])
     h = ParityCheck(fld, region)

@@ -389,7 +389,7 @@ def test_layer_schedule_rejects_degree_one_checks():
     # a single block column of a gamma=1, rho=2 Class-I code is all zeros,
     # so every row of H has one edge
     h, _, _, _ = build_code(CodeSpec.class1(3, 1, 7, gamma=1, rho=2))
-    assert (h.degree == 1).all()
+    assert all(cols.shape[1] == 1 for cols, _ in h.layers)
     with pytest.raises(ValueError, match=r"rows 0\.\.\d+ have check degree 1"):
         build_layer_schedule(h, LAYER_I)
 
@@ -692,12 +692,10 @@ def test_syndrome_zero():
 
 
 def test_syndrome_zero_rows_of_unequal_degree():
-    # block row 1 has a zero block, so its rows have one edge fewer; their
-    # padding slot (column 0, label 0) must add nothing
+    # block row 1 has a zero block, so its rows have one edge fewer
     fld = GF2m(2)
     h = ParityCheck(fld, np.array([[1, 1, 1], [1, 1, 0]]))
-    assert h.degree.tolist() == [3, 3, 3, 2, 2, 2]
-    assert h.edge_cols[3:, 2].tolist() == h.edge_labels[3:, 2].tolist() == [0, 0, 0]
+    assert [labels.shape for _, labels in h.layers] == [(3, 3), (3, 2)]
     # row r of both block rows checks x_r + x_(3+r), block row 0's also x_(6+r)
     x = np.array([1, 2, 3, 1, 2, 3, 0, 0, 0])
     assert syndrome_zero(h, fld, x)
@@ -764,7 +762,8 @@ def test_run_monte_carlo_refuses_reliabilities_that_overflow(snr, quant, refused
 def test_run_monte_carlo_rejects_nonpositive_rate():
     h, _, _, fld = build_code(CodeSpec.class1(2, 1, 3, gamma=3, rho=3))  # 9 x 9
     schedule = build_layer_schedule(h, LAYER_I)
-    with pytest.raises(ValueError, match="rate"):
+    message = r"^H is 9x9, so its design rate 0 is not positive$"
+    with pytest.raises(ValueError, match=message):
         run_monte_carlo(h, schedule, fld, [1.0], 5, DecoderConfig())
 
 
@@ -779,9 +778,22 @@ def test_run_monte_carlo_pool_on_a_code_fresh_from_its_file(tmp_path):
     rows = []
     for workers in (1, 2):
         _, fresh, fld = read_code(path)
-        assert "edge_cols" not in vars(fresh)
+        assert "layers" not in vars(fresh)
         rows.append(run_monte_carlo(fresh, schedule, fld, [1.0, 3.0], 8, config, workers=workers))
     assert rows[0] == rows[1]
+
+
+def test_run_monte_carlo_pool_by_spawn(monkeypatch):
+    # spawn, the default start method on macOS and Windows, hands the pool
+    # H and the field by pickle
+    import multiprocessing
+
+    h, _, _, fld = build_code(CodeSpec.class2(3, 1, gamma=3, rho=6))
+    schedule = build_layer_schedule(h)
+    config = DecoderConfig(max_iter=5, rng_seed=4)
+    one = run_monte_carlo(h, schedule, fld, [1.0, 3.0], 8, config)
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
+    assert run_monte_carlo(h, schedule, fld, [1.0, 3.0], 8, config, workers=2) == one
 
 
 def test_run_monte_carlo_worker_count_reproducible():
