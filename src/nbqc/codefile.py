@@ -10,7 +10,7 @@ The body is the top-left gamma x rho region of the base matrix W, one
 line per block row, with 0 for a zero block.  It is the region that
 ParityCheck stores: the writer prints h.region and the reader builds H
 from the region it reads.  Re-parsing a written file reproduces equal
-edge arrays, and writing them again is byte-identical.
+layers, and writing them again is byte-identical.
 """
 
 from __future__ import annotations

@@ -113,7 +113,7 @@ def build_layer_schedule(h: ParityCheck, partition: str = LAYER_I) -> LayerSched
     for t, (cols, _) in enumerate(h.layers):
         if (d := cols.shape[1]) < 2:
             raise ValueError(f"rows {t * qm1}..{t * qm1 + qm1 - 1} have check degree {d}; need >= 2")
-    return LayerSchedule(tuple(c for c, _ in h.layers), tuple(l for _, l in h.layers))
+    return LayerSchedule(tuple(cols for cols, _ in h.layers), tuple(labels for _, labels in h.layers))
 
 
 def _noise_variance(sigma, m: int, b_f: int = 0) -> np.ndarray:
@@ -331,7 +331,8 @@ def syndrome_zero(h: ParityCheck, fld: GF2m, symbols: np.ndarray):
     """Whether H s = 0 for a (columns,) word, or for each word of an
     (F, columns) stack (a boolean array of F), one layer at a time."""
     s = np.asarray(symbols)
-    bad = [np.bitwise_xor.reduce(fld.mul_table[l, s[..., c]], axis=-1).any(axis=-1) for c, l in h.layers]
+    bad = [np.bitwise_xor.reduce(fld.mul_table[labels, s[..., cols]], axis=-1).any(axis=-1)
+           for cols, labels in h.layers]
     return ~np.any(bad, axis=0)
 
 

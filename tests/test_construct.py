@@ -289,7 +289,7 @@ def test_region_derived_sizes_match_the_edge_form(spec):
 @given(spec=constructible_specs())
 @settings(max_examples=60, deadline=None)
 def test_layers_are_the_schedule_and_the_rows(spec):
-    h, _, _, fld = build_code(spec)
+    h = build_code(spec)[0]
     rows = [np.column_stack(row) for cols, labels in h.layers for row in zip(cols, labels)]
     assert len(rows) == h.rows
     assert all(np.array_equal(a, b) for a, b in zip(rows, h.row_entries))
