@@ -19,7 +19,6 @@ from .decode import (
     LAYER_I,
     DecodeResult,
     DecoderConfig,
-    LayerSchedule,
     build_layer_schedule,
     channel_reliability,
     check_node_min_max,

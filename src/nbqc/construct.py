@@ -25,6 +25,7 @@ from .gf import GF2m, check_degree
 
 CLASS_I = 1
 CLASS_II = 2
+Layers = tuple[tuple[np.ndarray, np.ndarray], ...]  # H's (cols, labels) per CPM block row
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ class ParityCheck:
         return ParityCheck, (self.fld, self.region)
 
     @functools.cached_property
-    def layers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    def layers(self) -> Layers:
         return expand_base(self.fld, self.region)
 
     @property
@@ -248,7 +249,7 @@ def build_base(spec: CodeSpec) -> tuple[np.ndarray, SubgroupIndexing, GF2m]:
     return (*build_base_class2(fld, spec.t, beta, delta), fld)
 
 
-def expand_base(fld: GF2m, region: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def expand_base(fld: GF2m, region: np.ndarray) -> Layers:
     """H's layers: per block row of the region, read-only (q-1, d) arrays
     of the columns and labels of its rows' edges, d being the block row's
     number of nonzero blocks.

@@ -5,8 +5,8 @@ polynomial-bit value of the field element, stacked along the last axis of
 numpy arrays; every message leaving an operation is normalized so its
 minimum entry is exactly 0 (the most likely symbol has reliability 0).
 
-The decoder works on H's layers, one per CPM block row: layer t holds
-(q-1, d) arrays of its rows' columns and labels.
+The decoder reads only H's layers, `h.layers`, one per CPM block row:
+layer t holds (q-1, d) arrays of its rows' columns and labels.
 F frames decode as one stack: (F, columns, q) posteriors and, per layer,
 (F, rows, d, q) check messages; a layer update runs every frame's rows in
 chunks that keep the check-node workspace at 1 MB, and a frame leaves the
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import ParityCheck
+from .construct import Layers, ParityCheck
 from .gf import GF2m
 
 LAYER_I = "layer1"
@@ -56,16 +56,6 @@ WORKSPACE = 1 << 17
 #: they are still counted as 8, so batches, and the frames each holds, stay
 #: those of float64 messages.
 BATCH_BYTES = 1 << 22
-
-
-@dataclass(frozen=True, eq=False)
-class LayerSchedule:
-    """The layers the decoder runs, top to bottom: cols[t] and labels[t]
-    are the (q-1, d) column and label arrays of H's layer t, the same
-    arrays as h.layers[t]."""
-
-    cols: tuple[np.ndarray, ...] = field(repr=False)
-    labels: tuple[np.ndarray, ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -100,9 +90,9 @@ def normalize(vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.subtract(vec, vec.min(axis=-1, keepdims=True), out=out)
 
 
-def build_layer_schedule(h: ParityCheck, partition: str = LAYER_I) -> LayerSchedule:
-    """Run H's layers, one per CPM block row (q-1 rows each), in order;
-    LAYER_I is the only partition.
+def build_layer_schedule(h: ParityCheck, partition: str = LAYER_I) -> Layers:
+    """H's layers themselves, run top to bottom: one (cols, labels) pair
+    per CPM block row (q-1 rows each); LAYER_I is the only partition.
 
     A CPM block row's rows share one degree and touch each column at most
     once; that degree must be at least 2 (a check node needs two edges).
@@ -113,7 +103,7 @@ def build_layer_schedule(h: ParityCheck, partition: str = LAYER_I) -> LayerSched
     for t, (cols, _) in enumerate(h.layers):
         if (d := cols.shape[1]) < 2:
             raise ValueError(f"rows {t * qm1}..{t * qm1 + qm1 - 1} have check degree {d}; need >= 2")
-    return LayerSchedule(tuple(cols for cols, _ in h.layers), tuple(labels for _, labels in h.layers))
+    return h.layers
 
 
 def _noise_variance(sigma, m: int, b_f: int = 0) -> np.ndarray:
@@ -327,25 +317,25 @@ def hard_decision(posteriors) -> np.ndarray:
     return np.asarray(posteriors).argmin(axis=-1)
 
 
-def syndrome_zero(h: ParityCheck, fld: GF2m, symbols: np.ndarray):
+def syndrome_zero(layers: Layers, fld: GF2m, symbols: np.ndarray):
     """Whether H s = 0 for a (columns,) word, or for each word of an
-    (F, columns) stack (a boolean array of F), one layer at a time."""
+    (F, columns) stack (a boolean array of F), one of H's `layers` at a time."""
     s = np.asarray(symbols)
     bad = [np.bitwise_xor.reduce(fld.mul_table[labels, s[..., cols]], axis=-1).any(axis=-1)
-           for cols, labels in h.layers]
+           for cols, labels in layers]
     return ~np.any(bad, axis=0)
 
 
 def decode(
     h: ParityCheck,
-    schedule: LayerSchedule,
+    schedule: Layers,
     channel,
     fld: GF2m,
     config: DecoderConfig,
 ) -> DecodeResult | list[DecodeResult]:
     """Layered Min-Max decoding, layers processed top to bottom.
 
-    `channel` is one frame's (columns, q) messages, giving one
+    `channel` is one frame's (columns, q) finite messages, giving one
     DecodeResult, or an (F, columns, q) stack, giving a list of F.  After
     each iteration one syndrome check over the stack retires the frames
     that satisfy H; each frame's result equals that of decoding it alone.
@@ -354,23 +344,24 @@ def decode(
     """
     single = np.ndim(channel) == 2
     post = np.array(channel, dtype=float, ndmin=3)
-    if post.shape[1:] != (h.cols, fld.q) or not len(post):
-        raise ValueError(f"expected {h.cols} channel messages of {fld.q} entries, got {post.shape}")
+    if post.shape[1:] != (h.cols, fld.q) or not len(post) or not np.isfinite(post).all():
+        raise ValueError(f"expected {h.cols} channel messages of {fld.q} finite entries, "
+                         f"got {post.shape} with {np.count_nonzero(~np.isfinite(post))} not finite")
     post = normalize(post)
     frames = np.arange(len(post))  # the input index of each frame still decoding
     dtype = message_dtype(config.quant)
-    r_msg = [np.zeros((len(post),) + c.shape + (fld.q,), dtype) for c in schedule.cols]
+    r_msg = [np.zeros((len(post),) + cols.shape + (fld.q,), dtype) for cols, _ in schedule]
     ws = np.empty(WORKSPACE)
     traces: list[list[np.ndarray]] = [[] for _ in frames]
     results: list[DecodeResult] = [None] * len(frames)
     for iterations in range(1, config.max_iter + 1):
-        for t, (cols, labels) in enumerate(zip(schedule.cols, schedule.labels)):
+        for t, (cols, labels) in enumerate(schedule):
             update_layer(post, cols, labels, r_msg[t], fld, config.quant, ws)
             if config.trace:
                 for f, p in zip(frames, post.copy()):  # post changes in place
                     traces[f].append(p)
         symbols = hard_decision(post)
-        ok = syndrome_zero(h, fld, symbols)
+        ok = syndrome_zero(schedule, fld, symbols)
         done = ok | (iterations == config.max_iter)
         for i, f in zip(np.flatnonzero(done), frames[done]):
             results[f] = DecodeResult(symbols[i], iterations, bool(ok[i]), traces[f])
@@ -431,7 +422,7 @@ def snr_to_sigma(snr_db: float, rate: float) -> float:
 
 def run_monte_carlo(
     h: ParityCheck,
-    schedule: LayerSchedule,
+    schedule: Layers,
     fld: GF2m,
     snr_db_list: list[float],
     trials: int,

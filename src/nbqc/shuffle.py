@@ -11,20 +11,21 @@ Benes network of 2*log2(rho) - 1 crossbar stages.  A network's setting for
 one move is its LUT content: a (stages, rho/2) bool array with one control
 bit per 2x2 switch, checked by driving np.arange(rho) through it.  A layer
 is a CPM block row: row r+1 of a CPM is row r shifted once, so moves
-within a block row carry no routing information.  Each move is one
-read-only intp array, a bijection by construction.  A routing report
-exists only when every Class-II move routed (`route_schedule` raises
-otherwise), which is why every line of it reads realized=yes.  The
-schedule-driven decoder walks one iteration of these moves before decoding
-and refuses a schedule unless every layer finds its columns at layer 0's
-fixed wiring.  Moves repeat (a Class-II move takes one of log2(n) XOR
-offsets), so a report routes each distinct group map and renders each
-distinct move, keyed by its contents, once.
+within a block row carry no routing information.  One iteration's moves
+are the rows of one read-only intp array, each a bijection by
+construction.  A routing report exists only when every Class-II move
+routed (`route_schedule` raises otherwise), which is why every line of it
+reads realized=yes.  The schedule-driven decoder walks one iteration of
+these moves before decoding and refuses a schedule unless every layer
+finds its columns at layer 0's fixed wiring.  Moves repeat (a Class-II
+move takes one of log2(n) XOR offsets), so one pass, `distinct_moves`,
+finds each distinct move, keyed by its bytes, once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,15 +72,15 @@ def build_index_matrix(n: int) -> np.ndarray:
     return idx[:, None] ^ idx[None, :]
 
 
-def iteration_moves(spec: CodeSpec) -> list[tuple[int, int, np.ndarray]]:
-    """(source layer, destination layer, move) for every consecutive pair
-    of block rows of one iteration, including the wrap back to layer 0.
+def iteration_moves(spec: CodeSpec) -> np.ndarray:
+    """One iteration's moves: row t of a read-only (gamma, rho*(q-1)) intp
+    array moves layer t to layer (t+1) mod gamma.
 
-    Each move is a read-only intp array, perm[g*(q-1) + j] = G[g]*(q-1) +
-    (j - s) mod (q-1).  Class-I: G[g] = (g - steps) mod rho, s = steps*c,
-    where `steps` is the change of block row.  Class-II: G takes the
-    index-table row of the source block row (mod n) to that of the
-    destination within each group of n column blocks, s = 0.
+    Row t is perm[g*(q-1) + j] = G[g]*(q-1) + (j - s) mod (q-1).  Class-I:
+    G[g] = (g - steps) mod rho, s = steps*c, where `steps` is the change of
+    block row.  Class-II: G takes the index-table row of the source block
+    row (mod n) to that of the destination within each group of n column
+    blocks, s = 0.
     """
     qm1, g, n = spec.q - 1, np.arange(spec.rho), spec.n
     src = np.arange(spec.gamma)
@@ -96,7 +97,15 @@ def iteration_moves(spec: CodeSpec) -> list[tuple[int, int, np.ndarray]]:
         groups[src[:, None], at] = at[dst]
     perms = (groups[..., None] * qm1 + (np.arange(qm1) - shifts) % qm1).reshape(spec.gamma, -1)
     perms.flags.writeable = False
-    return list(zip(src.tolist(), dst.tolist(), perms))
+    return perms
+
+
+def distinct_moves(moves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of `moves` (read-only, in order of first use) and
+    each row's index among them; the rows' bytes key and rebuild them."""
+    first: dict[bytes, int] = {}
+    index = np.array([first.setdefault(row.tobytes(), len(first)) for row in moves], dtype=np.intp)
+    return np.frombuffer(b"".join(first), moves.dtype).reshape(-1, moves.shape[1]), index
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +190,14 @@ def apply(bits: np.ndarray, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoutingReport:
-    moves: list[tuple[int, int, np.ndarray]]  # as from `iteration_moves`
+    moves: np.ndarray  # as from `iteration_moves`
     network: BenesNetwork | None  # every Class-II move routes on it; None: fixed wires
-    notes: list[str] = field(default_factory=list)
+
+    @functools.cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        return distinct_moves(self.moves)
 
     @property
     def total_control_bits(self) -> int:
@@ -197,20 +209,21 @@ class RoutingReport:
             f"stages={net.num_stages} switches={net.num_switches} control_bits={net.num_switches}"
             if net else "stages=0 switches=0 control_bits=0"
         )
-        if self.moves:  # every move permutes the same positions
-            names = np.array([str(i) for i in range(self.moves[0][2].size)], dtype=object)
-        cycles: dict[bytes, str] = {}  # cycle text of each distinct move
-        pieces = []
-        for src, dst, perm in self.moves:
-            if (key := perm.tobytes()) not in cycles:
-                order, first = _cycle_order(perm)
-                toks, last = names[order], np.append(first[1:], True)
-                toks[first], toks[last] = "(" + toks[first], toks[last] + ")"
-                cyc = " ".join(toks[perm[order] != order].tolist())  # fixed points left out
-                cycles[key] = cyc or "(identity)"
-            pieces += (f"layer {src}->{dst}: {counts} realized=yes cycles=", cycles[key], "\n")
+        distinct, index = self.distinct
+        names = np.array([str(i) for i in range(distinct.shape[1])], dtype=object)
+        cycles = []  # cycle text of each distinct move
+        for perm in distinct:
+            order, first = _cycle_order(perm)
+            toks, last = names[order], np.append(first[1:], True)
+            toks[first], toks[last] = "(" + toks[first], toks[last] + ")"
+            cyc = " ".join(toks[perm[order] != order].tolist())  # fixed points left out
+            cycles.append(cyc or "(identity)")
+        pieces, tail = [], f": {counts} realized=yes cycles="
+        for t, k in enumerate(index.tolist()):
+            pieces += (f"layer {t}->{(t + 1) % len(index)}", tail, cycles[k], "\n")
         pieces.append(f"total control bits: {self.total_control_bits}")
-        pieces.extend(f"\nnote: {n}" for n in self.notes)
+        if net is None:
+            pieces.append("\nnote: fixed interconnections; no switches or control bits required")
         return "".join(pieces)
 
 
@@ -219,18 +232,16 @@ def route_schedule(spec: CodeSpec) -> RoutingReport:
     class-appropriate network model.
 
     Class-I moves ride on fixed wires (zero control bits); each distinct
-    Class-II group map is routed once through one Benes network, whose
-    `route` raises unless the switch settings realize it.
+    Class-II move's group map is routed once through one Benes network,
+    whose `route` raises unless the switch settings realize it.
     """
-    moves = iteration_moves(spec)
+    moves, qm1 = iteration_moves(spec), spec.q - 1
     if spec.code_class == CLASS_I:
-        note = "fixed interconnections; no switches or control bits required"
-        return RoutingReport(moves, None, [note])
-    qm1 = spec.q - 1
-    net = BenesNetwork(spec.rho)
-    for group_map in dict.fromkeys(tuple((perm[::qm1] // qm1).tolist()) for _, _, perm in moves):
-        net.route(group_map)
-    return RoutingReport(moves, net)
+        return RoutingReport(moves, None)
+    report = RoutingReport(moves, BenesNetwork(spec.rho))
+    for perm in report.distinct[0]:
+        report.network.route(perm[::qm1] // qm1)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +270,9 @@ def schedule_driven_decode(
     for bit.
     """
     schedule = build_layer_schedule(h)
-    wired = np.sort(schedule.cols[0], axis=1)
+    wired = np.sort(schedule[0][0], axis=1)
     pos = np.arange(h.cols)
-    for t, (cols, (_, _, move)) in enumerate(zip(schedule.cols, route_schedule(spec).moves)):
+    for t, ((cols, _), move) in enumerate(zip(schedule, route_schedule(spec).moves)):
         got = np.sort(pos[cols], axis=1)
         same = got.shape == wired.shape
         bad = np.flatnonzero((got != wired).any(axis=1)) if same else [0]

@@ -81,10 +81,10 @@ def test_class2_structure_suite():
 
 def test_interlayer_vnu_map():
     moves = iteration_moves(SPEC_CLASS1)
-    perm = moves[0][2]
+    perm = moves[0]
     ok = perm[7] == 3
     ok = ok and perm.tolist() == [8, 6, 7, 2, 0, 1, 5, 3, 4]
-    for _, _, move in moves[:-1]:
+    for move in moves[:-1]:
         ok = ok and np.array_equal(move, perm)
     report("interlayer-vnu-map", ok)
 

@@ -1,6 +1,7 @@
 """Min-Max decoding: message algebra, check node, quantization, decoding."""
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from nbqc.decode import (
     LAYER_I,
     WORKSPACE,
     DecoderConfig,
+    _decode_frames,
     _minmax_kernel,
     build_layer_schedule,
     channel_reliability,
@@ -377,9 +379,8 @@ def test_config_rejects_no_iterations():
 def test_layer_schedules():
     h, fld = fig_code_class2()
     s1 = build_layer_schedule(h, LAYER_I)
-    assert len(s1.cols) == len(s1.labels) == h.num_block_rows
-    assert all(len(cols) == fld.q - 1 for cols in s1.cols)
-    assert s1 != build_layer_schedule(h)  # equal only to itself, not on no fields at all
+    assert len(s1) == h.num_block_rows
+    assert all(len(cols) == len(labels) == fld.q - 1 for cols, labels in s1)
     for partition in ("layer2", "layer3"):  # the CPM block row is the only layer
         with pytest.raises(ValueError, match="unknown partition"):
             build_layer_schedule(h, partition)
@@ -398,7 +399,7 @@ def test_layer_schedule_dense_form_matches_rows():
     h, fld = fig_code_class2()
     schedule = build_layer_schedule(h, LAYER_I)
     qm1 = fld.q - 1
-    for b, (cols, labels) in enumerate(zip(schedule.cols, schedule.labels)):
+    for b, (cols, labels) in enumerate(schedule):
         assert cols.shape == labels.shape == (qm1, len(h.row_entries[b * qm1]))
         for r, c_row, l_row in zip(range(b * qm1, (b + 1) * qm1), cols, labels):
             assert np.array_equal(np.column_stack((c_row, l_row)), h.row_entries[r])
@@ -547,7 +548,7 @@ def test_update_layer_chunks_do_not_change_result():
     # the 5 frames x 15 rows into single-row chunks of 3 frames and 2 frames
     h, _, _, fld = build_code(SANITY_SPECS[1])
     schedule = build_layer_schedule(h, LAYER_I)
-    cols, labels = schedule.cols[0], schedule.labels[0]
+    cols, labels = schedule[0]
     for quant, dtype in ((None, float), ((5, 1), np.uint8), ((10, 4), np.uint16)):
         rng = np.random.default_rng(6)
         post = normalize(rng.random((5, h.cols, fld.q)) * 8)
@@ -588,12 +589,12 @@ def test_update_layer_matches_reference(spec_index, frames, quant, seed):
     snrs = np.random.default_rng(seed).uniform(0.0, 4.0, frames)
     post = normalize(frame_stack(h, fld, snrs, seed))
     ref = post.copy()
-    r_msg = [np.zeros((frames,) + c.shape + (fld.q,), message_dtype(quant)) for c in schedule.cols]
+    r_msg = [np.zeros((frames,) + c.shape + (fld.q,), message_dtype(quant)) for c, _ in schedule]
     ref_msg = [np.zeros(r.shape) for r in r_msg]
     unit = 1.0 if quant is None else 2.0 ** -quant[1]  # the float value of one code step
     ws = np.empty(WORKSPACE)
     for _ in range(2):
-        for t, (cols, labels) in enumerate(zip(schedule.cols, schedule.labels)):
+        for t, (cols, labels) in enumerate(schedule):
             update_layer(post, cols, labels, r_msg[t], fld, quant, ws)
             reference_update_layer(ref, cols, labels, ref_msg[t], fld, quant)
             assert np.array_equal(post, ref)
@@ -679,16 +680,29 @@ def test_decode_validates_channel_length():
             decode(h, schedule, np.zeros(shape), fld, DecoderConfig())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decode_refuses_non_finite_channel(bad):
+    # a NaN would "decode" to the all-zero word, and inf - inf is NaN
+    h, _, _, fld = build_code(CodeSpec.class2(3, 1, gamma=3, rho=6))
+    schedule = build_layer_schedule(h, LAYER_I)
+    good = hard_channel(np.zeros(h.cols, dtype=int), fld)
+    one_entry, one_column, stack = good.copy(), good.copy(), np.stack([good, good])
+    one_entry[5, 2] = one_column[7] = stack[1, 0, 3] = bad
+    for channel in (np.full_like(good, bad), one_entry, one_column, stack):
+        with pytest.raises(ValueError, match=r"finite entries, got .* with [1-9]\d* not finite"):
+            decode(h, schedule, channel, fld, DecoderConfig())
+
+
 def test_hard_decision_tie_break():
     assert list(hard_decision([np.array([1.0, 0.0, 0.0, 2.0])])) == [1]
 
 
 def test_syndrome_zero():
     h, fld = fig_code_class2()
-    assert syndrome_zero(h, fld, np.zeros(h.cols, dtype=int))
+    assert syndrome_zero(h.layers, fld, np.zeros(h.cols, dtype=int))
     bad = np.zeros(h.cols, dtype=int)
     bad[0] = 1
-    assert not syndrome_zero(h, fld, bad)
+    assert not syndrome_zero(h.layers, fld, bad)
 
 
 def test_syndrome_zero_rows_of_unequal_degree():
@@ -698,9 +712,9 @@ def test_syndrome_zero_rows_of_unequal_degree():
     assert [labels.shape for _, labels in h.layers] == [(3, 3), (3, 2)]
     # row r of both block rows checks x_r + x_(3+r), block row 0's also x_(6+r)
     x = np.array([1, 2, 3, 1, 2, 3, 0, 0, 0])
-    assert syndrome_zero(h, fld, x)
+    assert syndrome_zero(h.layers, fld, x)
     x[3] = 2
-    assert not syndrome_zero(h, fld, x)
+    assert not syndrome_zero(h.layers, fld, x)
 
 
 def test_run_monte_carlo_deterministic():
@@ -768,7 +782,8 @@ def test_run_monte_carlo_rejects_nonpositive_rate():
 
 
 def test_run_monte_carlo_pool_on_a_code_fresh_from_its_file(tmp_path):
-    # the H handed to the pool is not expanded yet; its workers expand it
+    # the H handed to the pool is not expanded yet; its workers decode on
+    # the schedule's arrays
     spec = CodeSpec.class2(3, 1, gamma=3, rho=6)
     h, _, _, fld = build_code(spec)
     path = tmp_path / "q8.nbqc"
@@ -794,6 +809,22 @@ def test_run_monte_carlo_pool_by_spawn(monkeypatch):
     one = run_monte_carlo(h, schedule, fld, [1.0, 3.0], 8, config)
     monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
     assert run_monte_carlo(h, schedule, fld, [1.0, 3.0], 8, config, workers=2) == one
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [CodeSpec.class2(3, 1, gamma=3, rho=6), CodeSpec.class1(6, 7, 9, gamma=10, rho=20)],
+    ids=["q8", "q64"],
+)
+def test_pool_worker_decodes_without_expanding_h(spec):
+    # a pool worker gets (h, schedule, fld, config) by pickle, as H's region
+    # and the schedule's layer arrays; it decodes, early stop included, on
+    # the schedule alone, so its copy of H is never expanded a second time
+    h, _, _, fld = build_code(spec)
+    code = (h, build_layer_schedule(h), fld, DecoderConfig(max_iter=1))
+    copy = pickle.loads(pickle.dumps(code))
+    _decode_frames([(snr_to_sigma(2.0, 0.5), (0, 0))], copy)
+    assert "layers" not in vars(copy[0])
 
 
 def test_run_monte_carlo_worker_count_reproducible():

@@ -2,6 +2,7 @@
 schedule-driven decoder."""
 
 import hashlib
+import itertools
 import types
 
 import numpy as np
@@ -17,6 +18,7 @@ from nbqc.shuffle import (
     RoutingReport,
     apply,
     build_index_matrix,
+    distinct_moves,
     iteration_moves,
     route_schedule,
     schedule_driven_decode,
@@ -56,17 +58,33 @@ def repeated_moves(draw):
 @given(repeated_moves())
 @settings(max_examples=80, deadline=None)
 def test_cycles_and_render_match_cycle_walk(perms):
-    moves = [(t, t + 1, np.array(perm)) for t, perm in enumerate(perms)]
+    moves = np.array(perms)
     lines = RoutingReport(moves, None).render().splitlines()
-    assert len(lines) == len(moves) + 1  # one per move, then the total
-    for move, perm, line in zip(moves, perms, lines):
+    assert len(lines) == len(moves) + 2  # one per move, then the total and the fixed-wires note
+    for t, (move, perm, line) in enumerate(zip(moves, perms, lines)):
         want = " ".join("(" + " ".join(map(str, c)) + ")" for c in cycle_walk(perm) if len(c) > 1)
         assert line.endswith(" cycles=" + (want or "(identity)"))
-        assert line == RoutingReport([move], None).render().splitlines()[0]
+        head, body = line.split(":", 1)
+        assert head == f"layer {t}->{(t + 1) % len(moves)}"
+        assert body == RoutingReport(move[None], None).render().splitlines()[0].split(":", 1)[1]
+
+
+@given(repeated_moves())
+@settings(max_examples=80, deadline=None)
+def test_distinct_moves_in_order_of_first_use(perms):
+    moves = np.array(perms)
+    distinct, index = distinct_moves(moves)
+    assert distinct.dtype == moves.dtype and not distinct.flags.writeable
+    assert index.dtype == np.intp and index.shape == (len(moves),)
+    for a, b in itertools.combinations(distinct, 2):
+        assert not np.array_equal(a, b)
+    # distinct row k is first used before distinct row k + 1
+    assert list(dict.fromkeys(index.tolist())) == list(range(len(distinct)))
+    assert np.array_equal(distinct[index], moves)
 
 
 def test_class1_schedule_frozen_map():
-    perm = iteration_moves(SPEC_CLASS1)[0][2]
+    perm = iteration_moves(SPEC_CLASS1)[0]
     assert perm.tolist() == [8, 6, 7, 2, 0, 1, 5, 3, 4]
     # VNU 7 (group 2, slot 1) feeds VNU 3 (group 1, slot 0)
     assert perm[7] == 3
@@ -74,9 +92,9 @@ def test_class1_schedule_frozen_map():
 
 def test_class1_schedule_is_layer_invariant():
     moves = iteration_moves(CodeSpec.class1(4, 3, 5, gamma=4, rho=6))
-    assert [(src, dst) for src, dst, _ in moves] == [(0, 1), (1, 2), (2, 3), (3, 0)]
-    for _, _, perm in moves[:-1]:
-        assert np.array_equal(perm, moves[0][2])
+    assert moves.shape == (4, 6 * 15)  # row t moves layer t to layer (t+1) mod 4
+    for perm in moves[:-1]:
+        assert np.array_equal(perm, moves[0])
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
@@ -99,7 +117,7 @@ def test_index_matrix_frozen_n4():
 
 
 def test_class2_transition_moves_groups_only():
-    perm = iteration_moves(SPEC_CLASS2)[0][2]
+    perm = iteration_moves(SPEC_CLASS2)[0]
     qm1 = 3
     for g in range(4):
         dsts = {perm[g * qm1 + j] - j for j in range(qm1)}
@@ -135,10 +153,10 @@ def test_iteration_moves_compose_to_identity(spec):
     except ValueError:
         reject()  # Class-II group moves that do not fit rho
     size, layers = spec.rho * (spec.q - 1), spec.gamma
-    assert [(src, dst) for src, dst, _ in moves] == [(t, (t + 1) % layers) for t in range(layers)]
+    assert moves.shape == (layers, size)  # row t moves layer t to layer (t+1) mod layers
+    assert moves.dtype == np.intp and not moves.flags.writeable
     total = np.arange(size)
-    for _, _, perm in moves:
-        assert perm.dtype == np.intp and not perm.flags.writeable
+    for perm in moves:
         assert np.array_equal(np.sort(perm), np.arange(size))
         total = perm[total]
     assert np.array_equal(total, np.arange(size))
@@ -193,7 +211,7 @@ def test_benes_bits_pinned_q32_group_maps():
     # as above
     spec = CodeSpec.class2(5, 4, gamma=16, rho=32)
     qm1 = spec.q - 1
-    maps = dict.fromkeys(tuple((perm[::qm1] // qm1).tolist()) for _, _, perm in iteration_moves(spec))
+    maps = dict.fromkeys(tuple((perm[::qm1] // qm1).tolist()) for perm in iteration_moves(spec))
     assert len(maps) == 4
     net, digest = BenesNetwork(32), hashlib.sha256()
     for group_map in maps:
@@ -345,10 +363,9 @@ def test_schedule_driven_detects_misalignment(monkeypatch):
     orig = shuffle_mod.iteration_moves
 
     def broken(spec_):
-        (src, dst, perm), *rest = orig(spec_)
-        perm = perm.copy()
-        perm[[0, 3]] = perm[[3, 0]]
-        return [(src, dst, perm), *rest]
+        moves = orig(spec_).copy()
+        moves[0, [0, 3]] = moves[0, [3, 0]]
+        return moves
 
     calls = []
     monkeypatch.setattr(shuffle_mod, "iteration_moves", broken)
