@@ -15,7 +15,7 @@ from . import codefile
 from .cost import CATEGORIES, VARIANTS, CostParams, cost as cost_breakdown, render_report, savings
 from .construct import CLASS_I, CodeSpec, build_base, build_code
 from .decode import DecoderConfig, SimResultRow, build_layer_schedule, run_monte_carlo
-from .shuffle import distinct_moves, iteration_moves, route_schedule
+from .shuffle import iteration_moves, render_schedule, route_schedule
 from .verify import verify_class1, verify_class2
 
 
@@ -114,10 +114,7 @@ def _read_formula_spec(path: str) -> CodeSpec:
 
 
 def cmd_schedule(args) -> int:
-    distinct, index = distinct_moves(iteration_moves(_read_formula_spec(args.code)))
-    maps = [", ".join(f"{src} -> {dst}" for src, dst in enumerate(perm)) for perm in distinct.tolist()]
-    for t, k in enumerate(index.tolist()):
-        print(f"transition layer {t} to layer {(t + 1) % len(index)}: ", maps[k], sep="")
+    print(render_schedule(iteration_moves(_read_formula_spec(args.code))))
     return 0
 
 

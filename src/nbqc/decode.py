@@ -72,8 +72,8 @@ class DecoderConfig:
             b_q, b_f = self.quant
             if not 1 <= b_q <= 16:
                 raise ValueError(f"quantization requires 1 <= b_q <= 16 bits, got b_q = {b_q}")
-            if not b_f < b_q:
-                raise ValueError(f"quantization requires b_f < b_q, got ({b_q}, {b_f})")
+            if not 0 <= b_f < b_q:
+                raise ValueError(f"quantization requires 0 <= b_f < b_q, got ({b_q}, {b_f})")
 
 
 @dataclass

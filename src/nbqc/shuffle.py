@@ -19,7 +19,9 @@ reads realized=yes.  The schedule-driven decoder walks one iteration of
 these moves before decoding and refuses a schedule unless every layer
 finds its columns at layer 0's fixed wiring.  Moves repeat (a Class-II
 move takes one of log2(n) XOR offsets), so one pass, `distinct_moves`,
-finds each distinct move, keyed by its bytes, once.
+finds each distinct move, keyed by its bytes, once; its text (`route`'s
+cycles, `schedule`'s map) is one uint8 matrix of ASCII digits and marks,
+not a Python string per position.
 """
 
 from __future__ import annotations
@@ -190,6 +192,34 @@ def apply(bits: np.ndarray, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _digit_table(size: int) -> np.ndarray:
+    """(size, width) uint8 ASCII digits of 0 .. size-1, right-aligned, 0 bytes before the first."""
+    width = len(str(size - 1))
+    table = np.empty((10**width, width), np.uint8)  # every number of `width` places, then cut
+    for p in range(width):  # one decimal place at a time, each digit broadcast over its run
+        table.reshape(-1, 10, 10**p, width)[..., -1 - p] = np.arange(48, 58, dtype=np.uint8)[:, None]
+        table[: 10**p if p else 0, -1 - p] = 0
+    return table[:size]
+
+
+def _ascii_rows(fields: list) -> str:
+    """Text of the uint8 matrix whose columns are (rows, k) ASCII arrays (0: no character)
+    or bytes that every row carries, less the last row's last field, its separator."""
+    rows = len(fields[0])
+    cols = [f if isinstance(f, np.ndarray) else np.frombuffer(f * rows, np.uint8).reshape(-1, len(f))
+            for f in fields]
+    flat = np.concatenate(cols, axis=1).ravel()[: -len(fields[-1])]
+    return flat[flat != 0].tobytes().decode("ascii")
+
+
+def render_schedule(moves: np.ndarray) -> str:
+    """`nbqc schedule`'s text: one line per layer, its move's `src -> dst` map."""
+    digits, (distinct, index) = _digit_table(moves.shape[1]), distinct_moves(moves)
+    maps = [_ascii_rows([digits, b" -> ", digits[perm], b", "]) for perm in distinct]
+    n = len(index)
+    return "\n".join(f"transition layer {t} to layer {(t + 1) % n}: {maps[index[t]]}" for t in range(n))
+
+
 @dataclass(frozen=True)
 class RoutingReport:
     moves: np.ndarray  # as from `iteration_moves`
@@ -210,14 +240,13 @@ class RoutingReport:
             if net else "stages=0 switches=0 control_bits=0"
         )
         distinct, index = self.distinct
-        names = np.array([str(i) for i in range(distinct.shape[1])], dtype=object)
-        cycles = []  # cycle text of each distinct move
+        digits, cycles = _digit_table(distinct.shape[1]), []  # cycle text of each distinct move
         for perm in distinct:
             order, first = _cycle_order(perm)
-            toks, last = names[order], np.append(first[1:], True)
-            toks[first], toks[last] = "(" + toks[first], toks[last] + ")"
-            cyc = " ".join(toks[perm[order] != order].tolist())  # fixed points left out
-            cycles.append(cyc or "(identity)")
+            moved = perm[order] != order  # fixed points left out
+            parens = np.stack([first, np.append(first[1:], True)], 1)[moved] * np.frombuffer(b"()", np.uint8)
+            text = _ascii_rows([parens[:, :1], digits[order[moved]], parens[:, 1:], b" "])
+            cycles.append(text or "(identity)")
         pieces, tail = [], f": {counts} realized=yes cycles="
         for t, k in enumerate(index.tolist()):
             pieces += (f"layer {t}->{(t + 1) % len(index)}", tail, cycles[k], "\n")

@@ -153,3 +153,13 @@ def per_category_ratios(a, b) -> dict[str, float | None]:
         out[cat] = None if va is None or vb is None or vb == 0 else va / vb
     return out
 
+
+def schedule_text(moves) -> str:
+    """`nbqc schedule`'s text formatted one `src -> dst` f-string at a time,
+    the reference for `render_schedule`'s byte matrices."""
+    moves = np.asarray(moves).tolist()
+    return "\n".join(
+        f"transition layer {t} to layer {(t + 1) % len(moves)}: "
+        + ", ".join(f"{src} -> {dst}" for src, dst in enumerate(perm))
+        for t, perm in enumerate(moves)
+    )

@@ -206,6 +206,8 @@ def test_simulate_takes_negative_snr_list(capsys, tmp_path, snrs):
         (["--snr-list", "1", "--quant", "17,2"], "1 <= b_q <= 16"),
         (["--snr-list", "1,,2"], "bad --snr-list value"),
         (["--snr-list", "1,"], "bad --snr-list value"),
+        (["--snr-list", "-5,0", "--quant", "6,-20"], "quantization requires 0 <= b_f < b_q, got (6, -20)"),
+        (["--snr-list", "-5,0", "--quant", "6,-3"], "quantization requires 0 <= b_f < b_q, got (6, -3)"),
     ],
 )
 def test_simulate_rejects_malformed_input(capsys, tmp_path, flags, message):

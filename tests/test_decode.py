@@ -359,6 +359,9 @@ def test_quantize_vec_matches_scalar():
 def test_quant_config_validation():
     with pytest.raises(ValueError):
         DecoderConfig(quant=(4, 4))
+    for b_f in (-1, -20):  # a step of 2^-b_f > 1 rounds every posterior to 0, a tie that decodes as symbol 0
+        with pytest.raises(ValueError, match=r"0 <= b_f < b_q, got \(6, " + str(b_f)):
+            DecoderConfig(quant=(6, b_f))
     for b_q in (0, -1, 17, 32):  # the check node runs on unsigned codes of at most 16 bits
         with pytest.raises(ValueError, match=r"1 <= b_q <= 16"):
             DecoderConfig(quant=(b_q, b_q - 1))

@@ -20,9 +20,11 @@ from nbqc.shuffle import (
     build_index_matrix,
     distinct_moves,
     iteration_moves,
+    render_schedule,
     route_schedule,
     schedule_driven_decode,
 )
+from oracles import schedule_text
 
 SPEC_CLASS1 = CodeSpec.class1(2, 1, 3, gamma=2, rho=3)  # 4-ary (9, 3)
 SPEC_CLASS2 = CodeSpec.class2(2, 1, gamma=2, rho=4)  # 4-ary (12, 6)
@@ -67,6 +69,23 @@ def test_cycles_and_render_match_cycle_walk(perms):
         head, body = line.split(":", 1)
         assert head == f"layer {t}->{(t + 1) % len(moves)}"
         assert body == RoutingReport(move[None], None).render().splitlines()[0].split(":", 1)[1]
+
+
+@pytest.mark.parametrize("size", [1, 9, 10, 11, 99, 100, 101, 1000, 1001, 10001])
+def test_report_text_where_the_digit_count_changes(size):
+    # a random move, the identity and a move that fixes about half its
+    # positions; sizes on both sides of each new decimal place
+    rng = np.random.default_rng(size)
+    some = np.flatnonzero(rng.random(size) < 0.5)
+    fixing = np.arange(size)
+    fixing[some] = rng.permutation(some)
+    moves = np.array([rng.permutation(size), np.arange(size), fixing])
+    lines = RoutingReport(moves, None).render().splitlines()
+    for perm, line in zip(moves.tolist(), lines):
+        want = " ".join("(" + " ".join(map(str, c)) + ")" for c in cycle_walk(perm) if len(c) > 1)
+        assert line.endswith(" cycles=" + (want or "(identity)"))
+    assert lines[1].endswith(" cycles=(identity)")
+    assert render_schedule(moves) == schedule_text(moves)
 
 
 @given(repeated_moves())
