@@ -51,7 +51,10 @@ def _spec_from_args(args) -> CodeSpec:
 def cmd_construct(args) -> int:
     spec = _spec_from_args(args)
     h, _, _, fld = build_code(spec)
-    codefile.write_code(args.output, spec, h, fld)
+    try:
+        codefile.write_code(args.output, spec, h, fld)
+    except OSError as exc:
+        raise CliError(f"cannot write {args.output}: {exc}", 2)
     density = h.nnz() / (h.rows * h.cols)
     print(f"wrote {args.output}: H is {h.rows}x{h.cols}, nnz={h.nnz()}, density={density:.6f}")
     return 0
@@ -143,22 +146,19 @@ def _parse_weights(text: str):
 
 
 def cmd_cost(args) -> int:
-    try:
-        params = CostParams(
-            b_q=args.bq, n_m=args.nm, d_c=args.dc, q=args.q,
-            gamma=args.gamma, rho=args.rho, p=args.p,
-        )
-        weights = _parse_weights(args.weights)
-        breakdowns = {v: cost_breakdown(v, params) for v in VARIANTS}
-        lines = [
-            f"savings[{prop} vs {ref}, weights={args.weights}] = "
-            f"{savings(breakdowns[prop], breakdowns[ref], weights):.4f}"
-            for prop in ("P1", "P2", "P3", "P4") for ref in ("Ref4", "Ref5")
-        ]
-        print(render_report(params, as_csv=args.format == "csv"))
-        print("\n".join(lines))
-    except ZeroDivisionError as exc:
-        raise CliError(str(exc), 1)
+    params = CostParams(
+        b_q=args.bq, n_m=args.nm, d_c=args.dc, q=args.q,
+        gamma=args.gamma, rho=args.rho, p=args.p,
+    )
+    weights = _parse_weights(args.weights)
+    breakdowns = {v: cost_breakdown(v, params) for v in VARIANTS}
+    lines = [
+        f"savings[{prop} vs {ref}, weights={args.weights}] = "
+        f"{savings(breakdowns[prop], breakdowns[ref], weights):.4f}"
+        for prop in ("P1", "P2", "P3", "P4") for ref in ("Ref4", "Ref5")
+    ]
+    print(render_report(params, as_csv=args.format == "csv"))
+    print("\n".join(lines))
     return 0
 
 

@@ -152,7 +152,7 @@ def savings(a: CostBreakdown, b: CostBreakdown, weights: dict[str, float] | None
         den += wgt * vb
         used = True
     if not used or den == 0:
-        raise ZeroDivisionError("no comparable weighted categories with nonzero total")
+        raise ValueError("no comparable weighted categories with nonzero total")
     return 1.0 - num / den
 
 

@@ -77,6 +77,8 @@ def test_construct_rejects_class1_random_ordering(capsys, tmp_path):
         (["--class", "2", "--m", "2", "--t", "1", "--c", "7", "--n", "9"], "--c is Class-I only"),
         (["--class", "2", "--m", "2", "--t", "1", "--n", "9"], "--n is Class-I only"),
         (["--class", "1", "--m", "3", "--c", "1", "--n", "7", "--t", "1"], "--t is Class-II only"),
+        (["--class", "1", "--m", "3", "--c", "1"], "Class-I construction requires --c and --n"),
+        (["--class", "2", "--m", "2"], "Class-II construction requires --t"),
     ):
         code, out, err = run(
             capsys, "construct", *flags, "--gamma", "2", "--rho", "2", "-o", str(path)
@@ -84,6 +86,18 @@ def test_construct_rejects_class1_random_ordering(capsys, tmp_path):
         assert code == 1
         assert message in err
         assert not path.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/x.nbqc", "."])
+def test_construct_reports_an_unwritable_output(capsys, tmp_path, target):
+    path = str(tmp_path / target)
+    code, out, err = run(
+        capsys,
+        "construct", "--class", "2", "--m", "2", "--t", "1",
+        "--gamma", "2", "--rho", "4", "-o", path,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
 def test_verify_fails_on_randomized_ordering(capsys, tmp_path):
@@ -208,6 +222,7 @@ def test_simulate_takes_negative_snr_list(capsys, tmp_path, snrs):
         (["--snr-list", "1,"], "bad --snr-list value"),
         (["--snr-list", "-5,0", "--quant", "6,-20"], "quantization requires 0 <= b_f < b_q, got (6, -20)"),
         (["--snr-list", "-5,0", "--quant", "6,-3"], "quantization requires 0 <= b_f < b_q, got (6, -3)"),
+        (["--snr-list", "1", "--quant", "6"], "bad --quant value '6'; expected BQ,BF"),
     ],
 )
 def test_simulate_rejects_malformed_input(capsys, tmp_path, flags, message):
@@ -373,6 +388,8 @@ def test_cost_weights_all(capsys):
         ("lsn_wires=1,gsn_wires=inf", "weight of gsn_wires must be finite and non-negative"),
         ("gsn_wires=1,lsn_wires=1,gsn_wires=2", "gsn_wires is given twice"),
         ("bogus=1", "unknown category 'bogus'"),
+        ("gsn_wires=abc", "bad --weights value 'gsn_wires=abc'"),
+        ("lsn_demux=1", "error: no comparable weighted categories with nonzero total"),
     ):
         code, out, err = run(
             capsys,
@@ -403,6 +420,7 @@ def test_config_file_expansion(capsys, tmp_path):
 def test_config_file_errors(capsys, tmp_path):
     code, out, err = run(capsys, "construct", "--config", str(tmp_path / "none.cfg"))
     assert code == 2
+    assert run(capsys, "construct", "--config") == (1, "", "error: --config requires a path\n")
     bad = tmp_path / "bad.cfg"
     bad.write_text("no equals sign\n")
     code, out, err = run(capsys, "construct", "--config", str(bad))

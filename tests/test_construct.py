@@ -138,6 +138,22 @@ def test_class2_base_gf4():
     assert indexing.delta == (0, 2)
 
 
+@pytest.mark.parametrize(
+    "build, m, arg, message",
+    [
+        (build_base_class1, 4, (3, 3), r"need c\*n = q-1, got 3\*3 != 15"),
+        (build_base_class1, 6, (3, 21), r"need gcd\(c, n\) = 1, got gcd\(3, 21\)"),
+        (build_base_class2, 3, (3,), r"split exponent t=3 out of range \[1, 3\)"),
+        (build_base_class2, 3, (0,), r"split exponent t=0 out of range \[1, 3\)"),
+    ],
+    ids=["class1-product", "class1-gcd", "class2-t-high", "class2-t-low"],
+)
+def test_base_builders_refuse_bad_parameters(build, m, arg, message):
+    # CodeSpec refuses these first; the builders keep their own checks
+    with pytest.raises(ValueError, match=message):
+        build(GF2m(m), *arg)
+
+
 def entry_loop(c, n, entry):
     """Reference: the base matrix entry by entry, row (i, k), column (j, l)."""
     blocks = list(itertools.product(range(c), range(n)))

@@ -102,7 +102,7 @@ def test_weighted_savings():
         with pytest.raises(ValueError, match="weight of gsn_wires must be finite and non-negative"):
             savings(a, b, {"lsn_wires": 1.0, "gsn_wires": bad})
     assert savings(a, b, {"gsn_wires": 0.0, "gsn_lut_bits": 1.0}) == s
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match="no comparable weighted categories"):
         savings(a, b, {"lsn_wires": 1.0})  # not applicable to Ref designs
 
 

@@ -31,6 +31,9 @@ def test_non_primitive_polynomial_rejected():
     # x^4 + x^3 + x^2 + x + 1 divides x^5 + 1, so alpha has order 5 != 15
     with pytest.raises(ValueError, match="not primitive"):
         GF2m(4, 0b11111)
+    # x^2 = x*x: the walk 1, 2, 0 visits no element twice but ends at 0, not 1
+    with pytest.raises(ValueError, match="polynomial 0x4 is not primitive"):
+        GF2m(2, 0b100)
 
 
 def test_wrong_degree_polynomial_rejected():
