@@ -1,27 +1,28 @@
 """Inter-layer VNU message routing: the moves of one iteration, the index
 table, and a Benes switch model.
 
-Every inter-layer move is one formula over rho*(q-1) VNU positions: a
-block-level group map G followed by a rotation by s inside each CPM,
-perm[g*(q-1) + j] = G[g]*(q-1) + (j - s) mod (q-1).  A Class-I move that
+Every inter-layer move is a block-level group map G plus a rotation s[g]
+inside each CPM: position (g, j) of the rho*(q-1) VNU positions moves to
+(G[g], (j - s[g]) mod (q-1)), so one iteration's moves are one read-only
+(gamma, 2*rho) intp array, row t holding G then s.  A Class-I move that
 advances `steps` block rows is a fixed wiring with G[g] = (g - steps) mod
 rho and s = steps*c; a Class-II move permutes whole CPM column groups by
-the XOR translation read off an n x n index table (s = 0), realizable on a
-Benes network of 2*log2(rho) - 1 crossbar stages.  A network's setting for
-one move is its LUT content: a (stages, rho/2) bool array with one control
-bit per 2x2 switch, checked by driving np.arange(rho) through it.  A layer
-is a CPM block row: row r+1 of a CPM is row r shifted once, so moves
-within a block row carry no routing information.  One iteration's moves
-are the rows of one read-only intp array, each a bijection by
-construction.  A routing report exists only when every Class-II move
+the XOR translation read off an n x n index table (s = 0), and its G is
+routed on a Benes network of 2*log2(rho) - 1 crossbar stages.  A
+network's setting for one move is its LUT content: a (stages, rho/2) bool
+array with one control bit per 2x2 switch, checked by driving
+np.arange(rho) through it.  A layer is a CPM block row: row r+1 of a CPM
+is row r shifted once, so moves within a block row carry no routing
+information.  A routing report exists only when every Class-II move
 routed (`route_schedule` raises otherwise), which is why every line of it
-reads realized=yes.  The schedule-driven decoder walks one iteration of
-these moves before decoding and refuses a schedule unless every layer
-finds its columns at layer 0's fixed wiring.  Moves repeat (a Class-II
-move takes one of log2(n) XOR offsets), so one pass, `distinct_moves`,
-finds each distinct move, keyed by its bytes, once; its text (`route`'s
+reads realized=yes.  Moves repeat (a Class-II move takes one of log2(n)
+XOR offsets), so `distinct_moves` finds each distinct row once.  Its
+cycles follow from G's cycles by arithmetic, and its text (`route`'s
 cycles, `schedule`'s map) is one uint8 matrix of ASCII digits and marks,
-not a Python string per position.
+not a Python string per position.  Only `schedule`'s text and the
+schedule-driven decoder, which walks one iteration of moves and refuses a
+schedule unless every layer finds its columns at layer 0's fixed wiring,
+expand moves into positions, through `iteration_moves`.
 """
 
 from __future__ import annotations
@@ -45,20 +46,21 @@ def _cycle_min(perm: np.ndarray) -> np.ndarray:
     return lead
 
 
-def _cycle_order(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cycle_order(perm: np.ndarray) -> tuple[list[int], list[int]]:
     """Every position, cycle by cycle (each from its smallest position,
-    following perm, in order of that position), and a mask of each cycle's
-    first.  Pointer doubling finds each position's cycle minimum `lead` and
-    its number of steps from it `rank` in log2(size) array passes."""
-    idx, lead = np.arange(perm.size), _cycle_min(perm)
-    back = np.empty_like(perm)  # one step back, stopping at the cycle minimum
-    back[perm] = idx
-    back[lead == idx] = idx[lead == idx]
-    rank = (lead != idx).astype(np.int64)
-    while (back != lead).any():
-        rank, back = rank + rank[back], back[back]
-    order = np.lexsort((rank, lead))
-    return order, rank[order] == 0
+    following perm, in order of that position), and where each cycle
+    starts in that order, then its size."""
+    nxt, order, bounds = perm.tolist(), [], []
+    todo = [True] * len(nxt)
+    for a in range(len(nxt)):
+        if todo[a]:
+            bounds.append(len(order))
+        b = a
+        while todo[b]:
+            todo[b] = False
+            order.append(b)
+            b = nxt[b]
+    return order, bounds + [len(order)]
 
 
 def build_index_matrix(n: int) -> np.ndarray:
@@ -74,22 +76,18 @@ def build_index_matrix(n: int) -> np.ndarray:
     return idx[:, None] ^ idx[None, :]
 
 
-def iteration_moves(spec: CodeSpec) -> np.ndarray:
-    """One iteration's moves: row t of a read-only (gamma, rho*(q-1)) intp
-    array moves layer t to layer (t+1) mod gamma.
-
-    Row t is perm[g*(q-1) + j] = G[g]*(q-1) + (j - s) mod (q-1).  Class-I:
-    G[g] = (g - steps) mod rho, s = steps*c, where `steps` is the change of
-    block row.  Class-II: G takes the index-table row of the source block
-    row (mod n) to that of the destination within each group of n column
-    blocks, s = 0.
-    """
+def group_moves(spec: CodeSpec) -> np.ndarray:
+    """One iteration's moves: row t, G then s, moves layer t to layer
+    (t+1) mod gamma.  Class-I: G[g] = (g - steps) mod rho and s = steps*c
+    mod (q-1), where `steps` is the change of block row.  Class-II: G takes
+    the index-table row of the source block row (mod n) to that of the
+    destination within each group of n column blocks, s = 0."""
     qm1, g, n = spec.q - 1, np.arange(spec.rho), spec.n
     src = np.arange(spec.gamma)
     dst = (src + 1) % spec.gamma
     if spec.code_class == CLASS_I:
-        steps = dst - src
-        groups, shifts = (g - steps[:, None]) % spec.rho, steps[:, None, None] * spec.c
+        steps = (dst - src)[:, None]
+        groups, shifts = (g - steps) % spec.rho, steps * spec.c % qm1
     else:
         # at[t, g]: the block column that group g's index-table entry names in block row t
         at = build_index_matrix(n)[src[:, None] % n, g % n] + g // n * n
@@ -97,7 +95,17 @@ def iteration_moves(spec: CodeSpec) -> np.ndarray:
             raise ValueError(f"group index out of range for rho={spec.rho} (needs n | rho)")
         groups, shifts = np.empty_like(at), 0
         groups[src[:, None], at] = at[dst]
-    perms = (groups[..., None] * qm1 + (np.arange(qm1) - shifts) % qm1).reshape(spec.gamma, -1)
+    table = np.concatenate([groups, np.broadcast_to(shifts, groups.shape)], axis=1)
+    table.flags.writeable = False
+    return table
+
+
+def iteration_moves(spec: CodeSpec) -> np.ndarray:
+    """`group_moves` as positions: a read-only (gamma, rho*(q-1)) intp
+    array, perm[g*(q-1) + j] = G[g]*(q-1) + (j - s[g]) mod (q-1)."""
+    qm1 = spec.q - 1
+    groups, shifts = np.split(group_moves(spec)[..., None], 2, axis=1)
+    perms = (groups * qm1 + (np.arange(qm1) - shifts) % qm1).reshape(spec.gamma, -1)
     perms.flags.writeable = False
     return perms
 
@@ -220,9 +228,35 @@ def render_schedule(moves: np.ndarray) -> str:
     return "\n".join(f"transition layer {t} to layer {(t + 1) % n}: {maps[index[t]]}" for t in range(n))
 
 
+def _move_cycles(row: np.ndarray, qm1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The moved positions of one move (G then s, a row of `group_moves`)
+    in `_cycle_order`'s order, and where each cycle starts among them, from
+    G's cycles by arithmetic.  A G-cycle g_0 .. g_(L-1) from its smallest
+    group, whose rotations sum to S_k over its first k groups and to R
+    (mod q-1) over all, splits into c = gcd(R, q-1) position cycles of
+    P = (q-1)/c rounds of L steps, one from each (g_0, r) with r < c.
+    Step k of round p of the cycle from (g_0, r) is group g_k at offset
+    r - S_k - p*R (mod q-1)."""
+    rho = len(row) // 2
+    order, bounds = map(np.array, _cycle_order(row[:rho]))
+    starts, lengths, s = bounds[:-1], bounds[1:] - bounds[:-1], row[rho:][order]
+    sums = np.cumsum(s) - s
+    sums = (sums - np.repeat(sums[starts], lengths)) % qm1  # S_k
+    turn = np.add.reduceat(s, starts) % qm1  # R
+    rounds = qm1 // np.gcd(turn, qm1)  # P
+    moved = np.flatnonzero(lengths * rounds > 1)  # L*P = 1: fixed points
+    r, p = np.divmod(np.arange(qm1), rounds[moved, None])  # the c*P rounds of each moved G-cycle
+    size = np.repeat(lengths[moved], qm1)
+    head = np.cumsum(size) - size  # each round's first step
+    k = np.repeat(np.repeat(starts[moved], qm1) - head, size) + np.arange(size.sum())  # index into order
+    off = np.repeat((r - p * turn[moved, None]).ravel() % qm1, size) - sums[k]
+    return (order * qm1)[k] + off + qm1 * (off < 0), head[p.ravel() == 0]
+
+
 @dataclass(frozen=True)
 class RoutingReport:
-    moves: np.ndarray  # as from `iteration_moves`
+    moves: np.ndarray  # as from `group_moves`
+    qm1: int  # positions per group, q-1
     network: BenesNetwork | None  # every Class-II move routes on it; None: fixed wires
 
     @functools.cached_property
@@ -240,12 +274,12 @@ class RoutingReport:
             if net else "stages=0 switches=0 control_bits=0"
         )
         distinct, index = self.distinct
-        digits, cycles = _digit_table(distinct.shape[1]), []  # cycle text of each distinct move
-        for perm in distinct:
-            order, first = _cycle_order(perm)
-            moved = perm[order] != order  # fixed points left out
-            parens = np.stack([first, np.append(first[1:], True)], 1)[moved] * np.frombuffer(b"()", np.uint8)
-            text = _ascii_rows([parens[:, :1], digits[order[moved]], parens[:, 1:], b" "])
+        digits, cycles = _digit_table(distinct.shape[1] // 2 * self.qm1), []  # cycle text of each distinct move
+        for row in distinct:
+            pos, heads = _move_cycles(row, self.qm1)
+            parens = np.zeros((len(pos), 2), np.uint8)
+            parens[heads, 0], parens[heads - 1, 1] = ord("("), ord(")")  # heads[0] - 1: the last
+            text = _ascii_rows([parens[:, :1], digits[pos], parens[:, 1:], b" "])
             cycles.append(text or "(identity)")
         pieces, tail = [], f": {counts} realized=yes cycles="
         for t, k in enumerate(index.tolist()):
@@ -257,19 +291,14 @@ class RoutingReport:
 
 
 def route_schedule(spec: CodeSpec) -> RoutingReport:
-    """Route every inter-layer move of one iteration through the
-    class-appropriate network model.
-
-    Class-I moves ride on fixed wires (zero control bits); each distinct
-    Class-II move's group map is routed once through one Benes network,
-    whose `route` raises unless the switch settings realize it.
-    """
-    moves, qm1 = iteration_moves(spec), spec.q - 1
-    if spec.code_class == CLASS_I:
-        return RoutingReport(moves, None)
-    report = RoutingReport(moves, BenesNetwork(spec.rho))
-    for perm in report.distinct[0]:
-        report.network.route(perm[::qm1] // qm1)
+    """Route one iteration's moves: Class-I moves ride on fixed wires (zero
+    control bits); each distinct Class-II group map G is routed once on one
+    Benes network, whose `route` raises unless its settings realize G."""
+    moves = group_moves(spec)
+    net = None if spec.code_class == CLASS_I else BenesNetwork(spec.rho)
+    report = RoutingReport(moves, spec.q - 1, net)
+    for row in report.distinct[0] if net else ():
+        net.route(row[: spec.rho])  # its group map G
     return report
 
 
@@ -289,19 +318,20 @@ def schedule_driven_decode(
     every layer's posteriors to fixed check-node wiring; one frame or an
     (F, columns, q) stack, as in `decode`.
 
-    Before any layer is decoded, one walk over `route_schedule`'s moves
-    (Class-II moves routed on the Benes network, whose switch bits are
-    checked against each group map) tracks the physical position of every
-    column.  Each layer must find its columns at the wiring fixed from
-    layer 0's nonzero pattern, or the schedule is refused.  Positions
-    depend only on the schedule and one iteration's moves compose to the
-    identity, so the posteriors are then those of the direct decoder, bit
-    for bit.
+    Before any layer is decoded, `route_schedule` routes the moves
+    (Class-II group maps on the Benes network, whose switch bits are
+    checked against each map), and one walk over `iteration_moves` tracks
+    the physical position of every column.  Each layer must find its
+    columns at the wiring fixed from layer 0's nonzero pattern, or the
+    schedule is refused.  Positions depend only on the schedule and one
+    iteration's moves compose to the identity, so the posteriors are then
+    those of the direct decoder, bit for bit.
     """
     schedule = build_layer_schedule(h)
     wired = np.sort(schedule[0][0], axis=1)
     pos = np.arange(h.cols)
-    for t, ((cols, _), move) in enumerate(zip(schedule, route_schedule(spec).moves)):
+    route_schedule(spec)
+    for t, ((cols, _), move) in enumerate(zip(schedule, iteration_moves(spec))):
         got = np.sort(pos[cols], axis=1)
         same = got.shape == wired.shape
         bad = np.flatnonzero((got != wired).any(axis=1)) if same else [0]

@@ -53,27 +53,26 @@ def _scope(region_rows: int, region_cols: int, dim: int) -> str:
 
 def _compare(check_id, w, c, n, partner, act=None, wrapped=None, values=True) -> CheckResult:
     """Compare entry (i*n + k, j*n + l) of every block (i, j) and offset
-    (k, l) with the entry at partner(i, j, k, l), mapped by `act` if
+    (k, l) in w with the entry at partner(i, j, k, l), mapped by `act` if
     given, all at once.  w is the top-left region of the c*n x c*n base
-    matrix: pairs that leave it are skipped, and so are pairs marked by
-    wrapped(i, j) unless w is the full matrix.  The counterexample is the
-    first mismatch in (i, j, k, l) order: ((i, j), (k, l)), then both
-    entries if `values`."""
+    matrix: pairs whose partner leaves it are skipped, and so are pairs
+    marked by wrapped(i, j) unless w is the full matrix.  The
+    counterexample is the first mismatch in (i, j, k, l) order:
+    ((i, j), (k, l)), then both entries if `values`."""
     ent, dim = np.asarray(w), c * n
     rr, rc = ent.shape
-    i, j, k, l = np.indices((c, c, n, n))
-    (r1, c1), (r2, c2) = (i * n + k, j * n + l), partner(i, j, k, l)
-    keep = (np.maximum(r1, r2) < rr) & (np.maximum(c1, c2) < rc)
+    (i, k), (j, l) = divmod(np.arange(min(rr, dim))[:, None], n), divmod(np.arange(min(rc, dim)), n)
+    r2, c2 = partner(i, j, k, l)
+    keep = (r2 < rr) & (c2 < rc)
     if wrapped is not None and not rr == rc == dim:
         keep &= ~wrapped(i, j)
-    a = ent[np.minimum(r1, rr - 1), np.minimum(c1, rc - 1)]
-    b = ent[np.minimum(r2, rr - 1), np.minimum(c2, rc - 1)]
-    bad = np.argwhere(keep & (a != (b if act is None else act(b))))
-    if not len(bad):
+    a, b = ent[: len(i), : len(j)], ent[np.minimum(r2, rr - 1), np.minimum(c2, rc - 1)]
+    bad = keep & (a != (b if act is None else act(b)))
+    if not bad.any():
         return CheckResult(check_id, _scope(rr, rc, dim), True)
-    at = tuple(bad[0])
-    cex = ((int(at[0]), int(at[1])), (int(at[2]), int(at[3])))
-    cex += (int(a[at]), int(b[at])) if values else ()
+    at = np.unravel_index(np.where(bad, ((i * c + j) * n + k) * n + l, dim * dim).argmin(), bad.shape)
+    (bi, bk), (bj, bl) = divmod(int(at[0]), n), divmod(int(at[1]), n)
+    cex = ((bi, bj), (bk, bl)) + ((int(a[at]), int(b[at])) if values else ())
     return CheckResult(check_id, _scope(rr, rc, dim), False, cex)
 
 

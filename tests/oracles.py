@@ -5,6 +5,7 @@ import numpy as np
 
 from nbqc.cost import CATEGORIES
 from nbqc.decode import normalize
+from nbqc.verify import CheckResult, _scope
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -163,3 +164,25 @@ def schedule_text(moves) -> str:
         + ", ".join(f"{src} -> {dst}" for src, dst in enumerate(perm))
         for t, perm in enumerate(moves)
     )
+
+
+def compare_full_grid(check_id, w, c, n, partner, act=None, wrapped=None, values=True) -> CheckResult:
+    """`verify._compare` over every block (i, j) and offset (k, l) of the
+    whole c*n x c*n base matrix, pairs outside the region w masked out:
+    the reference for its grid over the region alone."""
+    ent, dim = np.asarray(w), c * n
+    rr, rc = ent.shape
+    i, j, k, l = np.indices((c, c, n, n))
+    (r1, c1), (r2, c2) = (i * n + k, j * n + l), partner(i, j, k, l)
+    keep = (np.maximum(r1, r2) < rr) & (np.maximum(c1, c2) < rc)
+    if wrapped is not None and not rr == rc == dim:
+        keep &= ~wrapped(i, j)
+    a = ent[np.minimum(r1, rr - 1), np.minimum(c1, rc - 1)]
+    b = ent[np.minimum(r2, rr - 1), np.minimum(c2, rc - 1)]
+    bad = np.argwhere(keep & (a != (b if act is None else act(b))))
+    if not len(bad):
+        return CheckResult(check_id, _scope(rr, rc, dim), True)
+    at = tuple(bad[0])
+    cex = ((int(at[0]), int(at[1])), (int(at[2]), int(at[3])))
+    cex += (int(a[at]), int(b[at])) if values else ()
+    return CheckResult(check_id, _scope(rr, rc, dim), False, cex)

@@ -19,6 +19,7 @@ from nbqc.shuffle import (
     apply,
     build_index_matrix,
     distinct_moves,
+    group_moves,
     iteration_moves,
     render_schedule,
     route_schedule,
@@ -44,6 +45,24 @@ def cycle_walk(perm):
     return out
 
 
+def cycles_text(perm):
+    """Reference: the cycles field of a report line, from `cycle_walk`."""
+    want = " ".join("(" + " ".join(map(str, c)) + ")" for c in cycle_walk(perm) if len(c) > 1)
+    return want or "(identity)"
+
+
+def positions(row, qm1):
+    """Reference: the positions of a move (G then s), one group at a time."""
+    groups, shifts = np.split(np.asarray(row), 2)
+    return [groups[g] * qm1 + (j - shifts[g]) % qm1 for g in range(len(groups)) for j in range(qm1)]
+
+
+def fixed_wires(perms):
+    """A fixed-wires report over position moves: q-1 = 1, G = perm, s = 0."""
+    perms = np.asarray(perms)
+    return RoutingReport(np.hstack([perms, np.zeros_like(perms)]), 1, None)
+
+
 @st.composite
 def repeated_moves(draw):
     """Moves drawn from a permutation and copies of it with two entries
@@ -61,14 +80,60 @@ def repeated_moves(draw):
 @settings(max_examples=80, deadline=None)
 def test_cycles_and_render_match_cycle_walk(perms):
     moves = np.array(perms)
-    lines = RoutingReport(moves, None).render().splitlines()
+    lines = fixed_wires(moves).render().splitlines()
     assert len(lines) == len(moves) + 2  # one per move, then the total and the fixed-wires note
     for t, (move, perm, line) in enumerate(zip(moves, perms, lines)):
-        want = " ".join("(" + " ".join(map(str, c)) + ")" for c in cycle_walk(perm) if len(c) > 1)
-        assert line.endswith(" cycles=" + (want or "(identity)"))
+        assert line.endswith(" cycles=" + cycles_text(perm))
         head, body = line.split(":", 1)
         assert head == f"layer {t}->{(t + 1) % len(moves)}"
-        assert body == RoutingReport(move[None], None).render().splitlines()[0].split(":", 1)[1]
+        assert body == fixed_wires(move[None]).render().splitlines()[0].split(":", 1)[1]
+
+
+@st.composite
+def rotated_moves(draw):
+    """Moves (G then s) at the (rho, q-1) of small and headline codes: G
+    random or the identity, s random or 0, drawn from a pool of two so
+    that moves repeat."""
+    rho, qm1 = draw(st.sampled_from([(0, 1), (20, 63), (32, 31), (256, 255)]))
+    rho = rho or draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [
+        np.concatenate([
+            rng.permutation(rho) if draw(st.booleans()) else np.arange(rho),
+            rng.integers(0, qm1, rho) if draw(st.booleans()) else np.zeros(rho, int),
+        ])
+        for _ in range(2)
+    ]
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)), qm1
+
+
+@given(rotated_moves())
+@settings(max_examples=40, deadline=None)
+def test_group_move_cycles_match_cycle_walk(case):
+    rows, qm1 = case
+    lines = RoutingReport(np.array(rows), qm1, None).render().splitlines()
+    for row, line in zip(rows, lines):
+        assert line.endswith(" cycles=" + cycles_text(positions(row, qm1)))
+
+
+def one_cycle(rho, qm1, turn):
+    """G one cycle through every group, its rotations summing to `turn`."""
+    shifts = np.arange(rho)
+    shifts[-1] += turn - shifts.sum()
+    return np.concatenate([np.roll(np.arange(rho), 1), shifts % qm1])
+
+
+@pytest.mark.parametrize("rho,qm1", [(1, 1), (40, 1), (20, 63), (32, 31), (256, 255)])
+def test_group_move_cycles_edge_cases(rho, qm1):
+    # identity G with s = 0 and with s = 3 in one group; one-cycle G whose
+    # rotations sum to R with gcd(R, q-1) = 1 and > 1 (R = 0 for prime q-1)
+    identity, rotated = np.concatenate([np.arange(rho), np.zeros(rho, int)]), np.zeros(2 * rho, int)
+    rotated[:rho], rotated[-1] = np.arange(rho), 3 % qm1
+    rows = [identity, rotated, one_cycle(rho, qm1, 1), one_cycle(rho, qm1, qm1 // 3 * (qm1 % 3 == 0))]
+    lines = RoutingReport(np.array(rows), qm1, None).render().splitlines()
+    assert lines[0].endswith(" cycles=(identity)")
+    for row, line in zip(rows, lines):
+        assert line.endswith(" cycles=" + cycles_text(positions(row, qm1)))
 
 
 @pytest.mark.parametrize("size", [1, 9, 10, 11, 99, 100, 101, 1000, 1001, 10001])
@@ -80,10 +145,9 @@ def test_report_text_where_the_digit_count_changes(size):
     fixing = np.arange(size)
     fixing[some] = rng.permutation(some)
     moves = np.array([rng.permutation(size), np.arange(size), fixing])
-    lines = RoutingReport(moves, None).render().splitlines()
+    lines = fixed_wires(moves).render().splitlines()
     for perm, line in zip(moves.tolist(), lines):
-        want = " ".join("(" + " ".join(map(str, c)) + ")" for c in cycle_walk(perm) if len(c) > 1)
-        assert line.endswith(" cycles=" + (want or "(identity)"))
+        assert line.endswith(" cycles=" + cycles_text(perm))
     assert lines[1].endswith(" cycles=(identity)")
     assert render_schedule(moves) == schedule_text(moves)
 
@@ -174,6 +238,11 @@ def test_iteration_moves_compose_to_identity(spec):
     size, layers = spec.rho * (spec.q - 1), spec.gamma
     assert moves.shape == (layers, size)  # row t moves layer t to layer (t+1) mod layers
     assert moves.dtype == np.intp and not moves.flags.writeable
+    table, qm1 = group_moves(spec), spec.q - 1
+    assert table.shape == (layers, 2 * spec.rho) and table.dtype == np.intp and not table.flags.writeable
+    assert (np.sort(table[:, : spec.rho]) == np.arange(spec.rho)).all()
+    assert ((0 <= table[:, spec.rho :]) & (table[:, spec.rho :] < qm1)).all()
+    assert moves.tolist() == [positions(row, qm1) for row in table]
     total = np.arange(size)
     for perm in moves:
         assert np.array_equal(np.sort(perm), np.arange(size))
@@ -229,8 +298,7 @@ def test_benes_bits_pinned_q32_group_maps():
     # the distinct group maps of the 32-ary (992, 496) Class-II code, pinned
     # as above
     spec = CodeSpec.class2(5, 4, gamma=16, rho=32)
-    qm1 = spec.q - 1
-    maps = dict.fromkeys(tuple((perm[::qm1] // qm1).tolist()) for perm in iteration_moves(spec))
+    maps = dict.fromkeys(tuple(row[: spec.rho].tolist()) for row in group_moves(spec))
     assert len(maps) == 4
     net, digest = BenesNetwork(32), hashlib.sha256()
     for group_map in maps:

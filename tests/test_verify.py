@@ -1,9 +1,11 @@
 """Structure checks: pass suites, region scoping and fault injection."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nbqc.construct import (
     CodeSpec,
@@ -13,6 +15,7 @@ from nbqc.construct import (
     build_code,
     cpm,
 )
+from nbqc import verify
 from nbqc.gf import GF2m
 from nbqc.verify import (
     check_class1_block_shift,
@@ -22,6 +25,7 @@ from nbqc.verify import (
     verify_class1,
     verify_class2,
 )
+from oracles import compare_full_grid
 
 CLASS1_SUITE = [(2, 1, 3), (3, 7, 1), (4, 3, 5), (6, 7, 9)]
 CLASS2_SUITE = [(2, 1), (3, 1), (4, 2), (5, 2)]
@@ -206,3 +210,35 @@ def test_counterexamples_pinned(case):
     report = verify(fld, ent, c, n)
     got = [(r.check_id, r.counterexample) for r in report.checks]
     assert repr(got) == repr(COUNTEREXAMPLES[case])  # plain ints, as FAIL lines print them
+
+
+@st.composite
+def damaged_bases(draw):
+    """A base matrix W with m <= 5 of either class, up to 8 entries changed,
+    cut to a random top-left region, with its verify function and (c, n)."""
+    m = draw(st.integers(2, 5))
+    fld, qm1 = GF2m(m), (1 << m) - 1
+    if draw(st.booleans()):
+        c = draw(st.sampled_from([c for c in range(1, qm1 + 1) if qm1 % c == 0 and np.gcd(c, qm1 // c) == 1]))
+        (w, _), n, check = build_base_class1(fld, c, qm1 // c), qm1 // c, verify_class1
+    else:
+        t = draw(st.integers(1, m - 1))
+        (w, _), c, n, check = build_base_class2(fld, t), 1 << (m - t), 1 << t, verify_class2
+    w, dim = w.copy(), len(w)
+    for r, col, v in draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
+                                             st.integers(1, qm1)), max_size=8)):
+        w[r, col] ^= v
+    rows, cols = draw(st.integers(1, dim)), draw(st.integers(1, dim))
+    return fld, w[:rows, :cols], c, n, check
+
+
+@given(damaged_bases())
+@settings(max_examples=300, deadline=None)
+def test_region_checks_match_the_full_grid(case):
+    # every check result, counterexample and scope as the full c x c x n x n
+    # grid finds them
+    fld, w, c, n, check = case
+    got = check(fld, w, c, n)
+    with mock.patch.object(verify, "_compare", compare_full_grid):
+        want = check(fld, w, c, n)
+    assert repr(got.checks) == repr(want.checks)
