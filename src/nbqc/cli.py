@@ -15,7 +15,7 @@ from . import codefile
 from .cost import CATEGORIES, VARIANTS, CostParams, cost as cost_breakdown, render_report, savings
 from .construct import CLASS_I, CodeSpec, build_base, build_code
 from .decode import DecoderConfig, SimResultRow, build_layer_schedule, run_monte_carlo
-from .shuffle import iteration_moves, render_schedule, route_schedule
+from .shuffle import group_moves, render_schedule, route_schedule
 from .verify import verify_class1, verify_class2
 
 
@@ -106,7 +106,7 @@ def cmd_simulate(args) -> int:
 
 def _read_formula_spec(path: str) -> CodeSpec:
     """The spec of a code file whose H is the spec's truncated W, the matrix
-    that `iteration_moves` derives its moves from; any other H is refused."""
+    that `group_moves` derives its moves from; any other H is refused."""
     spec, h, _ = _read_code(path)
     w = build_base(spec)[0][: spec.gamma, : spec.rho]
     if (differs := h.region != w).any():
@@ -117,7 +117,8 @@ def _read_formula_spec(path: str) -> CodeSpec:
 
 
 def cmd_schedule(args) -> int:
-    print(render_schedule(iteration_moves(_read_formula_spec(args.code))))
+    spec = _read_formula_spec(args.code)
+    print(render_schedule(group_moves(spec), spec.q - 1))
     return 0
 
 

@@ -9,8 +9,10 @@ Layout:
 The body is the top-left gamma x rho region of the base matrix W, one
 line per block row, with 0 for a zero block.  It is the region that
 ParityCheck stores: the writer prints h.region and the reader builds H
-from the region it reads.  Re-parsing a written file reproduces equal
-layers, and writing them again is byte-identical.
+from the region it reads.  A file parses only if each line is what
+format_code writes, each element spelled as str() spells it (no sign, no
+leading zero), so writing a parsed file again is byte-identical; only
+line endings and the final newline may differ.
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ def write_code(path: str, spec: CodeSpec, h: ParityCheck, fld: GF2m) -> None:
 def parse_code(text: str) -> tuple[CodeSpec, ParityCheck, GF2m]:
     """Read a code file into (spec, H, field), H built from the region.
 
-    The header must be the one format_code writes for the spec it names,
-    followed by gamma lines of rho single-space-separated decimal elements
-    below q.  Every violation raises CodeFileError naming its line.
+    A line that is not as format_code writes it raises CodeFileError
+    naming the line.
     """
     lines = text.splitlines()
     if not lines:
@@ -76,17 +77,16 @@ def parse_code(text: str) -> tuple[CodeSpec, ParityCheck, GF2m]:
     if len(body) != gamma:
         where = len(lines) + 1 if len(body) < gamma else gamma + 2
         raise CodeFileError(f"line {where}: expected {gamma} region lines, file has {len(body)}")
+    element = {str(v): v for v in range(fld.q)}  # the spellings format_code writes
     region = np.zeros((gamma, rho), dtype=np.int64)
-    digits = len(str(fld.q))  # compared first: int() refuses strings of over 4300 digits
     for r, line in enumerate(body):
         tokens = line.split(" ")
         if len(tokens) != rho:
             raise CodeFileError(f"line {r + 2}: expected {rho} entries, got {len(tokens)}")
-        bad = next((t for t in tokens if not (t.isascii() and t.isdecimal())
-                    or len(t.lstrip("0")) > digits or int(t) >= fld.q), None)
-        if bad is not None:
-            raise CodeFileError(f"line {r + 2}: {bad!r} is not a decimal element below q = {fld.q}")
-        region[r] = [int(t) for t in tokens]
+        try:
+            region[r] = [element[t] for t in tokens]
+        except KeyError as bad:  # a KeyError's str is its key's repr
+            raise CodeFileError(f"line {r + 2}: {bad} is not a decimal element below q = {fld.q}") from None
     return spec, ParityCheck(fld, region), fld
 
 

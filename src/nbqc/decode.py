@@ -68,6 +68,8 @@ class DecoderConfig:
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
         if self.quant is not None:
             b_q, b_f = self.quant
             if not 1 <= b_q <= 16:
@@ -435,8 +437,8 @@ def run_monte_carlo(
     Frame t of SNR point si draws its channel from SeedSequence(rng_seed,
     spawn_key=(si, t)).  The sweep's frames, all points mixed, are dealt
     into batches of as many frames as BATCH_BYTES of decoder state holds
-    (set by H's nnz * q; at least one), at least one batch per worker.
-    `decode` runs each batch as one stack; pool workers get the code once.
+    (set by H's nnz * q; at least one), at least one batch per worker and
+    at most one worker per batch.  `decode` runs each batch as one stack.
     """
     if not snr_db_list:
         raise ValueError("empty SNR list")
@@ -466,7 +468,7 @@ def run_monte_carlo(
     if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(workers, _init_worker, code) as pool:
+        with multiprocessing.Pool(min(workers, jobs), _init_worker, code) as pool:
             counts = pool.map(_decode_frames, batches)
     else:
         counts = [_decode_frames(b, code) for b in batches]

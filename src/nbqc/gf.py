@@ -57,21 +57,17 @@ class GF2m:
         self.q = 1 << m
         self.primitive_poly = poly
 
-        # Walk powers of alpha (= x); the walk must visit every nonzero
-        # element exactly once, otherwise the polynomial is not primitive.
-        alog = np.zeros(self.q - 1, dtype=np.intp)
-        log = np.full(self.q, -1, dtype=np.intp)
-        val = 1
-        for k in range(self.q - 1):
-            if log[val] != -1:
-                raise ValueError(f"polynomial {poly:#x} is not primitive over GF(2^{m})")
-            alog[k] = val
-            log[val] = k
-            val <<= 1
-            if val & self.q:
-                val ^= poly
-        if val != 1:
+        # Walk the powers of alpha (= x): x is primitive when its first q-1
+        # powers are distinct and the next one is 1 again.
+        powers = [1]
+        for _ in range(self.q - 1):
+            val = powers[-1] << 1
+            powers.append(val ^ poly if val & self.q else val)
+        if powers.pop() != 1 or len(set(powers)) != self.q - 1:
             raise ValueError(f"polynomial {poly:#x} is not primitive over GF(2^{m})")
+        alog = np.array(powers, dtype=np.intp)
+        log = np.full(self.q, -1, dtype=np.intp)
+        log[alog] = np.arange(self.q - 1)
 
         lg = log[1:]
         mul = np.zeros((self.q, self.q), dtype=np.intp)

@@ -19,10 +19,10 @@ reads realized=yes.  Moves repeat (a Class-II move takes one of log2(n)
 XOR offsets), so `distinct_moves` finds each distinct row once.  Its
 cycles follow from G's cycles by arithmetic, and its text (`route`'s
 cycles, `schedule`'s map) is one uint8 matrix of ASCII digits and marks,
-not a Python string per position.  Only `schedule`'s text and the
-schedule-driven decoder, which walks one iteration of moves and refuses a
-schedule unless every layer finds its columns at layer 0's fixed wiring,
-expand moves into positions, through `iteration_moves`.
+not a Python string per position.  Moves become positions only for
+`schedule`'s text, once per distinct move, and for the schedule-driven
+decoder, which walks `iteration_moves` and refuses a schedule unless
+every layer finds its columns at layer 0's fixed wiring.
 """
 
 from __future__ import annotations
@@ -100,14 +100,18 @@ def group_moves(spec: CodeSpec) -> np.ndarray:
     return table
 
 
+def _positions(rows: np.ndarray, qm1: int) -> np.ndarray:
+    """Rows of `group_moves` as read-only rows of positions (see `iteration_moves`)."""
+    groups, shifts = np.split(rows[..., None], 2, axis=1)
+    perms = (groups * qm1 + (np.arange(qm1) - shifts) % qm1).reshape(len(rows), -1)
+    perms.flags.writeable = False
+    return perms
+
+
 def iteration_moves(spec: CodeSpec) -> np.ndarray:
     """`group_moves` as positions: a read-only (gamma, rho*(q-1)) intp
     array, perm[g*(q-1) + j] = G[g]*(q-1) + (j - s[g]) mod (q-1)."""
-    qm1 = spec.q - 1
-    groups, shifts = np.split(group_moves(spec)[..., None], 2, axis=1)
-    perms = (groups * qm1 + (np.arange(qm1) - shifts) % qm1).reshape(spec.gamma, -1)
-    perms.flags.writeable = False
-    return perms
+    return _positions(group_moves(spec), spec.q - 1)
 
 
 def distinct_moves(moves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,10 +224,10 @@ def _ascii_rows(fields: list) -> str:
     return flat[flat != 0].tobytes().decode("ascii")
 
 
-def render_schedule(moves: np.ndarray) -> str:
-    """`nbqc schedule`'s text: one line per layer, its move's `src -> dst` map."""
-    digits, (distinct, index) = _digit_table(moves.shape[1]), distinct_moves(moves)
-    maps = [_ascii_rows([digits, b" -> ", digits[perm], b", "]) for perm in distinct]
+def render_schedule(moves: np.ndarray, qm1: int) -> str:
+    """`nbqc schedule`'s text of `group_moves` rows: per layer, its move's `src -> dst` map."""
+    (distinct, index), digits = distinct_moves(moves), _digit_table(moves.shape[1] // 2 * qm1)
+    maps = [_ascii_rows([digits, b" -> ", digits[perm], b", "]) for perm in _positions(distinct, qm1)]
     n = len(index)
     return "\n".join(f"transition layer {t} to layer {(t + 1) % n}: {maps[index[t]]}" for t in range(n))
 

@@ -120,10 +120,8 @@ def check_subgroup_symmetry(beta, delta) -> list[CheckResult]:
 
 
 def verify_class1(fld: GF2m, w, c: int, n: int) -> PropertyReport:
-    report = PropertyReport()
-    report.checks.append(check_class1_block_shift(w, c, n))
-    report.checks.append(check_class1_inner_shift(w, c, n, fld, fld.pow_alpha(c)))
-    return report
+    return PropertyReport([check_class1_block_shift(w, c, n),
+                           check_class1_inner_shift(w, c, n, fld, fld.pow_alpha(c))])
 
 
 def verify_class2(fld: GF2m, w, c: int, n: int) -> PropertyReport:
@@ -131,11 +129,8 @@ def verify_class2(fld: GF2m, w, c: int, n: int) -> PropertyReport:
     checks of the subgroup orderings, read from row 0: both orderings start
     at zero, so w[0, l] = beta_l and w[0, j*n] = delta_j."""
     w = np.asarray(w)
-    report = PropertyReport()
-    report.checks.extend(check_class2_symmetries(w, c, n))
+    checks = check_class2_symmetries(w, c, n)
     if w.shape[1] == c * n:
-        report.checks.extend(check_subgroup_symmetry(w[0, :n], w[0, ::n]))
-    report.notes.append(
-        "within-block diagonal symmetry is implemented as entry (k,l) == entry (l,k)"
-    )
-    return report
+        checks += check_subgroup_symmetry(w[0, :n], w[0, ::n])
+    note = "within-block diagonal symmetry is implemented as entry (k,l) == entry (l,k)"
+    return PropertyReport(checks, [note])

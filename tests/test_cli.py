@@ -223,6 +223,7 @@ def test_simulate_takes_negative_snr_list(capsys, tmp_path, snrs):
         (["--snr-list", "-5,0", "--quant", "6,-20"], "quantization requires 0 <= b_f < b_q, got (6, -20)"),
         (["--snr-list", "-5,0", "--quant", "6,-3"], "quantization requires 0 <= b_f < b_q, got (6, -3)"),
         (["--snr-list", "1", "--quant", "6"], "bad --quant value '6'; expected BQ,BF"),
+        (["--snr-list", "1", "--seed", "-1"], "rng_seed must be non-negative, got -1"),
     ],
 )
 def test_simulate_rejects_malformed_input(capsys, tmp_path, flags, message):

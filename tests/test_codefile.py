@@ -5,6 +5,7 @@ import runpy
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nbqc.cli import main
 from nbqc.codefile import CodeFileError, format_code, parse_code, read_code, write_code
@@ -100,10 +101,13 @@ def test_cli_codes_round_trip(name, tmp_path, capsys):
     assert_same_arrays(h, want)
 
 
-def good_text():
-    spec = CodeSpec.class1(2, 1, 3, gamma=2, rho=3)
+def written(spec):
     h, _, _, fld = build_code(spec)
     return format_code(spec, h, fld)
+
+
+def good_text():
+    return written(CodeSpec.class1(2, 1, 3, gamma=2, rho=3))
 
 
 def test_good_text_layout():
@@ -192,6 +196,10 @@ def test_parse_rejects_malformed_entries():
         (edited(3, "3 -1 1"), "line 3: '-1' is not a decimal element"),
         (edited(2, "0 3 (2,0)"), r"line 2: '\(2,0\)' is not a decimal element"),
         (edited(2, "0 3 \u0662"), "line 2: '\u0662' is not a decimal element"),
+        # format_code writes no leading zero, so none is read
+        (edited(2, "0 03 2"), "line 2: '03' is not a decimal element below q = 4"),
+        (edited(3, "00 0 1"), "line 3: '00' is not a decimal element below q = 4"),
+        (edited(2, "0 3 " + "0" * 5000 + "1"), "line 2: '0000"),
     ])
 
 
@@ -208,3 +216,44 @@ def test_format_code_refuses_what_it_cannot_write():
     h, _, _, fld = build_code(spec)
     with pytest.raises(ValueError, match="block region"):
         format_code(CodeSpec.class1(2, 1, 3, gamma=2, rho=2), h, fld)
+
+
+# written files of a 4-ary and a 16-ary code (one- and two-digit elements)
+SMALL_TEXTS = [good_text(), written(FILE_SPECS["c1-m4"])]
+
+
+@st.composite
+def one_token_replaced(draw):
+    """A written file with one body token replaced by a drawn string, the
+    1-based number of its line, and whether the string is an element as
+    format_code spells it."""
+    text = draw(st.sampled_from(SMALL_TEXTS))
+    q = parse_code(text)[2].q
+    lines = text.splitlines()
+    r = draw(st.integers(1, len(lines) - 1))
+    tokens = lines[r].split(" ")
+    value = st.integers(0, q - 1)
+    token = draw(st.one_of(
+        value.map(str),  # canonical
+        st.builds(lambda z, v: "0" * z + str(v), st.integers(1, 3), value),  # leading zeros
+        st.builds(lambda sign, v: sign + str(v), st.sampled_from("+-"), value),
+        st.builds(lambda d, v: str(v) + d, st.sampled_from("\u0660\u0663\u06f1\u0967\uff11"), value),
+        st.just(""),
+        st.integers(q, 10**30).map(str),  # q or more
+        st.builds(lambda z, v: "0" * z + str(v), st.integers(4300, 5000), value),  # very long
+    ))
+    tokens[draw(st.integers(0, len(tokens) - 1))] = token
+    lines[r] = " ".join(tokens)
+    return "\n".join(lines) + "\n", r + 1, token in {str(v) for v in range(q)}
+
+
+@given(one_token_replaced())
+@settings(max_examples=200, deadline=None)
+def test_parse_reads_only_what_format_code_writes(case):
+    text, line, canonical = case
+    try:
+        parsed = parse_code(text)
+    except CodeFileError as exc:
+        assert str(exc).startswith(f"line {line}: ") and not canonical
+    else:
+        assert format_code(*parsed) == text and canonical

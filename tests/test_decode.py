@@ -372,6 +372,9 @@ def test_quant_config_validation():
 def test_config_rejects_no_iterations():
     with pytest.raises(ValueError, match="max_iter"):
         DecoderConfig(max_iter=0)
+    # SeedSequence refuses it too, but only once the sweep has started
+    with pytest.raises(ValueError, match=r"^rng_seed must be non-negative, got -1$"):
+        DecoderConfig(rng_seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -844,6 +847,41 @@ def test_run_monte_carlo_worker_count_reproducible():
     # more workers than frames
     one = run_monte_carlo(h, schedule, fld, [1.0], 2, config, workers=1)
     assert run_monte_carlo(h, schedule, fld, [1.0], 2, config, workers=3) == one
+
+
+def test_run_monte_carlo_starts_no_more_processes_than_batches(monkeypatch):
+    # a stand-in pool records its process count and decodes its batches in
+    # this process, so the test starts no process at any worker count
+    import multiprocessing
+
+    import nbqc.decode as module
+
+    started = []
+
+    class InProcessPool:
+        def __init__(self, processes, initializer, initargs):
+            started.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, batches):
+            return [func(b) for b in batches]
+
+    h, fld = fig_code_class2()
+    schedule = build_layer_schedule(h)
+    config = DecoderConfig(max_iter=5, rng_seed=3)
+    monkeypatch.setattr(module, "_worker_code", module._worker_code)  # restored after the test
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    # (SNRs, trials, workers): one frame, fewer frames than workers, fewer workers than frames
+    for snrs, trials, workers, processes in (([1.0], 1, 64, 1), ([1.0], 2, 64, 2), ([1.0, 3.0], 5, 3, 3)):
+        one = run_monte_carlo(h, schedule, fld, snrs, trials, config)
+        assert run_monte_carlo(h, schedule, fld, snrs, trials, config, workers=workers) == one
+        assert started.pop() == processes
 
 
 def test_run_monte_carlo_batch_size_does_not_change_rows(monkeypatch):

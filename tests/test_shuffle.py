@@ -145,11 +145,12 @@ def test_report_text_where_the_digit_count_changes(size):
     fixing = np.arange(size)
     fixing[some] = rng.permutation(some)
     moves = np.array([rng.permutation(size), np.arange(size), fixing])
-    lines = fixed_wires(moves).render().splitlines()
+    report = fixed_wires(moves)
+    lines = report.render().splitlines()
     for perm, line in zip(moves.tolist(), lines):
         assert line.endswith(" cycles=" + cycles_text(perm))
     assert lines[1].endswith(" cycles=(identity)")
-    assert render_schedule(moves) == schedule_text(moves)
+    assert render_schedule(report.moves, report.qm1) == schedule_text(moves)
 
 
 @given(repeated_moves())
