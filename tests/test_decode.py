@@ -1,5 +1,6 @@
 """Min-Max decoding: message algebra, check node, quantization, decoding."""
 
+import functools
 import itertools
 import pickle
 
@@ -13,6 +14,7 @@ from nbqc.decode import (
     LAYER_I,
     WORKSPACE,
     DecoderConfig,
+    _check_node,
     _decode_frames,
     _minmax_kernel,
     build_layer_schedule,
@@ -333,6 +335,40 @@ def test_check_node_workspace_size_does_not_change_result():
     assert np.array_equal(check_node_min_max(stacked), check_node_min_max(stacked, np.empty(WORKSPACE)))
 
 
+@given(
+    st.sampled_from([4, 8, 16, 32, 64, 128, 256]),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([np.float64, np.uint8, np.uint16]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_q_major_check_node_matches_check_node_min_max(q, d, lanes, dtype, small_ws, seed):
+    # the core update_layer calls, on (q, d, L) lanes written into a strided
+    # view like a chunk of stored check messages, against the public check
+    # node and a leave-one-out combination by the kernel's table oracle
+    rng = np.random.default_rng(seed)
+    top = 2 ** (8 * np.dtype(dtype).itemsize) - 1 if np.dtype(dtype).kind == "u" else 40
+    pool = rng.integers(0, top, 4, endpoint=True)  # few distinct values, so that ties are common
+    x = rng.choice(pool, (q, d, lanes)).astype(dtype)
+    if dtype == np.float64:
+        x *= rng.random()
+    x -= x.min(axis=0)
+    kept = x.copy()
+    size = 2 * lanes * q * q  # the least workspace, or the decoder's where it suffices
+    ws = np.empty(size, dtype) if small_ws else np.empty(max(size, WORKSPACE))
+    store = np.zeros((q, d, 2, lanes), dtype)
+    got = _check_node(x, ws, store[:, :, 1])
+    assert np.shares_memory(got, store) and not store[:, :, 0].any()
+    assert np.array_equal(got, check_node_min_max(x.transpose(2, 1, 0)).transpose(2, 1, 0))
+    for i in range(d):
+        others = [x[:, j] for j in range(d) if j != i]
+        want = functools.reduce(minmax_kernel_table, others)
+        assert np.array_equal(got[:, i], want)
+    assert np.array_equal(x, kept)
+
+
 # ---------------------------------------------------------------------------
 # quantization
 # ---------------------------------------------------------------------------
@@ -549,6 +585,17 @@ def test_decode_stack_frames_stop_at_their_own_iteration():
         assert_same_result(decode(h, schedule, channel, fld, config), result)
 
 
+def q_major(post, r_msg):
+    """(F, columns, q) posteriors and (F, rows, d, q) check messages in the
+    decoder's layout: (columns * q, F) and (q, d, rows, F)."""
+    return post.reshape(len(post), -1).T.copy(), np.ascontiguousarray(r_msg.transpose(3, 2, 1, 0))
+
+
+def frame_major(post, r_msg, q):
+    """The inverse of q_major."""
+    return post.T.reshape(post.shape[1], -1, q), r_msg.transpose(3, 2, 1, 0)
+
+
 def test_update_layer_chunks_do_not_change_result():
     # a workspace of 3 (frame, row) pairs of the check node's dtype splits
     # the 5 frames x 15 rows into single-row chunks of 3 frames and 2 frames
@@ -560,6 +607,7 @@ def test_update_layer_chunks_do_not_change_result():
         post = normalize(rng.random((5, h.cols, fld.q)) * 8)
         top = 1 if quant is None else 2 ** quant[0] - 1
         r_msg = normalize(rng.random((5,) + cols.shape + (fld.q,)) * top).astype(dtype)
+        post, r_msg = q_major(post, r_msg)
         small = (post.copy(), r_msg.copy())
         ws = np.empty(3 * 2 * fld.q**2, dtype)
         update_layer(small[0], cols, labels, small[1], fld, quant, ws)
@@ -593,18 +641,19 @@ def test_update_layer_matches_reference(spec_index, frames, quant, seed):
     h, _, _, fld = build_code(SANITY_SPECS[spec_index])
     schedule = build_layer_schedule(h, LAYER_I)
     snrs = np.random.default_rng(seed).uniform(0.0, 4.0, frames)
-    post = normalize(frame_stack(h, fld, snrs, seed))
-    ref = post.copy()
-    r_msg = [np.zeros((frames,) + c.shape + (fld.q,), message_dtype(quant)) for c, _ in schedule]
-    ref_msg = [np.zeros(r.shape) for r in r_msg]
+    ref = normalize(frame_stack(h, fld, snrs, seed))
+    ref_msg = [np.zeros((frames,) + c.shape + (fld.q,)) for c, _ in schedule]
+    post, _ = q_major(ref, ref_msg[0])
+    r_msg = [q_major(ref, r.astype(message_dtype(quant)))[1] for r in ref_msg]
     unit = 1.0 if quant is None else 2.0 ** -quant[1]  # the float value of one code step
     ws = np.empty(WORKSPACE)
     for _ in range(2):
         for t, (cols, labels) in enumerate(schedule):
             update_layer(post, cols, labels, r_msg[t], fld, quant, ws)
             reference_update_layer(ref, cols, labels, ref_msg[t], fld, quant)
-            assert np.array_equal(post, ref)
-            assert np.array_equal(r_msg[t] * unit, permute_message(ref_msg[t], labels, FORWARD, fld))
+            got_post, got_msg = frame_major(post, r_msg[t], fld.q)
+            assert np.array_equal(got_post, ref)
+            assert np.array_equal(got_msg * unit, permute_message(ref_msg[t], labels, FORWARD, fld))
 
 
 @pytest.mark.parametrize(
@@ -638,9 +687,9 @@ def test_update_layer_check_node_calls(monkeypatch, quant, calls):
     h, _, _, fld = build_code(CodeSpec.class1(6, 7, 9, gamma=10, rho=20))
     schedule = build_layer_schedule(h, LAYER_I)
     rows = []
-    check_node = module.check_node_min_max
+    check_node = module._check_node
     monkeypatch.setattr(
-        module, "check_node_min_max", lambda x, ws: rows.append(x[..., 0, 0].size) or check_node(x, ws)
+        module, "_check_node", lambda x, ws, out: rows.append(x[0, 0].size) or check_node(x, ws, out)
     )
     channel = hard_channel(np.zeros(h.cols, dtype=int), fld)
     decode(h, schedule, channel, fld, DecoderConfig(max_iter=1, quant=quant))
@@ -655,16 +704,16 @@ def test_check_node_inputs_are_normalized(monkeypatch, spec, quant):
     # because every input message it is given has minimum 0
     import nbqc.decode as module
 
-    check_node, calls = module.check_node_min_max, []
+    check_node, calls = module._check_node, []
 
-    def checked(x, ws):
-        assert (x.min(axis=-1) == 0).all()
-        out = check_node(x, ws)
-        assert (out.min(axis=-1) == 0).all()
+    def checked(x, ws, out):
+        assert (x.min(axis=0) == 0).all()
+        out = check_node(x, ws, out)
+        assert (out.min(axis=0) == 0).all()
         calls.append(x.shape)
         return out
 
-    monkeypatch.setattr(module, "check_node_min_max", checked)
+    monkeypatch.setattr(module, "_check_node", checked)
     h, _, _, fld = build_code(spec)
     schedule = build_layer_schedule(h, LAYER_I)
     config = DecoderConfig(max_iter=4, quant=quant, rng_seed=3)
@@ -877,11 +926,13 @@ def test_run_monte_carlo_starts_no_more_processes_than_batches(monkeypatch):
     config = DecoderConfig(max_iter=5, rng_seed=3)
     monkeypatch.setattr(module, "_worker_code", module._worker_code)  # restored after the test
     monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-    # (SNRs, trials, workers): one frame, fewer frames than workers, fewer workers than frames
-    for snrs, trials, workers, processes in (([1.0], 1, 64, 1), ([1.0], 2, 64, 2), ([1.0, 3.0], 5, 3, 3)):
+    # (SNRs, trials, workers, pools started): one frame decodes in this
+    # process; fewer frames than workers; fewer workers than frames
+    for snrs, trials, workers, pools in (([1.0], 1, 64, []), ([1.0], 2, 64, [2]), ([1.0, 3.0], 5, 3, [3])):
         one = run_monte_carlo(h, schedule, fld, snrs, trials, config)
         assert run_monte_carlo(h, schedule, fld, snrs, trials, config, workers=workers) == one
-        assert started.pop() == processes
+        assert started == pools
+        started.clear()
 
 
 def test_run_monte_carlo_batch_size_does_not_change_rows(monkeypatch):

@@ -86,6 +86,15 @@ def test_truncated_class2_region_passes():
     assert not any("palindrome" in c.check_id for c in report.checks)
 
 
+def test_class2_checks_leave_the_product_table_unbuilt():
+    # a Class-II base matrix and its checks only XOR field elements, and
+    # GF2m builds its 256 x 256 product table on first read
+    h, _, _, fld = build_code(CodeSpec.class2(8, 4, gamma=2, rho=4))
+    report = verify_class2(fld, h.region, 16, 16)
+    assert report.all_passed, report.render()
+    assert "mul_table" not in fld.__dict__
+
+
 @pytest.mark.parametrize("m,c,n", CLASS1_SUITE)
 def test_class1_single_entry_fault_detected(m, c, n):
     fld = GF2m(m)
