@@ -4,11 +4,15 @@ and cost commands with deterministic, scriptable output.
 Exit codes: 0 success, 1 domain/validation error, 2 I/O or parse error.
 A config file of key=value lines may supply any flag; explicit flags
 override it.
+
+Only simulate builds the field's q x q product table, for the decoder;
+the other commands need only its log/antilog tables.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import codefile
@@ -190,7 +194,9 @@ def _apply_config(argv: list[str]) -> list[str]:
     return rest[:1] + extra + rest[1:]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first main call."""
     parser = argparse.ArgumentParser(prog="nbqc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

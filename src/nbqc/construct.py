@@ -209,7 +209,8 @@ def build_base_class1(fld: GF2m, c: int, n: int) -> tuple[np.ndarray, SubgroupIn
     beta = np.array([fld.pow_alpha(c * k) for k in range(n)])
     delta = np.array([fld.pow_alpha(n * j) for j in range(c)])
     i, k, j, l = np.ix_(range(c), range(n), range(c), range(n))
-    w = fld.mul_table[delta[(j - i) % c], beta[k]] ^ beta[l]  # delta has order c
+    # delta^(j-i) * beta^k = alpha^(n(j-i) + ck), and delta has order c
+    w = fld.antilog_table[(n * ((j - i) % c) + c * k) % (q - 1)] ^ beta[l]
     return w.reshape(c * n, c * n), SubgroupIndexing(tuple(beta.tolist()), tuple(delta.tolist()))
 
 

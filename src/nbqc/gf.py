@@ -78,7 +78,8 @@ class GF2m:
 
     @functools.cached_property
     def mul_table(self) -> np.ndarray:
-        """mul_table[a, b] = a*b, built on first read (0.7 ms at q = 256)."""
+        """mul_table[a, b] = a*b, built on first read (0.7 ms at q = 256);
+        only decoding reads it (cpm, update_layer, syndrome_zero)."""
         lg, mul = self.log_table[1:], np.zeros((self.q, self.q), dtype=np.intp)
         mul[1:, 1:] = self.antilog_table[(lg[:, None] + lg[None, :]) % (self.q - 1)]
         mul.flags.writeable = False

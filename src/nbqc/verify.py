@@ -87,10 +87,11 @@ def check_class1_block_shift(w, c: int, n: int) -> CheckResult:
 
 def check_class1_inner_shift(w, c: int, n: int, fld: GF2m, beta_elt: int) -> CheckResult:
     """Within each block, entry (k,l) = beta * entry((k-1) mod n, (l-1) mod n)."""
+    lg, q1 = fld.log_table, fld.q - 1
     return _compare(
         "inner_shift", w, c, n,
         lambda i, j, k, l: (i * n + (k - 1) % n, j * n + (l - 1) % n),
-        act=lambda b: fld.mul_table[beta_elt, b],
+        act=lambda b: np.where(b == 0, 0, fld.antilog_table[(lg[b] + lg[beta_elt]) % q1]),  # zero has no log
     )
 
 

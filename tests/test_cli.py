@@ -1,7 +1,10 @@
 """End-to-end CLI behavior: exit codes, determinism and config files."""
 
+import argparse
+
 import pytest
 
+import nbqc.cli
 import nbqc.construct
 from nbqc.cli import main
 from nbqc.gf import GF2m
@@ -426,3 +429,47 @@ def test_config_file_errors(capsys, tmp_path):
     bad.write_text("no equals sign\n")
     code, out, err = run(capsys, "construct", "--config", str(bad))
     assert code == 2
+
+
+def test_main_builds_one_parser_and_keeps_calls_independent(capsys, tmp_path, monkeypatch):
+    c1, c2, c3 = (str(tmp_path / f"c{i}.nbqc") for i in (1, 2, 3))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("class=2\nm=2\nt=1\ngamma=2\nrho=4\n")
+    calls = [
+        ["construct", *TOOLCHAIN_CODES["class1"], "--poly", "d", "-o", c1],
+        ["construct", "--class", "2", "--m", "4", "--t", "3", "--gamma", "16", "--rho", "16",
+         "--random-surjective", "0", "-o", c2],
+        ["construct", "--class", "3"],  # argparse refuses it: exit 2
+        ["construct", "--config", str(cfg), "--rho", "3", "-o", c3],
+        ["simulate", "--code", c1, "--snr-list", "2", "--trials", "3", "--quant", "6,2"],
+        ["simulate", "--code", c1, "--snr-list", "2", "--trials", "3"],
+        ["verify", c2],
+        ["route", "--code", c1],
+        ["cost", "--bq", "6", "--nm", "16", "--dc", "4", "--q", "8", "--gamma", "3", "--rho", "6"],
+    ]
+    built = []  # ArgumentParser objects constructed per call
+
+    def outcome(argv):
+        built.append(0)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    with monkeypatch.context() as patch:  # a freshly built parser for every call
+        patch.setattr(nbqc.cli, "build_parser", nbqc.cli.build_parser.__wrapped__)
+        fresh = [outcome(argv) for argv in calls]
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 0, 1, 0, 0]
+
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built[-1] += 1
+        init(self, *args, **kwargs)
+
+    nbqc.cli.build_parser.cache_clear()  # as in a new process
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    built.clear()
+    assert [outcome(argv) for argv in calls] == fresh
+    assert built[0] > 0 and not any(built[1:]), built

@@ -160,7 +160,7 @@ def entry_loop(c, n, entry):
     return np.array([[entry(i, j, k, l) for j, l in blocks] for i, k in blocks])
 
 
-@pytest.mark.parametrize("m,c,n", CLASS1_SUITE)
+@pytest.mark.parametrize("m,c,n", CLASS1_SUITE + [(8, 15, 17), (8, 17, 15), (7, 1, 127), (5, 31, 1)])
 def test_class1_base_matches_entry_loop(m, c, n):
     fld = GF2m(m)
     w, _ = build_base_class1(fld, c, n)

@@ -95,6 +95,18 @@ def test_class2_checks_leave_the_product_table_unbuilt():
     assert "mul_table" not in fld.__dict__
 
 
+def test_class1_construction_and_checks_leave_the_product_table_unbuilt():
+    # a Class-I entry and its beta-multiple are powers of alpha, read from
+    # the log/antilog tables
+    fld = GF2m(8)
+    w, _ = build_base_class1(fld, 15, 17)
+    assert "mul_table" not in fld.__dict__
+    fld = GF2m(8)
+    report = verify_class1(fld, w, 15, 17)
+    assert report.all_passed, report.render()
+    assert "mul_table" not in fld.__dict__
+
+
 @pytest.mark.parametrize("m,c,n", CLASS1_SUITE)
 def test_class1_single_entry_fault_detected(m, c, n):
     fld = GF2m(m)
