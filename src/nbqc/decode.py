@@ -99,11 +99,18 @@ def build_layer_schedule(h: ParityCheck, partition: str = LAYER_I) -> Layers:
     """
     if partition != LAYER_I:
         raise ValueError(f"unknown partition {partition!r}")
-    qm1 = h.q - 1
-    for t, (cols, _) in enumerate(h.layers):
-        if (d := cols.shape[1]) < 2:
-            raise ValueError(f"rows {t * qm1}..{t * qm1 + qm1 - 1} have check degree {d}; need >= 2")
+    _check_row_degrees(h.layers)
     return h.layers
+
+
+def _check_row_degrees(layers: Layers) -> None:
+    """Raise ValueError unless every layer's check degree is at least 2."""
+    lo = 0
+    for cols, _ in layers:
+        rows, d = cols.shape
+        if d < 2:
+            raise ValueError(f"rows {lo}..{lo + rows - 1} have check degree {d}; need >= 2")
+        lo += rows
 
 
 def _noise_variance(sigma, m: int, b_f: int = 0) -> np.ndarray:
@@ -184,19 +191,18 @@ def _xor_table(q: int) -> np.ndarray:
     return table
 
 
-def _minmax_kernel(a: np.ndarray, b: np.ndarray, ws=None, out=None) -> np.ndarray:
+def _minmax_kernel(a: np.ndarray, b: np.ndarray, ws: np.ndarray, out: np.ndarray) -> np.ndarray:
     """C[x, ...] = min over y of max(a[y, ...], b[x XOR y, ...]) for messages
     of any dtype with their q entries on axis 0 and any stack of them on the
     trailing axes; XOR is GF(2^m) addition.  `ws` is scratch space of at
-    least a.nbytes * q bytes; the result goes to `out` if given.
+    least a.nbytes * q bytes; the result goes to `out`.
 
     One gather of whole runs of trailing entries builds ws[y, x, ...] =
     b[x ^ y, ...]; `a` broadcasts over its x axis.  The min over y halves
     the candidates log2(q) times, each over two contiguous halves, which
     selects the same value as one reduction, in any order."""
     q, n = len(a), a.size * len(a)
-    ws = np.empty(n, a.dtype) if ws is None else ws.view(a.dtype)[:n]
-    ws = b.take(_xor_table(q), axis=0, out=ws.reshape((q,) + a.shape), mode="clip")
+    ws = b.take(_xor_table(q), axis=0, out=ws.view(a.dtype)[:n].reshape((q,) + a.shape), mode="clip")
     np.maximum(ws, a[:, None], out=ws)
     while q > 2:
         q //= 2
@@ -204,10 +210,18 @@ def _minmax_kernel(a: np.ndarray, b: np.ndarray, ws=None, out=None) -> np.ndarra
     return np.minimum(ws[0], ws[1], out=out)
 
 
-def _check_node(x: np.ndarray, ws: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """check_node_min_max on (q, d, L) lanes, L rows with message x[:, i, l]
-    at row l's edge i, into `out`; `ws` holds 2 * L * q^2 entries of x's
-    dtype.  Each kernel step works on whole runs of lanes."""
+def check_node_min_max(x: np.ndarray, ws: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Min-Max check node update by forward-backward kernel combination.
+
+    `x` holds L check rows as (q, d, L) lanes, message x[:, i, l] at row
+    l's edge i; each output out[:, i, l] is the min-max combination of the
+    row's inputs other than i, in the permuted domain (zero-sum
+    constraint), written into `out` and returned.  Every input message
+    must have minimum 0, so every output has minimum exactly 0 too.
+    Unsigned integer inputs (quantizer codes) keep their dtype.  A row
+    needs d >= 2 edges, which `decode` checks for every layer.  `ws` holds
+    at least 2 * L * q^2 entries of x's dtype.  Each kernel step works on
+    whole runs of lanes."""
     q, d, lanes = x.shape
     # chain[:, k, 0] combines inputs 0..k, chain[:, k, 1] inputs d-1-k..d-1
     ends = np.stack([x, x[:, ::-1]], axis=2)
@@ -222,28 +236,6 @@ def _check_node(x: np.ndarray, ws: np.ndarray, out: np.ndarray) -> np.ndarray:
         j = min(i + width, d - 1)
         _minmax_kernel(fwd[:, i - 1 : j - 1], bwd[:, i:j], ws, out[:, i:j])
     return out
-
-
-def check_node_min_max(inputs, ws=None) -> np.ndarray:
-    """Min-Max check node update by forward-backward kernel combination.
-
-    `inputs` is a (..., d, q) stack of B check rows (a list of d messages
-    is one row); the outputs are an array of the same shape, in the
-    permuted domain (zero-sum constraint): output i is the min-max
-    combination of all inputs except i.  Every input message must have
-    minimum 0, so every output has minimum exactly 0 too.  Unsigned
-    integer inputs (quantizer codes) keep their dtype, others run as
-    float64.  `ws` is scratch space of any dtype, of at least 2 * B * q^2
-    entries of the inputs' dtype.  The rows run transposed to (q, d, B).
-    """
-    x = np.asarray(inputs)
-    x = x if x.dtype.kind == "u" else np.asarray(x, dtype=float)
-    lanes = x.reshape((-1,) + x.shape[-2:]).T  # (q, d, B)
-    q, d, rows = lanes.shape
-    if d < 2:
-        raise ValueError(f"check degree must be >= 2, got {d}")
-    ws = np.empty(2 * rows * q * q, x.dtype) if ws is None else ws
-    return _check_node(lanes, ws, np.empty_like(lanes, order="C")).T.reshape(x.shape)
 
 
 def message_dtype(quant: tuple[int, int] | None) -> np.dtype:
@@ -302,7 +294,7 @@ def update_layer(
             l_cv = p.take(i, axis=0)  # updated in place to keep float temporaries few
             if quant is None:
                 l_cv -= r
-                _check_node(normalize(l_cv, out=l_cv, axis=0).reshape(new.shape), ws, new)
+                check_node_min_max(normalize(l_cv, out=l_cv, axis=0).reshape(new.shape), ws, new)
                 l_cv += r
                 v = normalize(l_cv, out=l_cv, axis=0)
             else:
@@ -312,7 +304,7 @@ def update_layer(
                 l_cv += 0.5
                 # the values are >= 0.5, so the cast's truncation is the rounding's floor
                 codes = np.minimum(l_cv, top, out=l_cv).astype(r.dtype)
-                _check_node(codes.reshape(new.shape), ws, new)
+                check_node_min_max(codes.reshape(new.shape), ws, new)
                 s = normalize(np.add(codes, r, dtype=np.min_scalar_type(2 * top)), axis=0)
                 v = np.minimum(s, top, out=s) * unit
             dst, v = (p[:, 0], v[..., 0]) if p.shape[1] == 1 else (p, v)  # 1-D scatters faster
@@ -347,13 +339,15 @@ def decode(
     each iteration one syndrome check over the stack retires the frames
     that satisfy H; each frame's result equals that of decoding it alone.
     The schedule-driven decoder of nbqc.shuffle checks the inter-layer
-    wiring once, before it calls this loop.
+    wiring once, before it calls this loop.  A layer of check degree below
+    2 raises ValueError.
     """
     single = np.ndim(channel) == 2
     post = np.array(channel, dtype=float, ndmin=3)
     if post.shape[1:] != (h.cols, fld.q) or not len(post) or not np.isfinite(post).all():
         raise ValueError(f"expected {h.cols} channel messages of {fld.q} finite entries, "
                          f"got {post.shape} with {np.count_nonzero(~np.isfinite(post))} not finite")
+    _check_row_degrees(schedule)
     q, post = fld.q, normalize(post).reshape(len(post), -1).T.copy()  # (columns * q, F)
     frames = np.arange(post.shape[1])  # the input index of each frame still decoding
     r_msg = [np.zeros((q,) + c.T.shape + (len(frames),), message_dtype(config.quant)) for c, _ in schedule]

@@ -96,7 +96,8 @@ def test_check_node_equivalence():
             rng = np.random.default_rng(1000 * q + d)
             for _ in range(500):
                 inputs = [normalize(rng.random(q) * 10) for _ in range(d)]
-                fast = check_node_min_max(inputs)
+                x = np.stack(inputs, axis=1)[..., None]  # one row as (q, d, 1) lanes
+                fast = check_node_min_max(x, np.empty(2 * q * q), np.empty_like(x))[..., 0].T
                 slow = check_node_brute_force(inputs)
                 ok = ok and all(
                     np.allclose(f, s, atol=1e-9) for f, s in zip(fast, slow)

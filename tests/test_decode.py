@@ -14,7 +14,6 @@ from nbqc.decode import (
     LAYER_I,
     WORKSPACE,
     DecoderConfig,
-    _check_node,
     _decode_frames,
     _minmax_kernel,
     build_layer_schedule,
@@ -161,12 +160,33 @@ def test_permute_rejects_zero_label_and_bad_direction():
 # ---------------------------------------------------------------------------
 
 
+def one_row(inputs) -> np.ndarray:
+    """One check row of d messages as (q, d, 1) check-node lanes."""
+    return np.stack(inputs, axis=1)[..., None]
+
+
+def least_workspace(x: np.ndarray) -> np.ndarray:
+    """The least check-node workspace for the (q, d, L) lanes x: 2 L q^2
+    entries of x's dtype."""
+    q, _, rows = x.shape
+    return np.empty(2 * rows * q * q, x.dtype)
+
+
+def min_max(x: np.ndarray, ws: np.ndarray | None = None) -> np.ndarray:
+    """check_node_min_max on the (q, d, L) lanes x into a strided view of
+    a larger store, with the least workspace unless `ws` is given."""
+    out = np.zeros(x.shape[:2] + (2,) + x.shape[2:], x.dtype)[:, :, 1]
+    got = check_node_min_max(x, least_workspace(x) if ws is None else ws, out)
+    assert got is out
+    return got
+
+
 def test_minmax_kernel_frozen_example():
     a = np.array([0.0, 1.0, 2.0, 3.0])
     b = np.array([0.0, 3.0, 1.0, 2.0])
-    assert list(_minmax_kernel(a, b)) == [0.0, 1.0, 1.0, 1.0]
+    assert list(_minmax_kernel(a, b, np.empty(16), np.empty(4))) == [0.0, 1.0, 1.0, 1.0]
     # the same messages as uint8 codes run the same gather, in their dtype
-    codes = _minmax_kernel(a.astype(np.uint8), b.astype(np.uint8))
+    codes = _minmax_kernel(a.astype(np.uint8), b.astype(np.uint8), np.empty(2), np.empty(4, np.uint8))
     assert codes.dtype == np.uint8 and list(codes) == [0, 1, 1, 1]
 
 
@@ -180,7 +200,7 @@ def test_minmax_kernel_frozen_example():
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_minmax_kernel_matches_table(q, dtype, trail, strided, out_view, use_ws, seed):
+def test_minmax_kernel_matches_table(q, dtype, trail, strided, out_view, float_ws, seed):
     rng = np.random.default_rng(seed)
     top = 2 ** (8 * np.dtype(dtype).itemsize) - 1 if np.dtype(dtype).kind == "u" else 40
     # few distinct values, so that ties are common
@@ -192,36 +212,42 @@ def test_minmax_kernel_matches_table(q, dtype, trail, strided, out_view, use_ws,
     a, b = (ab[:, 0], ab[:, 1]) if strided else (ab[:, 0].copy(), ab[:, 1].copy())
     before = ab.copy()
     want = minmax_kernel_table(a, b)
-    ws = np.empty(a.nbytes * q // 8 + 1) if use_ws else None  # float64, whatever the dtype
-    out = np.empty((q, 2) + trail, dtype)[:, 1] if out_view else None
+    # float64 whatever the dtype, as the decoder's, or exactly a.nbytes * q bytes of a's dtype
+    ws = np.empty(a.nbytes * q // 8 + 1) if float_ws else np.empty(a.size * q, dtype)
+    out = np.empty((q, 2) + trail, dtype)[:, 1] if out_view else np.empty(a.shape, dtype)
     got = _minmax_kernel(a, b, ws, out)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(ab, before)
-    if out_view:
-        assert np.shares_memory(got, out)
+    assert np.shares_memory(got, out)
 
 
 def test_check_node_degree2_passthrough():
     # inputs of minimum 0, the check node's precondition
     a = np.array([0.0, 1.0, 2.0, 3.0])
     b = np.array([1.0, 4.0, 0.0, 3.0])
-    outs = check_node_min_max([a, b])
-    assert isinstance(outs, np.ndarray) and outs.shape == (2, 4)
-    assert np.array_equal(outs[0], b)
-    assert np.array_equal(outs[1], a)
+    outs = min_max(one_row([a, b]))
+    assert outs.shape == (4, 2, 1)
+    assert np.array_equal(outs[:, 0, 0], b)
+    assert np.array_equal(outs[:, 1, 0], a)
+
+
+def assert_lanes_match_brute_force(x, got, atol=None):
+    """Each lane x[:, :, l] of a check-node call against the enumeration oracle."""
+    for l in range(x.shape[2]):
+        slow = check_node_brute_force(list(x[:, :, l].T))
+        for i, s in enumerate(slow):
+            f = got[:, i, l]
+            assert np.array_equal(f, s) if atol is None else np.allclose(f, s, atol=atol)
 
 
 @pytest.mark.parametrize("q", [4, 8])
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_check_node_matches_brute_force(q, d):
+    # the 50 rows of d messages each, one lane a row, in one call
     rng = np.random.default_rng(q * 10 + d)
-    for _ in range(50):
-        inputs = [normalize(rng.random(q) * 8) for _ in range(d)]
-        fast = check_node_min_max(inputs)
-        slow = check_node_brute_force(inputs)
-        for f, s in zip(fast, slow):
-            assert np.allclose(f, s, atol=1e-12)
+    x = normalize(rng.random((50, d, q)) * 8).T
+    assert_lanes_match_brute_force(x, min_max(x), atol=1e-12)
 
 
 def test_brute_force_oracles_agree():
@@ -238,13 +264,17 @@ def test_check_node_outputs_normalized():
     # normalized inputs give outputs of minimum exactly 0 without a re-normalization
     rng = np.random.default_rng(0)
     inputs = [normalize(rng.random(8) * 4) for _ in range(4)]
-    for out in check_node_min_max(inputs):
-        assert out.min() == 0.0
+    assert (min_max(one_row(inputs)).min(axis=0) == 0.0).all()
 
 
 def test_check_node_degree_guards():
-    with pytest.raises(ValueError):
-        check_node_min_max([np.zeros(4)])
+    # the check node needs d >= 2; decode refuses a schedule with a layer of fewer edges
+    h, fld = fig_code_class2()
+    schedule = list(build_layer_schedule(h, LAYER_I))
+    schedule[1] = tuple(a[:, :1] for a in schedule[1])
+    channel = hard_channel(np.zeros(h.cols, dtype=int), fld)
+    with pytest.raises(ValueError, match=r"rows 3\.\.5 have check degree 1; need >= 2"):
+        decode(h, schedule, channel, fld, DecoderConfig(max_iter=1))
     with pytest.raises(ValueError):
         check_node_brute_force([normalize(np.random.default_rng(0).random(256)) for _ in range(4)])
 
@@ -260,11 +290,8 @@ def test_check_node_degree_guards():
 @settings(max_examples=50, deadline=None)
 def test_check_node_property(d, flat):
     q = 4
-    inputs = [normalize(np.array(flat[i * q : (i + 1) * q])) for i in range(d)]
-    fast = check_node_min_max(inputs)
-    slow = check_node_brute_force(inputs)
-    for f, s in zip(fast, slow):
-        assert np.allclose(f, s, atol=1e-9)
+    x = one_row([normalize(np.array(flat[i * q : (i + 1) * q])) for i in range(d)])
+    assert_lanes_match_brute_force(x, min_max(x), atol=1e-9)
 
 
 @given(
@@ -276,13 +303,10 @@ def test_check_node_property(d, flat):
 @settings(max_examples=60, deadline=None)
 def test_batched_check_node_matches_brute_force_rows(rows, d, q, seed):
     rng = np.random.default_rng(seed)
-    stacked = normalize(rng.integers(0, 16, (rows, d, q)) * rng.random())
-    out = check_node_min_max(stacked)
-    assert out.shape == stacked.shape
-    for b in range(rows):
-        assert np.array_equal(out[b], np.stack(check_node_brute_force(list(stacked[b]))))
-    with pytest.raises(ValueError, match="degree"):
-        check_node_min_max(stacked[:, :1])
+    x = normalize(rng.integers(0, 16, (rows, d, q)) * rng.random()).T  # (q, d, rows)
+    out = min_max(x)
+    assert out.shape == x.shape
+    assert_lanes_match_brute_force(x, out)
 
 
 @given(
@@ -301,38 +325,35 @@ def test_check_node_on_codes_matches_float(q, d, b_q, b_f, rows, seed):
     top = 2**b_q - 1
     codes = rng.integers(0, top, (rows, d, q), endpoint=True, dtype=np.min_scalar_type(top))
     codes[rng.random(codes.shape) < 0.2] = top  # saturated messages
+    x = codes.T  # (q, d, rows)
     step = 2.0 ** -min(b_f, b_q - 1)
-    out = check_node_min_max(codes)
+    out = min_max(x)
     assert out.dtype == codes.dtype
-    assert np.array_equal(out * step, check_node_min_max(codes * step))
+    assert np.array_equal(out * step, min_max(x * step))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
 def test_check_node_leaves_inputs_and_ignores_layout(dtype):
     rng = np.random.default_rng(12)
-    stack = rng.integers(0, 20, (5, 4, 16)).astype(dtype)
-    kept = stack.copy()
-    want = check_node_min_max(stack)
-    assert np.array_equal(stack, kept)
-    spread = np.zeros((5, 8, 32), dtype)
-    spread[:, ::2, ::2] = stack
-    views = [spread[:, ::2, ::2], np.asfortranarray(stack), stack[::-1].copy()[::-1]]
+    x = np.ascontiguousarray(rng.integers(0, 20, (5, 4, 16)).astype(dtype).T)  # (q, d, rows)
+    kept = x.copy()
+    want = check_node_min_max(x, least_workspace(x), np.empty_like(x))
+    assert np.array_equal(x, kept)
+    spread = np.zeros((32, 8, 5), dtype)
+    spread[::2, ::2] = x
+    views = [spread[::2, ::2], np.asfortranarray(x), x[::-1].copy()[::-1]]
     for view in views:
         assert not view.flags.c_contiguous
-        assert np.array_equal(check_node_min_max(view), want)
+        assert np.array_equal(min_max(view), want)
         assert np.array_equal(view, kept)
-    msgs = [m.copy() for m in stack[0]]
-    for got, w in zip(check_node_min_max(msgs), want[0]):
-        assert np.array_equal(got, w)
-    assert all(np.array_equal(m, s) for m, s in zip(msgs, stack[0]))
 
 
 def test_check_node_workspace_size_does_not_change_result():
-    # the default workspace runs the middle outputs two at a time, the
+    # the least workspace runs the middle outputs two at a time, the
     # decoder's 1 MB one all four at once
     rng = np.random.default_rng(8)
-    stacked = normalize(rng.random((3, 6, 8)))
-    assert np.array_equal(check_node_min_max(stacked), check_node_min_max(stacked, np.empty(WORKSPACE)))
+    x = normalize(rng.random((3, 6, 8))).T
+    assert np.array_equal(min_max(x), min_max(x, np.empty(WORKSPACE)))
 
 
 @given(
@@ -344,10 +365,10 @@ def test_check_node_workspace_size_does_not_change_result():
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_q_major_check_node_matches_check_node_min_max(q, d, lanes, dtype, small_ws, seed):
-    # the core update_layer calls, on (q, d, L) lanes written into a strided
-    # view like a chunk of stored check messages, against the public check
-    # node and a leave-one-out combination by the kernel's table oracle
+def test_check_node_matches_leave_one_out_table(q, d, lanes, dtype, small_ws, seed):
+    # on (q, d, L) lanes written into a strided view like a chunk of stored
+    # check messages, against a leave-one-out combination by the kernel's
+    # table oracle
     rng = np.random.default_rng(seed)
     top = 2 ** (8 * np.dtype(dtype).itemsize) - 1 if np.dtype(dtype).kind == "u" else 40
     pool = rng.integers(0, top, 4, endpoint=True)  # few distinct values, so that ties are common
@@ -359,9 +380,8 @@ def test_q_major_check_node_matches_check_node_min_max(q, d, lanes, dtype, small
     size = 2 * lanes * q * q  # the least workspace, or the decoder's where it suffices
     ws = np.empty(size, dtype) if small_ws else np.empty(max(size, WORKSPACE))
     store = np.zeros((q, d, 2, lanes), dtype)
-    got = _check_node(x, ws, store[:, :, 1])
+    got = check_node_min_max(x, ws, store[:, :, 1])
     assert np.shares_memory(got, store) and not store[:, :, 0].any()
-    assert np.array_equal(got, check_node_min_max(x.transpose(2, 1, 0)).transpose(2, 1, 0))
     for i in range(d):
         others = [x[:, j] for j in range(d) if j != i]
         want = functools.reduce(minmax_kernel_table, others)
@@ -435,6 +455,15 @@ def test_layer_schedule_rejects_degree_one_checks():
     assert all(cols.shape[1] == 1 for cols, _ in h.layers)
     with pytest.raises(ValueError, match=r"rows 0\.\.\d+ have check degree 1"):
         build_layer_schedule(h, LAYER_I)
+
+
+def test_decode_rejects_degree_one_checks():
+    # decode takes any schedule, so it refuses the degree-1 layers itself,
+    # with build_layer_schedule's message, before a check node runs
+    h, _, _, fld = build_code(CodeSpec.class1(3, 1, 7, gamma=1, rho=2))
+    channel = hard_channel(np.zeros(h.cols, dtype=int), fld)
+    with pytest.raises(ValueError, match=r"rows 0\.\.6 have check degree 1; need >= 2"):
+        decode(h, h.layers, channel, fld, DecoderConfig(max_iter=1))
 
 
 def test_layer_schedule_dense_form_matches_rows():
@@ -625,7 +654,7 @@ def reference_update_layer(post, cols, labels, r_msg, fld, quant):
     l_cv = quantize_vec(normalize(post[:, cols] - r_msg), quant)
     x = l_cv if codes is None else (l_cv * scale).astype(codes)
     flat = permute_message(x, labels, FORWARD, fld).reshape((-1,) + x.shape[2:])
-    out = check_node_min_max(flat).reshape(l_cv.shape)
+    out = min_max(flat.T).T.reshape(l_cv.shape)
     r_msg[:] = permute_message(out, labels, BACKWARD, fld) / scale
     post[:, cols] = quantize_vec(normalize(l_cv + r_msg), quant)
 
@@ -687,9 +716,9 @@ def test_update_layer_check_node_calls(monkeypatch, quant, calls):
     h, _, _, fld = build_code(CodeSpec.class1(6, 7, 9, gamma=10, rho=20))
     schedule = build_layer_schedule(h, LAYER_I)
     rows = []
-    check_node = module._check_node
+    check_node = module.check_node_min_max
     monkeypatch.setattr(
-        module, "_check_node", lambda x, ws, out: rows.append(x[0, 0].size) or check_node(x, ws, out)
+        module, "check_node_min_max", lambda x, ws, out: rows.append(x[0, 0].size) or check_node(x, ws, out)
     )
     channel = hard_channel(np.zeros(h.cols, dtype=int), fld)
     decode(h, schedule, channel, fld, DecoderConfig(max_iter=1, quant=quant))
@@ -704,7 +733,7 @@ def test_check_node_inputs_are_normalized(monkeypatch, spec, quant):
     # because every input message it is given has minimum 0
     import nbqc.decode as module
 
-    check_node, calls = module._check_node, []
+    check_node, calls = module.check_node_min_max, []
 
     def checked(x, ws, out):
         assert (x.min(axis=0) == 0).all()
@@ -713,7 +742,7 @@ def test_check_node_inputs_are_normalized(monkeypatch, spec, quant):
         calls.append(x.shape)
         return out
 
-    monkeypatch.setattr(module, "_check_node", checked)
+    monkeypatch.setattr(module, "check_node_min_max", checked)
     h, _, _, fld = build_code(spec)
     schedule = build_layer_schedule(h, LAYER_I)
     config = DecoderConfig(max_iter=4, quant=quant, rng_seed=3)
