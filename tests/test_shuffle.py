@@ -153,6 +153,22 @@ def test_report_text_where_the_digit_count_changes(size):
     assert render_schedule(report.moves, report.qm1) == schedule_text(moves)
 
 
+def test_report_text_of_distinct_random_moves_pinned():
+    # moves placed from H in block order never repeat: 16 distinct seeded
+    # random (G, s) rows at the 256-ary Class-II size, rho = 256, q-1 = 255
+    rng = np.random.default_rng(2026)
+    moves = np.array([np.concatenate([rng.permutation(256), rng.integers(0, 255, 256)]) for _ in range(16)])
+    assert len(distinct_moves(moves)[0]) == 16
+    digests = [
+        hashlib.sha256(text.encode()).hexdigest()
+        for text in (RoutingReport(moves, 255, None).render(), render_schedule(moves, 255))
+    ]
+    assert digests == [
+        "8ec29632301d239e3e3b9310664fdeccc6f9ba34debc5f72cc39c6f25277dcaf",
+        "40f35a2e5b871f8d8d17d05528e9f4f5e7ccbf5f17e810fb6bfe0a258c4a1493",
+    ]
+
+
 @given(repeated_moves())
 @settings(max_examples=80, deadline=None)
 def test_distinct_moves_in_order_of_first_use(perms):
