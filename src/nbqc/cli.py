@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import codefile
 from .cost import CATEGORIES, VARIANTS, CostParams, cost as cost_breakdown, render_report, savings
 from .construct import CLASS_I, CodeSpec, build_base, build_code
 from .decode import DecoderConfig, SimResultRow, build_layer_schedule, run_monte_carlo
-from .shuffle import group_moves, render_schedule, route_schedule
+from .shuffle import group_moves, route_schedule, schedule_pieces
 from .verify import verify_class1, verify_class2
 
 
@@ -98,9 +99,7 @@ def cmd_simulate(args) -> int:
         snrs = [float(s) for s in args.snr_list.split(",")]  # an empty entry raises too
     except ValueError:
         raise CliError(f"bad --snr-list value {args.snr_list!r}", 1)
-    config = DecoderConfig(
-        max_iter=args.max_iter, quant=_parse_quant(args.quant), rng_seed=args.seed
-    )
+    config = DecoderConfig(max_iter=args.max_iter, quant=_parse_quant(args.quant), rng_seed=args.seed)
     rows = run_monte_carlo(h, schedule, fld, snrs, args.trials, config, workers=args.workers)
     print(SimResultRow.CSV_HEADER)
     for row in rows:
@@ -122,13 +121,13 @@ def _read_formula_spec(path: str) -> CodeSpec:
 
 def cmd_schedule(args) -> int:
     spec = _read_formula_spec(args.code)
-    print(render_schedule(group_moves(spec), spec.q - 1))
+    sys.stdout.writelines([*schedule_pieces(group_moves(spec), spec.q - 1), "\n"])
     return 0
 
 
 def cmd_route(args) -> int:
     spec = _read_formula_spec(args.code)
-    print(route_schedule(spec).render())
+    sys.stdout.writelines([*route_schedule(spec).pieces(), "\n"])
     return 0
 
 
@@ -227,13 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("schedule", help="print inter-layer routing maps")
-    p.add_argument("--code", required=True)
-    p.set_defaults(func=cmd_schedule)
-
-    p = sub.add_parser("route", help="route schedules through the network model")
-    p.add_argument("--code", required=True)
-    p.set_defaults(func=cmd_route)
+    for name, func, text in (("schedule", cmd_schedule, "print inter-layer routing maps"),
+                             ("route", cmd_route, "route schedules through the network model")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--code", required=True)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("cost", help="hardware complexity comparison table")
     p.add_argument("--bq", type=int, required=True)
@@ -259,13 +256,21 @@ def main(argv: list[str] | None = None) -> int:
             if len(flag) > 3 and "--snr-list".startswith(flag) and argv[i][:1] == "-":
                 argv[i - 1 : i + 1] = [f"--snr-list={argv[i]}"]
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a write that fails raises here, not at exit
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # stdout could not be written: the commands turn file errors into CliError
+        if not isinstance(exc, BrokenPipeError):  # a reader that stops early is not an error to report
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        if sys.stdout is sys.__stdout__:  # the process's own stdout: its exit-time flush then writes nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

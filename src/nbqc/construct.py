@@ -214,12 +214,8 @@ def build_base_class1(fld: GF2m, c: int, n: int) -> tuple[np.ndarray, SubgroupIn
     return w.reshape(c * n, c * n), SubgroupIndexing(tuple(beta.tolist()), tuple(delta.tolist()))
 
 
-def build_base_class2(
-    fld: GF2m,
-    t: int,
-    beta: tuple[int, ...] | None = None,
-    delta: tuple[int, ...] | None = None,
-) -> tuple[np.ndarray, SubgroupIndexing]:
+def build_base_class2(fld: GF2m, t: int, beta: tuple[int, ...] | None = None,
+                      delta: tuple[int, ...] | None = None) -> tuple[np.ndarray, SubgroupIndexing]:
     """Base matrix with entry (i,j)(k,l) = (delta_i + delta_j) + (beta_k + beta_l).
 
     beta/delta default to the symmetry-inducing subgroup orderings; pass

@@ -244,15 +244,8 @@ def message_dtype(quant: tuple[int, int] | None) -> np.dtype:
     return np.dtype(float) if quant is None else np.min_scalar_type(2 ** quant[0] - 1)
 
 
-def update_layer(
-    post: np.ndarray,
-    cols: np.ndarray,
-    labels: np.ndarray,
-    r_msg: np.ndarray,
-    fld: GF2m,
-    quant: tuple[int, int] | None,
-    ws: np.ndarray,
-) -> None:
+def update_layer(post: np.ndarray, cols: np.ndarray, labels: np.ndarray, r_msg: np.ndarray, fld: GF2m,
+                 quant: tuple[int, int] | None, ws: np.ndarray) -> None:
     """Update one layer of F frames in place.
 
     `post` holds the (columns * q, F) posteriors, `cols` and `labels` the
@@ -325,13 +318,8 @@ def syndrome_zero(layers: Layers, fld: GF2m, symbols: np.ndarray):
     return ~np.any(bad, axis=0)
 
 
-def decode(
-    h: ParityCheck,
-    schedule: Layers,
-    channel,
-    fld: GF2m,
-    config: DecoderConfig,
-) -> DecodeResult | list[DecodeResult]:
+def decode(h: ParityCheck, schedule: Layers, channel, fld: GF2m,
+           config: DecoderConfig) -> DecodeResult | list[DecodeResult]:
     """Layered Min-Max decoding, layers processed top to bottom.
 
     `channel` is one frame's (columns, q) finite messages, giving one
@@ -420,15 +408,8 @@ def snr_to_sigma(snr_db: float, rate: float) -> float:
     return float(1.0 / np.sqrt(2.0 * rate * np.power(10.0, snr_db / 10.0)))
 
 
-def run_monte_carlo(
-    h: ParityCheck,
-    schedule: Layers,
-    fld: GF2m,
-    snr_db_list: list[float],
-    trials: int,
-    config: DecoderConfig,
-    workers: int = 1,
-) -> list[SimResultRow]:
+def run_monte_carlo(h: ParityCheck, schedule: Layers, fld: GF2m, snr_db_list: list[float], trials: int,
+                    config: DecoderConfig, workers: int = 1) -> list[SimResultRow]:
     """All-zero-codeword FER/BER sweep; bit-reproducible for a fixed seed
     regardless of worker count or batching.
 

@@ -15,14 +15,14 @@ np.arange(rho) through it.  A layer is a CPM block row: row r+1 of a CPM
 is row r shifted once, so moves within a block row carry no routing
 information.  A routing report exists only when every Class-II move
 routed (`route_schedule` raises otherwise), which is why every line of it
-reads realized=yes.  Moves repeat (a Class-II move takes one of log2(n)
-XOR offsets), so `distinct_moves` finds each distinct row once.  Its
-cycles follow from G's cycles by arithmetic, and its text (`route`'s
-cycles, `schedule`'s map) is one uint8 matrix of ASCII digits and marks,
-not a Python string per position.  Moves become positions only for
-`schedule`'s text, once per distinct move, and for the schedule-driven
-decoder, which walks `iteration_moves` and refuses a schedule unless
-every layer finds its columns at layer 0's fixed wiring.
+reads realized=yes.  Moves repeat, so `distinct_moves` finds each distinct
+row once; its cycles follow from G's cycles by arithmetic.  Its text is one
+`take` from a table of fixed-width tokens, a void item per position (its
+digits and the 0-byte slots that marks fill), with the 0 bytes dropped;
+the commands write a report as pieces that share each distinct move's
+text.  Moves become positions only for `schedule`'s text and for the
+schedule-driven decoder, which walks `iteration_moves` and refuses a
+schedule unless every layer finds its columns at layer 0's fixed wiring.
 """
 
 from __future__ import annotations
@@ -204,32 +204,40 @@ def apply(bits: np.ndarray, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _digit_table(size: int) -> np.ndarray:
-    """(size, width) uint8 ASCII digits of 0 .. size-1, right-aligned, 0 bytes before the first."""
-    width = len(str(size - 1))
-    table = np.empty((10**width, width), np.uint8)  # every number of `width` places, then cut
-    for p in range(width):  # one decimal place at a time, each digit broadcast over its run
-        table.reshape(-1, 10, 10**p, width)[..., -1 - p] = np.arange(48, 58, dtype=np.uint8)[:, None]
-        table[: 10**p if p else 0, -1 - p] = 0
-    return table[:size]
+def _digit_table(size: int, head: bytes, tail: bytes) -> np.ndarray:
+    """0 .. size-1 as fixed-width void items: `head`, ASCII digits right-aligned behind 0 bytes, `tail`."""
+    width, ones = len(str(size - 1)), len(head) + len(str(size - 1)) - 1
+    table = np.frombuffer(head + bytes(width) + tail, np.uint8)[None]
+    for p in range(width):  # the numbers below 10**(p+1): copies of those below 10**p, then place p
+        table = np.resize(table, (min(size, 10 ** (p + 1)), table.shape[1]))
+        table[:, ones - p] = np.arange(48, 58, dtype=np.uint8).repeat(10**p)[: len(table)]
+    for p in range(1, width):  # no leading zeros
+        table[: 10**p, ones - p] = 0
+    return table.view(f"V{table.shape[1]}").ravel()
 
 
-def _ascii_rows(fields: list) -> str:
-    """Text of the uint8 matrix whose columns are (rows, k) ASCII arrays (0: no character)
-    or bytes that every row carries, less the last row's last field, its separator."""
-    rows = len(fields[0])
-    cols = [f if isinstance(f, np.ndarray) else np.frombuffer(f * rows, np.uint8).reshape(-1, len(f))
-            for f in fields]
-    flat = np.concatenate(cols, axis=1).ravel()[: -len(fields[-1])]
-    return flat[flat != 0].tobytes().decode("ascii")
+def _ascii(chars: np.ndarray) -> str:
+    """The text of an array of ASCII bytes, its 0 bytes dropped."""
+    return chars.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def schedule_pieces(moves: np.ndarray, qm1: int) -> list[str]:
+    """`nbqc schedule`'s text of `group_moves` rows in pieces: per layer, its move's `src -> dst` map."""
+    (distinct, index), size = distinct_moves(moves), moves.shape[1] // 2 * qm1
+    src, dst = _digit_table(size, b"", b" -> "), _digit_table(size, b"", b", ")
+    pairs, maps, n = np.empty(size, [("src", src.dtype), ("dst", dst.dtype)]), [], len(index)
+    pairs["src"] = src
+    for perm in _positions(distinct, qm1):
+        pairs["dst"] = dst.take(perm)
+        pairs.view(np.uint8)[-2:] = 0  # no ", " after the last pair
+        maps.append(_ascii(pairs))
+    heads = [f"transition layer {t} to layer {(t + 1) % n}: " for t in range(n)]
+    return [x for t, k in enumerate(index.tolist()) for x in (heads[t], maps[k], "\n")][:-1]
 
 
 def render_schedule(moves: np.ndarray, qm1: int) -> str:
-    """`nbqc schedule`'s text of `group_moves` rows: per layer, its move's `src -> dst` map."""
-    (distinct, index), digits = distinct_moves(moves), _digit_table(moves.shape[1] // 2 * qm1)
-    maps = [_ascii_rows([digits, b" -> ", digits[perm], b", "]) for perm in _positions(distinct, qm1)]
-    n = len(index)
-    return "\n".join(f"transition layer {t} to layer {(t + 1) % n}: {maps[index[t]]}" for t in range(n))
+    """`schedule_pieces` joined: the text `nbqc schedule` prints."""
+    return "".join(schedule_pieces(moves, qm1))
 
 
 def _move_cycles(row: np.ndarray, qm1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -240,21 +248,35 @@ def _move_cycles(row: np.ndarray, qm1: int) -> tuple[np.ndarray, np.ndarray]:
     (mod q-1) over all, splits into c = gcd(R, q-1) position cycles of
     P = (q-1)/c rounds of L steps, one from each (g_0, r) with r < c.
     Step k of round p of the cycle from (g_0, r) is group g_k at offset
-    r - S_k - p*R (mod q-1)."""
+    r - S_k - p*R (mod q-1).  G-cycles of one length L in a row fill one
+    (cycles, q-1, L) block of the text, computed rounds innermost in int16
+    (q-1 < 256)."""
     rho = len(row) // 2
     order, bounds = map(np.array, _cycle_order(row[:rho]))
     starts, lengths, s = bounds[:-1], bounds[1:] - bounds[:-1], row[rho:][order]
-    sums = np.cumsum(s) - s
-    sums = (sums - np.repeat(sums[starts], lengths)) % qm1  # S_k
+    sums = s.cumsum() - s
+    sums = ((sums - np.repeat(sums[starts], lengths)) % qm1).astype(np.int16)  # S_k
     turn = np.add.reduceat(s, starts) % qm1  # R
-    rounds = qm1 // np.gcd(turn, qm1)  # P
-    moved = np.flatnonzero(lengths * rounds > 1)  # L*P = 1: fixed points
-    r, p = np.divmod(np.arange(qm1), rounds[moved, None])  # the c*P rounds of each moved G-cycle
-    size = np.repeat(lengths[moved], qm1)
-    head = np.cumsum(size) - size  # each round's first step
-    k = np.repeat(np.repeat(starts[moved], qm1) - head, size) + np.arange(size.sum())  # index into order
-    off = np.repeat((r - p * turn[moved, None]).ravel() % qm1, size) - sums[k]
-    return (order * qm1)[k] + off + qm1 * (off < 0), head[p.ravel() == 0]
+    moved = ((lengths > 1) | (turn > 0)).nonzero()[0]  # L*P = 1: fixed points
+    starts, lengths, turn = starts[moved], lengths[moved], turn[moved]
+    pos, at = np.empty(lengths.sum() * qm1, np.intp), 0  # the text, and where the next run starts in it
+    if not len(pos):
+        return pos, pos
+    kinds = np.bincount(turn, minlength=qm1) > 0  # the distinct R, and each G-cycle's among them
+    turns, kind = kinds.nonzero()[0], kinds.cumsum()[turn] - 1
+    span = np.gcd(turns, qm1)[:, None]  # c
+    r, p = np.divmod(np.arange(qm1), qm1 // span)  # round r*P + p: round p of the cycle from (g_0, r)
+    rounds = ((r - p * turns[:, None]) % qm1).astype(np.int16)  # its offset at g_0, per distinct R
+    edges = [0, *((lengths[1:] != lengths[:-1]).nonzero()[0] + 1).tolist(), len(moved)]
+    for a, b in zip(edges, edges[1:]):  # G-cycles a .. b-1, of one length L
+        k = starts[a:b, None] + np.arange(lengths[a])  # their steps in order
+        off = rounds[kind[a:b], None] - sums[k][..., None]  # (cycles, L, q-1)
+        off += (off < 0) * np.int16(qm1)
+        text = pos[at : at + off.size].reshape(b - a, qm1, -1).transpose(0, 2, 1)
+        np.add((order[k] * qm1)[..., None], off, out=text)
+        at += off.size
+    steps = np.repeat(qm1 // span[kind, 0] * lengths, span[kind, 0])  # c position cycles of L*P steps each
+    return pos, steps.cumsum() - steps
 
 
 @dataclass(frozen=True)
@@ -271,27 +293,31 @@ class RoutingReport:
     def total_control_bits(self) -> int:
         return len(self.moves) * self.network.num_switches if self.network else 0
 
-    def render(self) -> str:
-        net = self.network
-        counts = (
-            f"stages={net.num_stages} switches={net.num_switches} control_bits={net.num_switches}"
-            if net else "stages=0 switches=0 control_bits=0"
-        )
-        distinct, index = self.distinct
-        digits, cycles = _digit_table(distinct.shape[1] // 2 * self.qm1), []  # cycle text of each distinct move
+    def pieces(self) -> list[str]:
+        """The report's text in pieces; each distinct move's cycles are one piece."""
+        net, (distinct, index) = self.network, self.distinct
+        stages, switches = (net.num_stages, net.num_switches) if net else (0, 0)
+        counts = f"stages={stages} switches={switches} control_bits={switches}"
+        # a token per position: an empty "(" slot, its digits, an empty ")" slot, a space
+        tokens, cycles = _digit_table(distinct.shape[1] // 2 * self.qm1, b"\0", b"\0 "), []
         for row in distinct:
             pos, heads = _move_cycles(row, self.qm1)
-            parens = np.zeros((len(pos), 2), np.uint8)
-            parens[heads, 0], parens[heads - 1, 1] = ord("("), ord(")")  # heads[0] - 1: the last
-            text = _ascii_rows([parens[:, :1], digits[pos], parens[:, 1:], b" "])
-            cycles.append(text or "(identity)")
+            text = tokens.take(pos)
+            marks = text.view(np.uint8).reshape(len(pos), tokens.itemsize)
+            marks[heads, 0], marks[heads - 1, -2] = ord("("), ord(")")  # heads[0] - 1: the last
+            marks[-1:, -1] = 0  # no space after the last
+            cycles.append(_ascii(text) or "(identity)")
         pieces, tail = [], f": {counts} realized=yes cycles="
         for t, k in enumerate(index.tolist()):
             pieces += (f"layer {t}->{(t + 1) % len(index)}", tail, cycles[k], "\n")
         pieces.append(f"total control bits: {self.total_control_bits}")
         if net is None:
             pieces.append("\nnote: fixed interconnections; no switches or control bits required")
-        return "".join(pieces)
+        return pieces
+
+    def render(self) -> str:
+        """`pieces` joined: the text `nbqc route` prints."""
+        return "".join(self.pieces())
 
 
 def route_schedule(spec: CodeSpec) -> RoutingReport:
@@ -311,13 +337,8 @@ def route_schedule(spec: CodeSpec) -> RoutingReport:
 # ---------------------------------------------------------------------------
 
 
-def schedule_driven_decode(
-    spec: CodeSpec,
-    h: ParityCheck,
-    channel,
-    fld: GF2m,
-    config: DecoderConfig,
-) -> DecodeResult | list[DecodeResult]:
+def schedule_driven_decode(spec: CodeSpec, h: ParityCheck, channel, fld: GF2m,
+                           config: DecoderConfig) -> DecodeResult | list[DecodeResult]:
     """Layered decode of a schedule whose inter-layer moves must deliver
     every layer's posteriors to fixed check-node wiring; one frame or an
     (F, columns, q) stack, as in `decode`.
@@ -332,8 +353,7 @@ def schedule_driven_decode(
     those of the direct decoder, bit for bit.
     """
     schedule = build_layer_schedule(h)
-    wired = np.sort(schedule[0][0], axis=1)
-    pos = np.arange(h.cols)
+    wired, pos = np.sort(schedule[0][0], axis=1), np.arange(h.cols)
     route_schedule(spec)
     for t, ((cols, _), move) in enumerate(zip(schedule, iteration_moves(spec))):
         got = np.sort(pos[cols], axis=1)
@@ -341,9 +361,7 @@ def schedule_driven_decode(
         bad = np.flatnonzero((got != wired).any(axis=1)) if same else [0]
         if len(bad):
             e = bad[0]
-            raise AssertionError(
-                f"layer {t} row offset {e}: schedule misalignment, "
-                f"wired={wired[e].tolist()} got={got[e].tolist()}"
-            )
+            raise AssertionError(f"layer {t} row offset {e}: schedule misalignment, "
+                                 f"wired={wired[e].tolist()} got={got[e].tolist()}")
         pos = move[pos]
     return decode(h, schedule, channel, fld, config)

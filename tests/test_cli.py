@@ -1,11 +1,18 @@
 """End-to-end CLI behavior: exit codes, determinism and config files."""
 
 import argparse
+import errno
+import io
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import nbqc.cli
 import nbqc.construct
+from nbqc import codefile
 from nbqc.cli import main
 from nbqc.gf import GF2m
 
@@ -473,3 +480,42 @@ def test_main_builds_one_parser_and_keeps_calls_independent(capsys, tmp_path, mo
     built.clear()
     assert [outcome(argv) for argv in calls] == fresh
     assert built[0] > 0 and not any(built[1:]), built
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose every write raises `error`."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize("error, message", [
+    (OSError(errno.ENOSPC, "No space left on device"),
+     "error: cannot write output: [Errno 28] No space left on device\n"),
+    (BrokenPipeError(errno.EPIPE, "Broken pipe"), ""),  # the reader stopped early: nothing to report
+])
+def test_a_failed_stdout_write_exits_2(capsys, tmp_path, monkeypatch, error, message):
+    path = construct_class2(capsys, tmp_path)
+    for argv in (["cost", "--bq", "6", "--nm", "16", "--dc", "4", "--q", "8", "--gamma", "3", "--rho", "6"],
+                 ["route", "--code", path], ["schedule", "--code", path], ["verify", path]):
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", FailingStdout(error))
+            code = main(argv)
+        assert (code, capsys.readouterr().err) == (2, message), argv
+
+
+def test_route_into_a_pipe_that_closes_early_exits_2_quietly(tmp_path):
+    # the 256-ary Class-II report is about 10 MB, far more than a pipe holds
+    path, spec = str(tmp_path / "m8c2.nbqc"), nbqc.construct.CodeSpec.class2(8, 4, gamma=16, rho=256)
+    h, _, _, fld = nbqc.construct.build_code(spec)
+    codefile.write_code(path, spec, h, fld)
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(nbqc.cli.__file__).parents[1])}
+    with subprocess.Popen([sys.executable, "-m", "nbqc.cli", "route", "--code", path], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10) == b"layer 0->1"
+        proc.stdout.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (2, b"")
