@@ -209,7 +209,7 @@ def _digit_table(size: int, head: bytes, tail: bytes) -> np.ndarray:
     width, ones = len(str(size - 1)), len(head) + len(str(size - 1)) - 1
     table = np.frombuffer(head + bytes(width) + tail, np.uint8)[None]
     for p in range(width):  # the numbers below 10**(p+1): copies of those below 10**p, then place p
-        table = np.resize(table, (min(size, 10 ** (p + 1)), table.shape[1]))
+        table = np.concatenate((table,) * min(10, -(-size // len(table))))[:size]
         table[:, ones - p] = np.arange(48, 58, dtype=np.uint8).repeat(10**p)[: len(table)]
     for p in range(1, width):  # no leading zeros
         table[: 10**p, ones - p] = 0
@@ -255,18 +255,18 @@ def _move_cycles(row: np.ndarray, qm1: int) -> tuple[np.ndarray, np.ndarray]:
     order, bounds = map(np.array, _cycle_order(row[:rho]))
     starts, lengths, s = bounds[:-1], bounds[1:] - bounds[:-1], row[rho:][order]
     sums = s.cumsum() - s
-    sums = ((sums - np.repeat(sums[starts], lengths)) % qm1).astype(np.int16)  # S_k
+    sums = ((sums - sums[starts].repeat(lengths)) % qm1).astype(np.int16)  # S_k
     turn = np.add.reduceat(s, starts) % qm1  # R
-    moved = ((lengths > 1) | (turn > 0)).nonzero()[0]  # L*P = 1: fixed points
+    moved = (lengths + turn > 1).nonzero()[0]  # L + R = 1: a fixed point, one group
     starts, lengths, turn = starts[moved], lengths[moved], turn[moved]
-    pos, at = np.empty(lengths.sum() * qm1, np.intp), 0  # the text, and where the next run starts in it
+    pos, at = np.empty((rho - len(bounds) + 1 + len(moved)) * qm1, np.intp), 0  # the text; where a run starts
     if not len(pos):
         return pos, pos
     kinds = np.bincount(turn, minlength=qm1) > 0  # the distinct R, and each G-cycle's among them
     turns, kind = kinds.nonzero()[0], kinds.cumsum()[turn] - 1
     span = np.gcd(turns, qm1)[:, None]  # c
-    r, p = np.divmod(np.arange(qm1), qm1 // span)  # round r*P + p: round p of the cycle from (g_0, r)
-    rounds = ((r - p * turns[:, None]) % qm1).astype(np.int16)  # its offset at g_0, per distinct R
+    i = np.arange(qm1)  # round i = r*P + p, offset r - p*R = r - i*R at g_0 (P*R = 0 mod q-1)
+    rounds = ((i // (qm1 // span) - turns[:, None] * i) % qm1).astype(np.int16)  # per distinct R
     edges = [0, *((lengths[1:] != lengths[:-1]).nonzero()[0] + 1).tolist(), len(moved)]
     for a, b in zip(edges, edges[1:]):  # G-cycles a .. b-1, of one length L
         k = starts[a:b, None] + np.arange(lengths[a])  # their steps in order
@@ -275,7 +275,7 @@ def _move_cycles(row: np.ndarray, qm1: int) -> tuple[np.ndarray, np.ndarray]:
         text = pos[at : at + off.size].reshape(b - a, qm1, -1).transpose(0, 2, 1)
         np.add((order[k] * qm1)[..., None], off, out=text)
         at += off.size
-    steps = np.repeat(qm1 // span[kind, 0] * lengths, span[kind, 0])  # c position cycles of L*P steps each
+    steps = (qm1 // span[kind, 0] * lengths).repeat(span[kind, 0])  # c position cycles of L*P steps each
     return pos, steps.cumsum() - steps
 
 
