@@ -259,7 +259,7 @@ def _move_cycles(row: np.ndarray, qm1: int) -> tuple[np.ndarray, np.ndarray]:
     turn = np.add.reduceat(s, starts) % qm1  # R
     moved = (lengths + turn > 1).nonzero()[0]  # L + R = 1: a fixed point, one group
     starts, lengths, turn = starts[moved], lengths[moved], turn[moved]
-    pos, at = np.empty((rho - len(bounds) + 1 + len(moved)) * qm1, np.intp), 0  # the text; where a run starts
+    pos, at = np.empty((rho - len(bounds) + 1 + len(moved)) * qm1, np.intp), 0  # all but the fixed groups
     if not len(pos):
         return pos, pos
     kinds = np.bincount(turn, minlength=qm1) > 0  # the distinct R, and each G-cycle's among them
