@@ -166,6 +166,16 @@ def schedule_text(moves) -> str:
     )
 
 
+def code_file_text(spec, region, poly: int) -> str:
+    """A code file spelled one `str()` at a time, the reference for
+    `format_code`'s token table: the header, then each region row's
+    elements joined by single spaces, every line ending in a newline."""
+    t = "-" if spec.t is None else spec.t
+    lines = [f"NBQC v2 {spec.code_class} {spec.m} {spec.c} {spec.n} {t} {spec.gamma} {spec.rho} {poly:x}"]
+    lines += (" ".join(map(str, row)) for row in np.asarray(region).tolist())
+    return "".join(line + "\n" for line in lines)
+
+
 def compare_full_grid(check_id, w, c, n, partner, act=None, wrapped=None, values=True) -> CheckResult:
     """`verify._compare` over every block (i, j) and offset (k, l) of the
     whole c*n x c*n base matrix, pairs outside the region w masked out:

@@ -4,13 +4,16 @@ import hashlib
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nbqc.cli import main
 from nbqc.codefile import CodeFileError, format_code, parse_code, read_code, write_code
-from nbqc.construct import CodeSpec, build_code
-from oracles import same_layers
+from nbqc.construct import CodeSpec, ParityCheck, build_code
+from nbqc.gf import GF2m
+from oracles import code_file_text, same_layers
 
 # `nbqc construct` flags of the benchmark's codes, read from its workload table
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -101,8 +104,52 @@ def test_cli_codes_round_trip(name, tmp_path, capsys):
     assert_same_arrays(h, want)
 
 
-def written(spec):
+@pytest.mark.parametrize("ending, last", [("\r\n", "\r\n"), ("\n", ""), ("\r\n", ""), ("\r", "\r")])
+def test_only_line_endings_and_the_final_newline_may_differ(built, tmp_path, ending, last):
+    spec, h, fld = built
+    text = format_code(spec, h, fld)
+    variant = ending.join(text.split("\n")[:-1]) + last
+    path, out = tmp_path / "variant.nbqc", tmp_path / "out.nbqc"
+    path.write_bytes(variant.encode())
+    for spec2, h2, fld2 in (parse_code(variant), read_code(str(path))):
+        assert spec2 == spec and np.array_equal(h2.region, h.region)
+        assert format_code(spec2, h2, fld2) == text
+        write_code(str(out), spec2, h2, fld2)
+        assert out.read_bytes() == text.encode()
+
+
+@st.composite
+def masked_codes(draw):
+    """A spec of m = 2..8 and a drawn gamma x rho, and a random region over
+    its field with zero blocks, as a masked region has, often in long runs."""
+    m = draw(st.integers(2, 8))
+    fld = GF2m(m)
+    q = fld.q
+    gamma, rho = draw(st.integers(1, min(q - 1, 6))), draw(st.integers(1, min(q - 1, 40)))
+    if draw(st.booleans()):
+        spec = CodeSpec.class1(m, 1, q - 1, gamma=gamma, rho=rho, primitive_poly=fld.primitive_poly)
+    else:
+        t = draw(st.integers(1, m - 1))
+        spec = CodeSpec.class2(m, t, gamma=gamma, rho=rho, primitive_poly=fld.primitive_poly)
+    values = draw(hnp.arrays(np.int64, (gamma, rho), elements=st.integers(0, q - 1)))
+    return spec, fld, values * draw(hnp.arrays(bool, (gamma, rho)))
+
+
+@given(masked_codes())
+@settings(max_examples=150, deadline=None)
+def test_masked_regions_round_trip(case):
+    spec, fld, region = case
+    text = format_code(spec, ParityCheck(fld, region), fld)
+    assert text == code_file_text(spec, region, fld.primitive_poly)
+    spec2, h2, _ = parse_code(text)
+    assert spec2 == spec
+    assert h2.region.dtype == np.int64 and np.array_equal(h2.region, region)
+
+
+def written(spec, mask=None):
     h, _, _, fld = build_code(spec)
+    if mask is not None:
+        h = ParityCheck(fld, h.region * mask)
     return format_code(spec, h, fld)
 
 
@@ -218,8 +265,16 @@ def test_format_code_refuses_what_it_cannot_write():
         format_code(CodeSpec.class1(2, 1, 3, gamma=2, rho=2), h, fld)
 
 
-# written files of a 4-ary and a 16-ary code (one- and two-digit elements)
-SMALL_TEXTS = [good_text(), written(FILE_SPECS["c1-m4"])]
+M8_MASK = np.ones((3, 40), np.int64)
+M8_MASK[1, 4:31] = 0  # a run of 27 zero blocks
+
+# written files of a 4-ary, a 16-ary and a masked 256-ary code (one-, two-
+# and three-digit elements)
+SMALL_TEXTS = [
+    good_text(),
+    written(FILE_SPECS["c1-m4"]),
+    written(CodeSpec.class1(8, 15, 17, gamma=3, rho=40), M8_MASK),
+]
 
 
 @st.composite
