@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codefile import ascii_text, digit_table
 from .construct import CLASS_I, CodeSpec, ParityCheck
 from .decode import DecodeResult, DecoderConfig, build_layer_schedule, decode
 from .gf import GF2m
@@ -204,33 +205,16 @@ def apply(bits: np.ndarray, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _digit_table(size: int, head: bytes, tail: bytes) -> np.ndarray:
-    """0 .. size-1 as fixed-width void items: `head`, ASCII digits right-aligned behind 0 bytes, `tail`."""
-    width, ones = len(str(size - 1)), len(head) + len(str(size - 1)) - 1
-    table = np.frombuffer(head + bytes(width) + tail, np.uint8)[None]
-    for p in range(width):  # the numbers below 10**(p+1): copies of those below 10**p, then place p
-        table = np.concatenate((table,) * min(10, -(-size // len(table))))[:size]
-        table[:, ones - p] = np.arange(48, 58, dtype=np.uint8).repeat(10**p)[: len(table)]
-    for p in range(1, width):  # no leading zeros
-        table[: 10**p, ones - p] = 0
-    return table.view(f"V{table.shape[1]}").ravel()
-
-
-def _ascii(chars: np.ndarray) -> str:
-    """The text of an array of ASCII bytes, its 0 bytes dropped."""
-    return chars.tobytes().translate(None, b"\0").decode("ascii")
-
-
 def schedule_pieces(moves: np.ndarray, qm1: int) -> list[str]:
     """`nbqc schedule`'s text of `group_moves` rows in pieces: per layer, its move's `src -> dst` map."""
     (distinct, index), size = distinct_moves(moves), moves.shape[1] // 2 * qm1
-    src, dst = _digit_table(size, b"", b" -> "), _digit_table(size, b"", b", ")
+    src, dst = digit_table(size, b"", b" -> "), digit_table(size, b"", b", ")
     pairs, maps, n = np.empty(size, [("src", src.dtype), ("dst", dst.dtype)]), [], len(index)
     pairs["src"] = src
     for perm in _positions(distinct, qm1):
         pairs["dst"] = dst.take(perm)
         pairs.view(np.uint8)[-2:] = 0  # no ", " after the last pair
-        maps.append(_ascii(pairs))
+        maps.append(ascii_text(pairs))
     heads = [f"transition layer {t} to layer {(t + 1) % n}: " for t in range(n)]
     return [x for t, k in enumerate(index.tolist()) for x in (heads[t], maps[k], "\n")][:-1]
 
@@ -299,14 +283,14 @@ class RoutingReport:
         stages, switches = (net.num_stages, net.num_switches) if net else (0, 0)
         counts = f"stages={stages} switches={switches} control_bits={switches}"
         # a token per position: an empty "(" slot, its digits, an empty ")" slot, a space
-        tokens, cycles = _digit_table(distinct.shape[1] // 2 * self.qm1, b"\0", b"\0 "), []
+        tokens, cycles = digit_table(distinct.shape[1] // 2 * self.qm1, b"\0", b"\0 "), []
         for row in distinct:
             pos, heads = _move_cycles(row, self.qm1)
             text = tokens.take(pos)
             marks = text.view(np.uint8).reshape(len(pos), tokens.itemsize)
             marks[heads, 0], marks[heads - 1, -2] = ord("("), ord(")")  # heads[0] - 1: the last
             marks[-1:, -1] = 0  # no space after the last
-            cycles.append(_ascii(text) or "(identity)")
+            cycles.append(ascii_text(text) or "(identity)")
         pieces, tail = [], f": {counts} realized=yes cycles="
         for t, k in enumerate(index.tolist()):
             pieces += (f"layer {t}->{(t + 1) % len(index)}", tail, cycles[k], "\n")

@@ -148,9 +148,11 @@ def test_verify_exit_codes_on_bad_files(capsys, tmp_path):
         (lines[:1] + ["0 1 2"] + lines[2:], "line 2"),
         (lines[:2] + ["1 0 3 two"], "line 3"),
         (lines[:1] + ["0 1 2 4"] + lines[2:], "line 2: '4' is not a decimal element below q = 4"),
+        (lines[:1] + ["0 1 2 \u0662"] + lines[2:], "line 2: byte 0xd9 is not ASCII"),  # valid UTF-8
+        (lines[:2] + ["1 0 3 \udcff"], "line 3: byte 0xff is not ASCII"),  # the byte 0xff, not UTF-8
     ):
-        with open(path, "w") as f:
-            f.write("\n".join(edited) + "\n")
+        with open(path, "wb") as f:
+            f.write(("\n".join(edited) + "\n").encode("utf-8", "surrogateescape"))
         simulate = ["simulate", "--code", path, "--snr-list", "1", "--trials", "1"]
         for argv in (["verify", path], ["route", "--code", path], ["schedule", "--code", path],
                      simulate):
