@@ -11,7 +11,7 @@ The body is the top-left gamma x rho region of the base matrix W, the one
 ParityCheck stores: a line per block row, 0 for a zero block.  A code file
 is ASCII and parses only if it is byte for byte what format_code writes
 (each element as str() spells it, one space apart), but for line endings
-(\r\n, \r) and the final newline.  The reader checks just that, against
+(\\r\\n, \\r) and the final newline.  The reader checks just that, against
 format_code's body for the region read off each token's last digits; it
 reads a refused body again line by line only to name a bad line.
 """

@@ -118,6 +118,18 @@ def test_only_line_endings_and_the_final_newline_may_differ(built, tmp_path, end
         assert out.read_bytes() == text.encode()
 
 
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_read_code_names_the_line_of_a_non_ascii_byte(tmp_path, ending):
+    lines = good_text().split("\n")[:-1]
+    path = tmp_path / "bad.nbqc"
+    for line, byte in ((1, 0xFF), (2, 0x80), (3, 0xD9)):
+        bad = [x.encode() for x in lines]
+        bad[line - 1] = bad[line - 1][:2] + bytes([byte]) + bad[line - 1][2:]
+        path.write_bytes(ending.encode().join(bad) + ending.encode())
+        with pytest.raises(CodeFileError, match=f"^line {line}: byte {byte:#04x} is not ASCII$"):
+            read_code(str(path))
+
+
 @st.composite
 def masked_codes(draw):
     """A spec of m = 2..8 and a drawn gamma x rho, and a random region over
