@@ -4,7 +4,8 @@ and helpers that only the tests use."""
 import numpy as np
 
 from nbqc.cost import CATEGORIES
-from nbqc.decode import normalize
+from nbqc.decode import build_layer_schedule, normalize
+from nbqc.shuffle import group_moves, route_schedule, schedule_pieces
 from nbqc.verify import CheckResult, _scope
 
 FORWARD = "forward"
@@ -196,3 +197,38 @@ def compare_full_grid(check_id, w, c, n, partner, act=None, wrapped=None, values
     cex = ((int(at[0]), int(at[1])), (int(at[2]), int(at[3])))
     cex += (int(a[at]), int(b[at])) if values else ()
     return CheckResult(check_id, _scope(rr, rc, dim), False, cex)
+
+
+def iteration_moves(spec) -> np.ndarray:
+    """`group_moves` as positions: a read-only (gamma, rho*(q-1)) intp
+    array, perm[g*(q-1) + j] = G[g]*(q-1) + (j - s[g]) mod (q-1)."""
+    rows, qm1 = group_moves(spec), spec.q - 1
+    groups, shifts = np.split(rows[..., None], 2, axis=1)
+    perms = (groups * qm1 + (np.arange(qm1) - shifts) % qm1).reshape(len(rows), -1)
+    perms.flags.writeable = False
+    return perms
+
+
+def render_schedule(moves, qm1: int) -> str:
+    """`schedule_pieces` joined: the text `nbqc schedule` prints."""
+    return "".join(schedule_pieces(moves, qm1))
+
+
+def walk_wiring(spec, h) -> None:
+    """The schedule-driven decoder's wiring check one position at a time,
+    the reference for its block placements: after `build_layer_schedule`
+    and `route_schedule`, track the physical position of every column
+    through `iteration_moves` and raise AssertionError at the first layer,
+    and its first row, whose columns are not at layer 0's wiring."""
+    schedule = build_layer_schedule(h)
+    wired, pos = np.sort(schedule[0][0], axis=1), np.arange(h.cols)
+    route_schedule(spec)
+    for t, ((cols, _), move) in enumerate(zip(schedule, iteration_moves(spec))):
+        got = np.sort(pos[cols], axis=1)
+        same = got.shape == wired.shape
+        bad = np.flatnonzero((got != wired).any(axis=1)) if same else [0]
+        if len(bad):
+            e = bad[0]
+            raise AssertionError(f"layer {t} row offset {e}: schedule misalignment, "
+                                 f"wired={wired[e].tolist()} got={got[e].tolist()}")
+        pos = move[pos]

@@ -1,6 +1,7 @@
 """Routing schedules, the index table, the Benes model and the
 schedule-driven decoder."""
 
+import collections
 import hashlib
 import itertools
 import types
@@ -25,7 +26,7 @@ from nbqc.shuffle import (
     route_schedule,
     schedule_driven_decode,
 )
-from oracles import schedule_text
+from oracles import schedule_text, walk_wiring
 
 SPEC_CLASS1 = CodeSpec.class1(2, 1, 3, gamma=2, rho=3)  # 4-ary (9, 3)
 SPEC_CLASS2 = CodeSpec.class2(2, 1, gamma=2, rho=4)  # 4-ary (12, 6)
@@ -526,3 +527,47 @@ def test_schedule_verdicts_pinned():
     assert [kinds.count(k) for k in ("decoded", "AssertionError", "ValueError")] == [42, 70, 68]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "e775c0692ea6d2a2e0afeb9727e3b8fa69c4baa33ce1c20005e3dbed97768a17"
+
+
+def wiring_verdict(check, *args):
+    """The refusal of `check(*args)` (type and text), or "accepted"."""
+    try:
+        check(*args)
+    except (AssertionError, ValueError) as e:
+        return f"{type(e).__name__}: {e}"
+    return "accepted"
+
+
+def test_wiring_check_matches_position_walk(monkeypatch):
+    # every decodable spec with m <= 4, decoding itself stubbed out: the
+    # decoder refuses with the position walk's type and text, or accepts
+    # where the walk does
+    monkeypatch.setattr(shuffle, "decode", lambda *args: None)
+    kinds = collections.Counter()
+    for spec, h, fld in decodable_specs(4):
+        verdict = wiring_verdict(schedule_driven_decode, spec, h, None, fld, None)
+        assert verdict == wiring_verdict(walk_wiring, spec, h), spec
+        kinds[verdict.split(":")[0]] += 1
+    assert kinds == {"accepted": 149, "AssertionError": 875, "ValueError": 608}
+
+
+# the 64-ary (1260, 630) Class-I and 32-ary (992, 496) Class-II headline
+# codes and the 256-ary Class-II code: the sha256 of each refusal's text
+HEADLINE_REFUSALS = {
+    "q64": (CodeSpec.class1(6, 7, 9, gamma=10, rho=20),
+            "594af3401d2faca85e7b4f0d00219d8af53cc270b98bbda7cc8ddc2a1b7068a5"),
+    "q32": (CodeSpec.class2(5, 4, gamma=16, rho=32),
+            "45d3cbf27b9f11318ecb46258a8d1398db483516c938c6ad7e0ed6bd8581e250"),
+    "m8-c2": (CodeSpec.class2(8, 4, gamma=16, rho=256),
+              "c69a09dd0b295a2a1a31eb27988103bbe0f6e4b07bf7755c90ef9eeeac415ac8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEADLINE_REFUSALS))
+def test_headline_refusals_pinned(name):
+    # all three fail at layer 1, before any layer is decoded
+    spec, digest = HEADLINE_REFUSALS[name]
+    h, _, _, fld = build_code(spec)
+    with pytest.raises(AssertionError, match=r"^layer 1 row offset 0: schedule misalignment, wired=\[") as e:
+        schedule_driven_decode(spec, h, None, fld, None)
+    assert hashlib.sha256(str(e.value).encode()).hexdigest() == digest
