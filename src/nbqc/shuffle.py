@@ -20,9 +20,12 @@ row once; its cycles follow from G's cycles by arithmetic.  Its text is one
 `take` from a table of fixed-width tokens, a void item per position (its
 digits and the 0-byte slots that marks fill), with the 0 bytes dropped;
 the commands write a report as pieces that share each distinct move's
-text.  Moves become positions only for `schedule`'s text and for the
-schedule-driven decoder, which walks `iteration_moves` and refuses a
-schedule unless every layer finds its columns at layer 0's fixed wiring.
+text.  Moves become positions only for `schedule`'s text.  The
+schedule-driven decoder replays the moves it routes on block placements
+(where each block column sits, how far it has turned) and refuses a
+schedule unless every layer finds its columns at layer 0's fixed wiring;
+it maps only each layer's row 0, because every other row of a layer is
+row 0 shifted by one offset inside every block.
 """
 
 from __future__ import annotations
@@ -101,20 +104,6 @@ def group_moves(spec: CodeSpec) -> np.ndarray:
     return table
 
 
-def _positions(rows: np.ndarray, qm1: int) -> np.ndarray:
-    """Rows of `group_moves` as read-only rows of positions (see `iteration_moves`)."""
-    groups, shifts = np.split(rows[..., None], 2, axis=1)
-    perms = (groups * qm1 + (np.arange(qm1) - shifts) % qm1).reshape(len(rows), -1)
-    perms.flags.writeable = False
-    return perms
-
-
-def iteration_moves(spec: CodeSpec) -> np.ndarray:
-    """`group_moves` as positions: a read-only (gamma, rho*(q-1)) intp
-    array, perm[g*(q-1) + j] = G[g]*(q-1) + (j - s[g]) mod (q-1)."""
-    return _positions(group_moves(spec), spec.q - 1)
-
-
 def distinct_moves(moves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of `moves` (read-only, in order of first use) and
     each row's index among them; the rows' bytes key and rebuild them."""
@@ -158,9 +147,9 @@ class BenesNetwork:
         """
         w, idx = self.width, np.arange(self.width)
         perm = np.asarray(perm)
-        p = perm.astype(np.intp)
-        if p.shape != (w,) or not np.array_equal(np.sort(p), idx):
+        if perm.dtype.kind not in "iu" or perm.shape != (w,) or not np.array_equal(np.sort(perm), idx):
             raise ValueError("permutation is not a bijection of the network width")
+        p = perm.astype(np.intp)
         bits = np.empty((self.num_stages, w // 2), dtype=bool)
         for s in range(self.num_stages // 2):
             size = w >> s  # of each sub-network at depth s
@@ -211,17 +200,13 @@ def schedule_pieces(moves: np.ndarray, qm1: int) -> list[str]:
     src, dst = digit_table(size, b"", b" -> "), digit_table(size, b"", b", ")
     pairs, maps, n = np.empty(size, [("src", src.dtype), ("dst", dst.dtype)]), [], len(index)
     pairs["src"] = src
-    for perm in _positions(distinct, qm1):
+    groups, shifts = np.split(distinct[..., None], 2, axis=1)  # position (g, j) -> (G[g], j - s[g])
+    for perm in (groups * qm1 + (np.arange(qm1) - shifts) % qm1).reshape(len(distinct), -1):
         pairs["dst"] = dst.take(perm)
         pairs.view(np.uint8)[-2:] = 0  # no ", " after the last pair
         maps.append(ascii_text(pairs))
     heads = [f"transition layer {t} to layer {(t + 1) % n}: " for t in range(n)]
     return [x for t, k in enumerate(index.tolist()) for x in (heads[t], maps[k], "\n")][:-1]
-
-
-def render_schedule(moves: np.ndarray, qm1: int) -> str:
-    """`schedule_pieces` joined: the text `nbqc schedule` prints."""
-    return "".join(schedule_pieces(moves, qm1))
 
 
 def _move_cycles(row: np.ndarray, qm1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -327,25 +312,31 @@ def schedule_driven_decode(spec: CodeSpec, h: ParityCheck, channel, fld: GF2m,
     every layer's posteriors to fixed check-node wiring; one frame or an
     (F, columns, q) stack, as in `decode`.
 
-    Before any layer is decoded, `route_schedule` routes the moves
-    (Class-II group maps on the Benes network, whose switch bits are
-    checked against each map), and one walk over `iteration_moves` tracks
-    the physical position of every column.  Each layer must find its
-    columns at the wiring fixed from layer 0's nonzero pattern, or the
-    schedule is refused.  Positions depend only on the schedule and one
-    iteration's moves compose to the identity, so the posteriors are then
-    those of the direct decoder, bit for bit.
+    Before any layer is decoded, the spec must have H's (q, gamma, rho),
+    and `route_schedule` routes the moves (Class-II group maps on the Benes
+    network, whose switch bits are checked against each map).  The routed
+    report's (G, s) rows are then replayed, in layer order, on block
+    placements: place[b] is where block column b sits and turn[b]
+    its accumulated rotation, and a move takes them to G[place] and
+    turn + s[place].  Each layer's row 0 must land on layer 0's row 0, or
+    the schedule is refused.  One row decides: row e of block (t, b) is at
+    offset (e + log w) mod (q-1), so every row of a layer is row 0 shifted
+    by e inside each block, and a move aligns all of them or none.
+    Positions depend only on the schedule and one iteration's moves
+    compose to the identity, so the posteriors are then those of the
+    direct decoder, bit for bit.
     """
+    given, have = (spec.q, spec.gamma, spec.rho), (h.q, *h.region.shape)
+    if given != have:
+        raise ValueError(f"spec (q, gamma, rho) = {given} does not match H's {have}")
     schedule = build_layer_schedule(h)
-    wired, pos = np.sort(schedule[0][0], axis=1), np.arange(h.cols)
-    route_schedule(spec)
-    for t, ((cols, _), move) in enumerate(zip(schedule, iteration_moves(spec))):
-        got = np.sort(pos[cols], axis=1)
-        same = got.shape == wired.shape
-        bad = np.flatnonzero((got != wired).any(axis=1)) if same else [0]
-        if len(bad):
-            e = bad[0]
-            raise AssertionError(f"layer {t} row offset {e}: schedule misalignment, "
-                                 f"wired={wired[e].tolist()} got={got[e].tolist()}")
-        pos = move[pos]
+    moves, qm1, rho = route_schedule(spec).moves, h.q - 1, spec.rho
+    wired, place, turn = np.sort(schedule[0][0][0]), np.arange(rho), np.zeros(rho, np.intp)
+    for t, ((cols, _), move) in enumerate(zip(schedule, moves)):
+        b, j = np.divmod(cols[0], qm1)  # row 0's columns: block column, offset
+        got = np.sort(place[b] * qm1 + (j - turn[b]) % qm1)
+        if not np.array_equal(got, wired):
+            raise AssertionError(f"layer {t} row offset 0: schedule misalignment, "
+                                 f"wired={wired.tolist()} got={got.tolist()}")
+        place, turn = move[place], turn + move[rho:][place]
     return decode(h, schedule, channel, fld, config)

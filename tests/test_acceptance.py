@@ -29,12 +29,11 @@ from nbqc.gf import GF2m
 from nbqc.shuffle import (
     BenesNetwork,
     build_index_matrix,
-    iteration_moves,
     route_schedule,
     schedule_driven_decode,
 )
 from nbqc.verify import verify_class1, verify_class2
-from oracles import check_node_brute_force, per_category_ratios
+from oracles import check_node_brute_force, iteration_moves, per_category_ratios
 
 CLASS1_SUITE = [(2, 1, 3), (3, 7, 1), (4, 3, 5), (6, 7, 9)]
 CLASS2_SUITE = [(2, 1), (3, 1), (4, 2), (5, 2)]

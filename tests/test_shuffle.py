@@ -4,6 +4,7 @@ schedule-driven decoder."""
 import collections
 import hashlib
 import itertools
+import re
 import types
 
 import numpy as np
@@ -21,12 +22,10 @@ from nbqc.shuffle import (
     build_index_matrix,
     distinct_moves,
     group_moves,
-    iteration_moves,
-    render_schedule,
     route_schedule,
     schedule_driven_decode,
 )
-from oracles import schedule_text, walk_wiring
+from oracles import iteration_moves, render_schedule, schedule_text, walk_wiring
 
 SPEC_CLASS1 = CodeSpec.class1(2, 1, 3, gamma=2, rho=3)  # 4-ary (9, 3)
 SPEC_CLASS2 = CodeSpec.class2(2, 1, gamma=2, rho=4)  # 4-ary (12, 6)
@@ -227,7 +226,7 @@ def test_class2_transition_moves_groups_only():
 
 def test_class2_transition_rejects_partial_groups():
     with pytest.raises(ValueError, match="group index"):
-        iteration_moves(CodeSpec.class2(2, 1, gamma=2, rho=3))
+        group_moves(CodeSpec.class2(2, 1, gamma=2, rho=3))
 
 
 @st.composite
@@ -341,8 +340,10 @@ def test_benes_counts():
 
 
 def test_benes_rejects_bad_permutation():
-    with pytest.raises(ValueError):
-        BenesNetwork(4).route([0, 0, 1, 2])
+    # a repeated terminal, then entries that are a bijection only once cast to integers
+    for perm in [0, 0, 1, 2], [0.5, 1.2, 2.9, 3.1], [0, 1, 2, 3.0], ["0", "1", "2", "3"]:
+        with pytest.raises(ValueError, match="permutation is not a bijection"):
+            BenesNetwork(4).route(perm)
 
 
 @given(st.permutations(list(range(16))))
@@ -454,7 +455,7 @@ def test_schedule_driven_stack_matches_frames_alone(spec):
 
 
 def test_schedule_driven_detects_misalignment(monkeypatch):
-    # a wrong transition map must trip the wiring assertion, proving the
+    # a wrong group map must trip the wiring assertion, proving the
     # alignment check is live, and before any layer is decoded
     spec = SPEC_CLASS2
     h, _, _, fld = build_code(spec)
@@ -467,18 +468,38 @@ def test_schedule_driven_detects_misalignment(monkeypatch):
     public = [v for k, v in vars(nbqc).items() if not k.startswith("_")]
     assert all(isinstance(v, types.ModuleType) for v in public)
 
-    orig = shuffle_mod.iteration_moves
+    orig = shuffle_mod.group_moves
 
     def broken(spec_):
         moves = orig(spec_).copy()
-        moves[0, [0, 3]] = moves[0, [3, 0]]
+        rho = spec_.rho
+        # groups 0 and 3 of move 0 swap their G and s entries
+        moves[0, [0, 3, rho, rho + 3]] = moves[0, [3, 0, rho + 3, rho]]
         return moves
 
     calls = []
-    monkeypatch.setattr(shuffle_mod, "iteration_moves", broken)
+    monkeypatch.setattr(shuffle_mod, "group_moves", broken)
     monkeypatch.setattr(decode_mod, "update_layer", lambda *args: calls.append(args))
-    with pytest.raises(AssertionError, match="misalignment"):
+    with pytest.raises(AssertionError, match="layer 1 row offset 0: schedule misalignment"):
         schedule_driven_decode(spec, h, channel, fld, DecoderConfig(max_iter=2))
+    assert not calls
+
+
+@pytest.mark.parametrize("spec,code", [
+    # q = 8 on a 16-ary H, rho = 8 on rho = 6, gamma = 3 on gamma = 2
+    (CodeSpec.class2(3, 1, gamma=2, rho=4), CodeSpec.class2(4, 2, gamma=2, rho=4)),
+    (CodeSpec.class2(3, 1, gamma=2, rho=8), CodeSpec.class2(3, 1, gamma=2, rho=6)),
+    (CodeSpec.class2(3, 1, gamma=3, rho=8), CodeSpec.class2(3, 1, gamma=2, rho=8)),
+])
+def test_schedule_driven_refuses_spec_of_another_code(monkeypatch, spec, code):
+    # refused before routing, naming both (q, gamma, rho) triples
+    h, _, _, fld = build_code(code)
+    calls = []
+    monkeypatch.setattr(shuffle, "route_schedule", lambda *args: calls.append(args))
+    triples = (spec.q, spec.gamma, spec.rho), (code.q, code.gamma, code.rho)
+    want = "spec (q, gamma, rho) = %s does not match H's %s" % triples
+    with pytest.raises(ValueError, match=re.escape(want)):
+        schedule_driven_decode(spec, h, None, fld, DecoderConfig(max_iter=1))
     assert not calls
 
 
@@ -565,9 +586,10 @@ HEADLINE_REFUSALS = {
 
 @pytest.mark.parametrize("name", sorted(HEADLINE_REFUSALS))
 def test_headline_refusals_pinned(name):
-    # all three fail at layer 1, before any layer is decoded
+    # all three fail at layer 1; no channel is given, so no layer is decoded
     spec, digest = HEADLINE_REFUSALS[name]
     h, _, _, fld = build_code(spec)
-    with pytest.raises(AssertionError, match=r"^layer 1 row offset 0: schedule misalignment, wired=\[") as e:
+    head = r"^layer 1 row offset 0: schedule misalignment, wired=\["
+    with pytest.raises(AssertionError, match=head) as e:
         schedule_driven_decode(spec, h, None, fld, None)
     assert hashlib.sha256(str(e.value).encode()).hexdigest() == digest
